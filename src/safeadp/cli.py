@@ -15,7 +15,6 @@ import numpy as np
 
 from .config import DEFAULTS, build_scenario, parse_config
 from .errors import ConfigError
-from .oracles import run_selftest
 from .sim import TrajectoryRecord, run_episode, summarize
 
 EXIT_OK = 0
@@ -169,6 +168,13 @@ def cmd_sweep(args):
 
 
 def cmd_selftest(_args):
+    try:  # the oracles need SciPy, which only selftest and the tests use
+        from .oracles import run_selftest
+    except ModuleNotFoundError as exc:
+        if (exc.name or "").split(".")[0] != "scipy":
+            raise
+        print("selftest needs SciPy: pip install 'safeadp[test]'", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     results = run_selftest()
     all_ok = True
     for name, ok, detail in results:

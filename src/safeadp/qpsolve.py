@@ -1,10 +1,13 @@
-"""Relaxed CLF-CBF quadratic program and the dense active-set solver
-behind it.
+"""Relaxed CLF-CBF quadratic program and the dense dual active-set
+solver behind it (Goldfarb and Idnani, "A numerically stable dual method
+for solving strictly convex quadratic programs", Math. Programming 27,
+1983).
 
 Problems are stated as  min v^T H v + c_lin^T v  s.t.  A v <= b  with H
-symmetric positive definite. The controller instance has decision
-variables v = [u; phi] with H = blkdiag(R, p): the CLF row is relaxed by
-phi, the CBF and box rows are hard.
+symmetric positive definite. The dual method starts at the unconstrained
+minimum and needs no feasible start point. The controller instance has
+decision variables v = [u; phi] with H = blkdiag(R, p): the CLF row is
+relaxed by phi, the CBF and box rows are hard.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import QpInfeasible
 from .model import ClassKScale
@@ -92,92 +94,83 @@ def kkt_ok(prob, v, multipliers, tol=KKT_TOL):
     return all(r <= tol for r in res.values())
 
 
-def _phase1_start(prob: QpProblem, tol):
-    """LP feasibility phase: minimize the worst constraint violation."""
-    d, k = prob.d, prob.k
-    # variables (v, t): minimize t s.t. A v - t <= b, t >= -1
-    c = np.zeros(d + 1)
-    c[-1] = 1.0
-    A_ub = np.hstack([prob.A, -np.ones((k, 1))])
-    res = linprog(c, A_ub=A_ub, b_ub=prob.b,
-                  bounds=[(None, None)] * d + [(-1.0, None)], method="highs")
-    if not res.success or res.x[-1] > 1e-7:
-        return None
-    return res.x[:d]
-
-
 def solve_qp(prob: QpProblem, tol=SOLVE_TOL, max_iter=200):
-    """Primal active-set method with smallest-index tie-breaking.
+    """Goldfarb-Idnani dual active-set method (Math. Programming 27, 1983).
 
-    Starts from the unconstrained minimum when feasible, otherwise from
-    an LP feasibility phase. Every Optimal result satisfies the KKT
-    conditions at KKT_TOL (verified before returning).
+    Starts at the unconstrained minimum and adds the most violated row
+    (smallest index on ties); an active row is dropped when its multiplier
+    would turn negative first (a partial step). No finite step means the
+    problem is infeasible. The point returned solves the final active set
+    as equalities, and every Optimal result satisfies the KKT conditions
+    at KKT_TOL (verified before returning).
     """
     d, k = prob.d, prob.k
-    P = 2.0 * prob.H
-    q = prob.c_lin
-
-    v = np.linalg.solve(P, -q)
-    if prob.k and np.any(prob.A @ v > prob.b + tol):
-        v = _phase1_start(prob, tol)
-        if v is None:
-            return QpSolution(v_star=np.full(d, np.nan), active_set=(),
-                              multipliers=np.zeros(k), status="Infeasible")
-    # working set: maximal independent subset of constraints active at v
+    A, b = prob.A, prob.b
+    # in w = L^T v, with 2H = L L^T, the Hessian is I and the rows are A L^-T
+    L_T_inv = np.linalg.inv(np.linalg.cholesky(2.0 * prob.H)).T
+    Aw = A @ L_T_inv
+    v = -L_T_inv @ (L_T_inv.T @ prob.c_lin)
     W: list[int] = []
-    slack = prob.A @ v - prob.b
-    for i in range(k):
-        if slack[i] >= -1e-9:
-            cand = prob.A[W + [i]]
-            if np.linalg.matrix_rank(cand) == len(W) + 1:
-                W.append(i)
-
+    lam = np.zeros(0)  # multipliers of the rows in W, in order
+    it = 0
+    while it < max_iter:
+        it += 1
+        viol = A @ v - b
+        viol[W] = -np.inf
+        p = int(np.argmax(viol)) if k else -1
+        if p < 0 or viol[p] <= tol:
+            break
+        a, lam_p = Aw[p], 0.0
+        while it < max_iter:
+            # z is the part of a orthogonal to the rows of W (exactly 0 when
+            # |W| = d): it keeps W active and lowers row p, while the
+            # multipliers of W move by -r per unit step
+            if W:
+                Q, R = np.linalg.qr(Aw[W].T, mode="complete")
+                r = np.linalg.solve(R[: len(W)], Q[:, : len(W)].T @ a)
+                z = -Q[:, len(W):] @ (Q[:, len(W):].T @ a)
+            else:
+                r, z = lam, -a
+            descent = z @ z  # a row within 1e-12 rad of span(W) counts as dependent
+            t_full = (A[p] @ v - b[p]) / descent if descent > 1e-24 * (a @ a) else np.inf
+            pos = np.flatnonzero(r > 0.0)
+            drop = pos[np.argmin(lam[pos] / r[pos])] if pos.size else -1
+            t_part = lam[drop] / r[drop] if pos.size else np.inf
+            t = min(t_full, t_part)
+            if not np.isfinite(t):
+                return QpSolution(v_star=np.full(d, np.nan), active_set=(), iterations=it,
+                                  multipliers=np.zeros(k), status="Infeasible")
+            if np.isfinite(t_full):
+                v = v + t * (L_T_inv @ z)
+            lam = lam - t * r
+            lam_p += t
+            if t_full <= t_part:
+                W.append(p)
+                lam = np.append(lam, lam_p)
+                break
+            del W[drop]
+            lam = np.delete(lam, drop)
+            it += 1
+    else:
+        raise RuntimeError("active-set solver failed to converge")
+    if len(W) == d:
+        # a vertex: solving A_W v = b_W keeps the active rows exact even when
+        # the multipliers are large; these then follow from stationarity
+        v = np.linalg.solve(A[W], b[W])
+        lam = np.linalg.solve(A[W].T, -(2.0 * prob.H @ v + prob.c_lin))
+    elif W:
+        KKT = np.zeros((d + len(W), d + len(W)))
+        KKT[:d, :d] = 2.0 * prob.H
+        KKT[:d, d:] = A[W].T
+        KKT[d:, :d] = A[W]
+        sol = np.linalg.solve(KKT, np.concatenate([-prob.c_lin, b[W]]))
+        v, lam = sol[:d], sol[d:]
     lam_full = np.zeros(k)
-    for it in range(1, max_iter + 1):
-        g = P @ v + q
-        nW = len(W)
-        KKT = np.zeros((d + nW, d + nW))
-        KKT[:d, :d] = P
-        if nW:
-            AW = prob.A[W]
-            KKT[:d, d:] = AW.T
-            KKT[d:, :d] = AW
-        rhs = np.concatenate([-g, np.zeros(nW)])
-        sol = np.linalg.solve(KKT, rhs)
-        p_dir = sol[:d]
-        lam_W = sol[d:]
-
-        if np.linalg.norm(p_dir, np.inf) <= tol:
-            lam_full[:] = 0.0
-            lam_full[W] = lam_W
-            neg = [i for i, li in zip(W, lam_W) if li < -tol]
-            if not neg:
-                sol_out = QpSolution(v_star=v, active_set=tuple(sorted(W)),
-                                     multipliers=lam_full.copy(), status="Optimal",
-                                     objective=prob.objective(v), iterations=it)
-                if not kkt_ok(prob, v, lam_full):
-                    raise RuntimeError("active-set solver produced a non-KKT point")
-                return sol_out
-            W.remove(min(neg))  # Bland's rule
-            continue
-
-        # step to the nearest blocking constraint
-        alpha = 1.0
-        blocking = -1
-        for i in range(k):
-            if i in W:
-                continue
-            ai_p = prob.A[i] @ p_dir
-            if ai_p > tol:
-                ai = (prob.b[i] - prob.A[i] @ v) / ai_p
-                if ai < alpha - 1e-15:
-                    alpha = max(ai, 0.0)
-                    blocking = i
-        v = v + alpha * p_dir
-        if blocking >= 0:
-            W.append(blocking)
-            W.sort()
-    raise RuntimeError("active-set solver failed to converge")
+    lam_full[W] = lam
+    if not kkt_ok(prob, v, lam_full):
+        raise RuntimeError("active-set solver produced a non-KKT point")
+    return QpSolution(v_star=v, active_set=tuple(sorted(W)), multipliers=lam_full,
+                      status="Optimal", objective=prob.objective(v), iterations=it)
 
 
 def build_qp(sys, safeset, Q, cost, params: QpParams, x):

@@ -312,6 +312,10 @@ def run_qp_episode(scn):
         if st != "OK":
             status = "STEP_UNDERFLOW"
             break
+        # strict h < 0: the collinear stall legitimately grazes h ~ 5e-12 < H_MIN
+        if any(safeset.h(yi[:n]) < 0.0 for yi in rec.ys[1:]):
+            status = "SAFETY_BREACH"
+            break
 
     wall = time.perf_counter() - t_start
     grid = _output_grid(sim.t_final, sim.dt_out, t)

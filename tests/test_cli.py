@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +69,15 @@ class TestRun:
         assert d["min_h"] == pytest.approx(h_col.min(), abs=1e-15)
         assert d["status"] == "OK"
         assert d["controller"] == "adp"
+
+    def test_qp_breach_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "breach.cfg"
+        cfg.write_text("sim.controller = qp\nqp.dt = 2.0\n")
+        out = tmp_path / "t.csv"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "status=SAFETY_BREACH" in capsys.readouterr().out
+        assert out.read_text().splitlines()[-1].endswith(",SAFETY_BREACH")
 
 
 class TestConfig:
@@ -141,3 +154,21 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("[PASS]") >= 6
+
+    def test_missing_scipy_exit_code(self, monkeypatch, capsys):
+        # a None entry makes the import fail as if SciPy were not installed
+        for name in ("scipy", "scipy.integrate"):
+            monkeypatch.setitem(sys.modules, name, None)
+        monkeypatch.delitem(sys.modules, "safeadp.oracles", raising=False)
+        assert main(["selftest"]) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "safeadp[test]" in err
+
+
+def test_runtime_does_not_load_scipy():
+    src = str(Path(sa.__file__).resolve().parents[1])
+    code = ("import sys, safeadp, safeadp.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

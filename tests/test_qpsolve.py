@@ -155,3 +155,50 @@ class TestSolver:
         assert all(v <= 1e-12 for v in res.values())
         res_bad = sa.kkt_residuals(prob, np.array([0.0, 0.0]), np.array([0.0]))
         assert res_bad["primal"] == pytest.approx(1.0)
+
+
+def _check_against_oracle(prob):
+    """solve_qp and exhaustive enumeration agree on status; an Optimal
+    result is a KKT point at KKT_TOL with the oracle's objective."""
+    sol = sa.solve_qp(prob)
+    ref = enumerate_qp(prob)
+    assert sol.status == ("Optimal" if ref is not None else "Infeasible")
+    if ref is not None:
+        assert kkt_ok(prob, sol.v_star, sol.multipliers, tol=KKT_TOL)
+        assert abs(sol.objective - ref[2]) <= 1e-8 * max(1.0, abs(ref[2]))
+    return sol
+
+
+class TestSolverProperties:
+    def test_unconstrained_minimum_on_a_row(self):
+        # the band |A_i v0 - b_i| <= 1e-9 around the unconstrained minimum v0
+        # is where a start-dependent working set can go wrong
+        rng = np.random.default_rng(33)
+        for _ in range(300):
+            prob = random_qp(rng)
+            v0 = np.linalg.solve(2.0 * prob.H, -prob.c_lin)
+            i = rng.integers(prob.k)
+            prob.b[i] = prob.A[i] @ v0 + rng.uniform(-1e-9, 1e-9)
+            _check_against_oracle(prob)
+
+    def test_infeasible_instances(self):
+        # a Farkas certificate y >= 0 with y^T A = 0 and y^T b < 0 on the
+        # first d + 1 rows makes every instance infeasible
+        rng = np.random.default_rng(34)
+        d, k = 3, 6
+        for _ in range(300):
+            prob = random_qp(rng, d=d, k=k)
+            y = rng.uniform(0.1, 1.0, size=d + 1)
+            prob.A[d] = -(y[:d] @ prob.A[:d]) / y[d]
+            prob.b[d] = -(y[:d] @ prob.b[:d] + rng.uniform(0.01, 1.0)) / y[d]
+            _check_against_oracle(prob)
+
+    def test_controller_on_boundary_band(self, sys_, safeset, cost_spec, params):
+        rng = np.random.default_rng(35)
+        for _ in range(300):
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            h = 10.0 ** rng.uniform(-12.0, -6.0)
+            x = safeset.center + (safeset.radius + h) * np.array([np.cos(theta),
+                                                                  np.sin(theta)])
+            prob = sa.build_qp(sys_, safeset, cost_spec.Q, cost_spec, params, x)
+            assert _check_against_oracle(prob).status == "Optimal"

@@ -109,6 +109,14 @@ class TestQpEpisode:
         assert np.linalg.norm(qp_stall_record.x[-1]) > 0.5
         assert np.min(qp_stall_record.h) >= -1e-6
 
+    def test_breach_ends_episode(self):
+        # a 2 s hold carries the state through the obstacle
+        scn = sa.build_scenario(sim__controller="qp", qp__dt=2.0)
+        rec = sa.run_qp_episode(scn)
+        assert rec.status == "SAFETY_BREACH"
+        assert np.min(rec.h) < 0.0
+        assert rec.t[-1] < scn.sim.t_final
+
     def test_deterministic(self, qp_record):
         scn = sa.build_scenario(sim__controller="qp")
         again = sa.run_qp_episode(scn)
