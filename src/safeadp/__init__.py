@@ -11,9 +11,8 @@ from .critic import (BellmanSample, LearnerGains, actor_rhs, bellman_at,
 from .errors import (BoundaryViolation, ConfigError, InputOutOfBox,
                      QpInfeasible, SafeAdpError, SingularGradient,
                      StepSizeUnderflow)
-from .model import (CircularSafeSet, ClassKScale, SystemModel, cbf_margin,
-                    clf_margin, eval_h, grad_h, linear_system,
-                    single_integrator)
+from .model import (CircularSafeSet, SystemModel, cbf_margin, clf_margin,
+                    linear_system, single_integrator)
 from .qpsolve import (QpParams, QpProblem, QpSolution, build_qp,
                       kkt_residuals, qp_controller, solve_qp)
 from .sim import (SimConfig, SummaryReport, TrajectoryRecord,

@@ -6,9 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -144,11 +142,10 @@ def cmd_sweep(args):
         raise ConfigError(f"unknown sweep key {args.sweep_key!r}")
     import ast
     sweep_values = [ast.literal_eval(tok) for tok in args.sweep_values.split(";")]
-    threads = int(os.environ.get("SAFEADP_THREADS", "4"))
     stem = str(Path(args.out).with_suffix("")) if args.out else "sweep"
 
-    def job(idx_val):
-        idx, val = idx_val
+    results = []
+    for idx, val in enumerate(sweep_values):
         v = dict(values)
         v[args.sweep_key] = val
         record, summary = _run_one(v)
@@ -157,10 +154,7 @@ def cmd_sweep(args):
         d["sweep_key"] = args.sweep_key
         d["sweep_value"] = val
         write_summary(d, f"{stem}_{idx:03d}_summary.json")
-        return record.status, d
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        results = list(pool.map(job, enumerate(sweep_values)))
+        results.append((record.status, d))
     for (status, d) in results:
         print(f"{args.sweep_key}={d['sweep_value']}: status={status} "
               f"min_h={d['min_h']:.6g} terminal_x={d['terminal_x_norm']:.6g}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -73,16 +74,29 @@ def parse_config(path):
     return values
 
 
-_STRING_KEYS = ("system.kind", "sim.controller")
-
-
 def _parse_value(val, key, path, lineno):
     try:
         return ast.literal_eval(val)
     except (ValueError, SyntaxError):
-        if key in _STRING_KEYS and all(c.isalnum() or c in "._-" for c in val):
+        if isinstance(DEFAULTS[key], str) and all(c.isalnum() or c in "._-" for c in val):
             return val
         raise ConfigError(f"{path}:{lineno}: cannot parse value for {key!r}: {val!r}")
+
+
+def _coerce(key, val):
+    """Convert val to the type of the key's default; lists become float
+    arrays and keys whose default is None take the value as given."""
+    default = DEFAULTS[key]
+    if default is None:
+        return val
+    kind = type(default)
+    try:
+        out = np.asarray(val, float) if kind is list else kind(val)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {val!r}") from None
+    if kind is int and out != val:
+        raise ConfigError(f"{key}: expected an integer, got {val!r}")
+    return out
 
 
 @dataclass
@@ -100,9 +114,27 @@ class Scenario:
     values: dict
 
 
+def _system(kind, A, B, u_max):
+    if kind == "single_integrator":
+        return single_integrator(u_max)
+    if kind == "linear":
+        if A is None or B is None:
+            raise ConfigError("system.kind = linear requires system.A and system.B")
+        return linear_system(A, B, u_max)
+    raise ConfigError(f"unknown system.kind {kind!r}")
+
+
+def _cost(Q, r_diag, u_max, n):
+    return CostSpec(Q=Q.reshape(n, n) if Q.ndim == 1 else Q, r_diag=r_diag, u_max=u_max)
+
+
 def build_scenario(values=None, **overrides):
     """Construct a Scenario from a config dict plus keyword overrides
-    (dotted keys with `.` replaced by `__`, e.g. sim__controller)."""
+    (dotted keys with `.` replaced by `__`, e.g. sim__controller).
+
+    Each section `name.*` of the config supplies the keyword arguments of
+    one component; a value the component rejects is a ConfigError naming
+    the section."""
     cfg = dict(DEFAULTS)
     if values:
         unknown = set(values) - set(DEFAULTS)
@@ -115,39 +147,21 @@ def build_scenario(values=None, **overrides):
             raise ConfigError(f"unknown config key {dotted!r}")
         cfg[dotted] = val
 
-    u_max = float(cfg["cost.u_max"])
-    kind = cfg["system.kind"]
-    if kind == "single_integrator":
-        system = single_integrator(u_max=u_max)
-    elif kind == "linear":
-        if cfg["system.A"] is None or cfg["system.B"] is None:
-            raise ConfigError("system.kind = linear requires system.A and system.B")
-        system = linear_system(cfg["system.A"], cfg["system.B"], u_max=u_max)
-    else:
-        raise ConfigError(f"unknown system.kind {kind!r}")
+    sections = {}
+    for key, val in cfg.items():
+        section, _, name = key.partition(".")
+        sections.setdefault(section, {})[name] = _coerce(key, val)
 
-    safeset = CircularSafeSet(center=np.asarray(cfg["safeset.center"], float),
-                              radius=float(cfg["safeset.radius"]))
-    Qflat = np.asarray(cfg["cost.Q"], float)
-    Q = Qflat.reshape(system.n, system.n) if Qflat.ndim == 1 else Qflat
-    cost = CostSpec(Q=Q, r_diag=np.asarray(cfg["cost.r_diag"], float), u_max=u_max)
-    barrier = BarrierSpec(safeset, k_p=float(cfg["barrier.k_p"]), a=float(cfg["barrier.a"]),
-                          d_on=float(cfg["barrier.d_on"]), d_off=float(cfg["barrier.d_off"]))
-    staf = StaFConfig(offsets=np.asarray(cfg["staf.offsets"], float),
-                      scale_num=float(cfg["staf.scale_num"]))
-    gains = LearnerGains(kc1=float(cfg["gains.kc1"]), kc2=float(cfg["gains.kc2"]),
-                         ka1=float(cfg["gains.ka1"]), nu=float(cfg["gains.nu"]),
-                         beta=float(cfg["gains.beta"]), N=int(cfg["gains.N"]),
-                         gamma0=float(cfg["gains.gamma0"]),
-                         wa_bound=float(cfg["gains.wa_bound"]),
-                         seed=int(cfg["gains.seed"]),
-                         pe_window=float(cfg["gains.pe_window"]))
-    qp = QpParams(p=float(cfg["qp.p"]), dt=float(cfg["qp.dt"]),
-                  alpha_scale=float(cfg["qp.alpha_scale"]),
-                  gamma_scale=float(cfg["qp.gamma_scale"]))
-    sim = SimConfig(t_final=float(cfg["sim.t_final"]),
-                    x0=np.asarray(cfg["sim.x0"], float),
-                    abs_tol=float(cfg["sim.abs_tol"]), rel_tol=float(cfg["sim.rel_tol"]),
-                    dt_out=float(cfg["sim.dt_out"]), controller=str(cfg["sim.controller"]))
-    return Scenario(system=system, safeset=safeset, cost=cost, barrier=barrier,
-                    staf=staf, gains=gains, qp=qp, sim=sim, values=cfg)
+    def build(section, make):
+        try:
+            return make(**sections[section])
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from None
+
+    system = build("system", partial(_system, u_max=sections["cost"]["u_max"]))
+    safeset = build("safeset", CircularSafeSet)
+    return Scenario(system=system, safeset=safeset,
+                    cost=build("cost", partial(_cost, n=system.n)),
+                    barrier=build("barrier", partial(BarrierSpec, safeset)),
+                    staf=build("staf", StaFConfig), gains=build("gains", LearnerGains),
+                    qp=build("qp", QpParams), sim=build("sim", SimConfig), values=cfg)

@@ -49,7 +49,7 @@ class BarrierSpec:
     """Barrier B = k_p s(x)/h(x) with quintic-smoothstep scheduling in h,
     and its bounded surrogate Bbar = k_p s(x)/(h(x)+a)."""
 
-    def __init__(self, safeset, k_p=1.0, a=0.5, d_on=0.2, d_off=1.0):
+    def __init__(self, safeset, k_p, a, d_on, d_off):
         if k_p <= 0 or a <= 0:
             raise ValueError("k_p and a must be positive")
         if not d_on < d_off:

@@ -16,16 +16,16 @@ PROJ_LAYER = 0.05  # boundary-layer fraction of the actor projection
 
 @dataclass
 class LearnerGains:
-    kc1: float = 0.05
-    kc2: float = 0.75
-    ka1: float = 0.75
-    nu: float = 1.0
-    beta: float = 0.001
-    N: int = 1
-    gamma0: float = 1.0
-    wa_bound: float = 20.0
-    seed: int = 0
-    pe_window: float = 1.0
+    kc1: float
+    kc2: float
+    ka1: float
+    nu: float
+    beta: float
+    N: int
+    gamma0: float
+    wa_bound: float
+    seed: int
+    pe_window: float
 
     def __post_init__(self):
         for name in ("nu", "gamma0", "wa_bound", "pe_window"):

@@ -47,7 +47,7 @@ class SystemModel:
         return np.asarray(self.drift(x), float) + np.asarray(self.input_map(x), float) @ u
 
 
-def single_integrator(u_max=0.5):
+def single_integrator(u_max):
     """Planar single integrator: f = 0, g = I2."""
     eye = np.eye(2)
     return SystemModel(
@@ -109,41 +109,19 @@ class CircularSafeSet:
         return d / nd
 
 
-@dataclass(frozen=True)
-class ClassKScale:
-    """Linear class-K function v -> scale * v."""
-
-    scale: float
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("class-K scale must be positive")
-
-    def __call__(self, v):
-        return self.scale * v
-
-
-def eval_h(safeset, x):
-    return safeset.h(x)
-
-
-def grad_h(safeset, x):
-    return safeset.grad(x)
-
-
-def cbf_margin(sys, safeset, alpha: ClassKScale, x, u):
-    """L_f h + L_g h u + alpha(h); nonnegative for barrier-admissible u."""
+def cbf_margin(sys, safeset, alpha_scale, x, u):
+    """L_f h + L_g h u + alpha_scale h; nonnegative for barrier-admissible u."""
     gh = safeset.grad(x)
     f = np.asarray(sys.drift(x), float)
     g = np.asarray(sys.input_map(x), float)
-    return float(gh @ f + gh @ (g @ np.asarray(u, float)) + alpha(safeset.h(x)))
+    return float(gh @ f + gh @ (g @ np.asarray(u, float)) + alpha_scale * safeset.h(x))
 
 
-def clf_margin(sys, Q, gamma: ClassKScale, x, u):
-    """L_f V + L_g V u + gamma(V) for V(x) = x^T Q x; nonpositive when stabilizing."""
+def clf_margin(sys, Q, gamma_scale, x, u):
+    """L_f V + L_g V u + gamma_scale V for V(x) = x^T Q x; nonpositive when stabilizing."""
     x = np.asarray(x, float)
     Q = np.asarray(Q, float)
     gV = 2.0 * (Q @ x)
     f = np.asarray(sys.drift(x), float)
     g = np.asarray(sys.input_map(x), float)
-    return float(gV @ f + gV @ (g @ np.asarray(u, float)) + gamma(float(x @ Q @ x)))
+    return float(gV @ f + gV @ (g @ np.asarray(u, float)) + gamma_scale * float(x @ Q @ x))

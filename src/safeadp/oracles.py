@@ -90,8 +90,8 @@ def selftest_gradients(seed=0, count=100, tol=1e-5):
     """Analytic gradients of h, sigma, Bbar, and B vs central differences."""
     rng = np.random.default_rng(seed)
     safeset = CircularSafeSet(center=np.array([2.0, 2.0]), radius=1.0)
-    bar = BarrierSpec(safeset)
-    cfg = StaFConfig()
+    bar = BarrierSpec(safeset, k_p=1.0, a=0.5, d_on=0.2, d_off=1.0)
+    cfg = StaFConfig(offsets=[[0.0, -1.0], [0.866, -0.5], [-0.866, -0.5]], scale_num=0.5)
     results = []
 
     worst = 0.0

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QpInfeasible
-from .model import ClassKScale
 
 KKT_TOL = 1e-8
 SOLVE_TOL = 1e-9
@@ -25,14 +24,15 @@ SOLVE_TOL = 1e-9
 
 @dataclass
 class QpParams:
-    p: float = 2.0
-    dt: float = 0.01
-    alpha_scale: float = 1.0
-    gamma_scale: float = 10.0
+    p: float
+    dt: float
+    alpha_scale: float
+    gamma_scale: float
 
     def __post_init__(self):
-        if self.p <= 0 or self.dt <= 0:
-            raise ValueError("p and dt must be positive")
+        for name in ("p", "dt", "alpha_scale", "gamma_scale"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -190,8 +190,6 @@ def build_qp(sys, safeset, Q, cost, params: QpParams, x):
     V = float(x @ Q @ x)
     LfV = float(gV @ f)
     LgV = gV @ g
-    alpha = ClassKScale(params.alpha_scale)
-    gamma = ClassKScale(params.gamma_scale)
 
     m = sys.m
     d = m + 1
@@ -201,10 +199,10 @@ def build_qp(sys, safeset, Q, cost, params: QpParams, x):
     A = np.zeros((2 + 2 * m, d))
     b = np.zeros(2 + 2 * m)
     A[0, :m] = -Lgh
-    b[0] = Lfh + alpha(h)
+    b[0] = Lfh + params.alpha_scale * h
     A[1, :m] = LgV
     A[1, m] = -1.0
-    b[1] = -LfV - gamma(V)
+    b[1] = -LfV - params.gamma_scale * V
     for i in range(m):
         A[2 + 2 * i, i] = 1.0
         b[2 + 2 * i] = sys.u_max

@@ -5,7 +5,7 @@ records, summaries, and invariance diagnostics."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,19 +14,19 @@ from .critic import (actor_rhs, bellman_at, critic_rhs, excitation_metrics,
                      gamma_rhs, sample_extrapolation_points, weak_excitation)
 from .errors import BoundaryViolation, QpInfeasible
 from .integrate import integrate_adaptive
-from .model import ClassKScale, cbf_margin
+from .model import cbf_margin
 from .qpsolve import qp_controller
 from .staf import policy_hat, value_hat
 
 
 @dataclass
 class SimConfig:
-    t_final: float = 25.0
-    x0: np.ndarray = field(default_factory=lambda: np.array([3.0, 3.5]))
-    abs_tol: float = 1e-6
-    rel_tol: float = 1e-6
-    dt_out: float = 0.01
-    controller: str = "adp"
+    t_final: float
+    x0: np.ndarray
+    abs_tol: float
+    rel_tol: float
+    dt_out: float
+    controller: str
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -151,6 +151,7 @@ class _AdpPack:
 
 def run_adp_episode(scn):
     """Integrate the coupled plant + learner dynamics for the ADP controller."""
+    t_start = time.perf_counter()
     sys_, safeset, cost, bar = scn.system, scn.safeset, scn.cost, scn.barrier
     cfg, gains, sim = scn.staf, scn.gains, scn.sim
     n, L = sys_.n, cfg.L
@@ -207,11 +208,9 @@ def run_adp_episode(scn):
         hist_c1.append(float(np.linalg.eigvalsh(lam_mean)[0]))
         return s
 
-    t_start = time.perf_counter()
     status, rec = integrate_adaptive(rhs, 0.0, s0, sim.t_final,
                                      abs_tol=sim.abs_tol, rel_tol=sim.rel_tol,
                                      unsafe=unsafe, on_accept=on_accept)
-    wall = time.perf_counter() - t_start
 
     grid = _output_grid(sim.t_final, sim.dt_out, rec.ts[-1])
     states = rec.sample(grid)
@@ -230,13 +229,15 @@ def run_adp_episode(scn):
         Wcs[i] = Wc
         Was[i] = Wa
         Js[i] = jq
-        us[i] = policy_hat(cfg, bar, cost, sys_, Wa, x, x)
         out["h"][i] = safeset.h(x)
         out["B"][i] = barrier_B_or_inf(bar, x)
         out["Vhat"][i] = value_hat(cfg, bar, Wc, x, x)
         try:
-            out["delta"][i] = bellman_at(x, x, Wc, Wa, sys_, cost, bar, cfg, gains).delta
+            on = bellman_at(x, x, Wc, Wa, sys_, cost, bar, cfg, gains)
+            us[i] = on.u
+            out["delta"][i] = on.delta
         except BoundaryViolation:
+            us[i] = policy_hat(cfg, bar, cost, sys_, Wa, x, x)
             out["delta"][i] = np.nan
         out["mineig"][i] = np.linalg.eigvalsh(0.5 * (Gamma + Gamma.T))[0]
         j = np.searchsorted(step_t, grid[i], side="right") - 1
@@ -251,9 +252,9 @@ def run_adp_episode(scn):
         t=grid, x=xs, u=us, h=out["h"], B=out["B"], Vhat=out["Vhat"],
         delta=out["delta"], Wc=Wcs, Wa=Was, min_eig_gamma=out["mineig"],
         c1=out["c1"], J=Js, status=status, controller="adp",
-        j_native_total=float(states[-1][pack.i_jn]),
-        weak_excitation_flag=flag, wall_clock=wall,
+        j_native_total=float(states[-1][pack.i_jn]), weak_excitation_flag=flag,
         gamma_eig_min=float(np.min(ge[:, 0])), gamma_eig_max=float(np.max(ge[:, 1])),
+        wall_clock=time.perf_counter() - t_start,
     )
 
 
@@ -264,13 +265,13 @@ def run_adp_episode(scn):
 def run_qp_episode(scn):
     """Sampled-data CLF-CBF QP baseline: solve the QP, hold the input over
     each sampling interval, integrate the plant in between."""
+    t_start = time.perf_counter()
     sys_, safeset, cost, bar = scn.system, scn.safeset, scn.cost, scn.barrier
     sim, qp = scn.sim, scn.qp
     n = sys_.n
     if safeset.h(sim.x0) <= H_MIN:
         raise ValueError("x0 must lie in the interior of the safe set")
 
-    t_start = time.perf_counter()
     status = "OK"
     infeasible_events = 0
     x = sim.x0.copy()
@@ -317,7 +318,6 @@ def run_qp_episode(scn):
             status = "SAFETY_BREACH"
             break
 
-    wall = time.perf_counter() - t_start
     grid = _output_grid(sim.t_final, sim.dt_out, t)
     # dense sampling via linear interpolation on the fine step mesh
     step_ts_a = np.asarray(step_ts)
@@ -341,8 +341,8 @@ def run_qp_episode(scn):
     return TrajectoryRecord(
         t=grid, x=xs, u=us, h=hs, B=Bs, Vhat=nanv.copy(), delta=nanv.copy(),
         Wc=nanL.copy(), Wa=nanL.copy(), min_eig_gamma=nanv.copy(), c1=nanv.copy(),
-        J=Js, status=status, controller="qp",
-        infeasible_events=infeasible_events, wall_clock=wall,
+        J=Js, status=status, controller="qp", infeasible_events=infeasible_events,
+        wall_clock=time.perf_counter() - t_start,
     )
 
 
@@ -359,11 +359,12 @@ def run_episode(scn):
 def prop1_diagnostics(record: TrajectoryRecord, sys_, safeset, alpha_scale=1.0):
     """Per-row invariance diagnostics: h, B, CBF margin at the applied
     input, and a value-decrease flag; plus the row-wise minima."""
-    alpha = ClassKScale(alpha_scale)
+    if alpha_scale <= 0:
+        raise ValueError("alpha_scale must be positive")
     R = len(record.t)
     margins = np.empty(R)
     for i in range(R):
-        margins[i] = cbf_margin(sys_, safeset, alpha, record.x[i], record.u[i])
+        margins[i] = cbf_margin(sys_, safeset, alpha_scale, record.x[i], record.u[i])
     vhat_decreasing = np.ones(R, dtype=bool)
     if np.all(np.isfinite(record.Vhat)):
         vhat_decreasing[1:] = np.diff(record.Vhat) <= 1e-9

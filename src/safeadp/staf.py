@@ -7,15 +7,6 @@ import numpy as np
 
 from .cost import BarrierSpec, CostSpec, barrier_Bbar, grad_Bbar
 
-DEFAULT_OFFSETS = np.array(
-    [
-        [0.0, -1.0],
-        [0.866, -0.5],
-        [-0.866, -0.5],
-    ]
-)
-
-
 class StaFConfig:
     """Moving-center kernel configuration.
 
@@ -25,9 +16,9 @@ class StaFConfig:
     construction (inputs must already be unit within 1e-3).
     """
 
-    def __init__(self, offsets=None, scale_num=0.5, scale_den_offset=1.0):
-        if offsets is None:
-            offsets = DEFAULT_OFFSETS
+    scale_den_offset = 1.0
+
+    def __init__(self, offsets, scale_num):
         offsets = np.asarray(offsets, dtype=float)
         if offsets.ndim != 2 or offsets.shape[0] < 1:
             raise ValueError("offsets must be an L x n array")
@@ -39,13 +30,12 @@ class StaFConfig:
             for j in range(i + 1, offsets.shape[0]):
                 if np.allclose(offsets[i], offsets[j], atol=1e-9):
                     raise ValueError("offset directions must be pairwise distinct")
-        if scale_num <= 0 or scale_den_offset <= 0:
-            raise ValueError("scale parameters must be positive")
+        if scale_num <= 0:
+            raise ValueError("scale_num must be positive")
         self.offsets = offsets
         self.L = offsets.shape[0]
         self.n = offsets.shape[1]
         self.scale_num = float(scale_num)
-        self.scale_den_offset = float(scale_den_offset)
 
     def theta(self, x):
         x = np.asarray(x, float)

@@ -9,7 +9,7 @@ import pytest
 
 import safeadp as sa
 from safeadp.cli import main, write_csv
-from safeadp.config import parse_config
+from safeadp.config import DEFAULTS, parse_config
 
 
 def _run(tmp_path, *extra):
@@ -86,6 +86,26 @@ class TestConfig:
         assert values["sim.controller"] in ("adp", "qp")
         assert values["gains.kc2"] == 0.75
 
+    def test_defaults_file_matches_table(self):
+        path = Path(__file__).resolve().parents[1] / "default.cfg"
+        lines = [ln.split("#", 1)[0] for ln in path.read_text().splitlines()]
+        written = {ln.partition("=")[0].strip() for ln in lines if ln.strip()}
+        assert written == set(DEFAULTS) - {"system.A", "system.B"}
+        assert parse_config(path) == DEFAULTS
+
+    @pytest.mark.parametrize("line, message", [
+        ("gains.nu = 0", "gains: nu must be positive"),
+        ("qp.alpha_scale = 0", "qp: alpha_scale must be positive"),
+        ("gains.N = 1.5", "gains.N: expected an integer"),
+    ])
+    def test_out_of_range_value_exit_code(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err
+
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no.such.key = 1\n")
@@ -130,8 +150,7 @@ class TestCompare:
 
 
 class TestSweep:
-    def test_sweep_runs_each_value(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SAFEADP_THREADS", "2")
+    def test_sweep_runs_each_value(self, tmp_path):
         stem = tmp_path / "sw.csv"
         code = main(["sweep", "--t-final", "0.3", "--out", str(stem),
                      "--sweep-key", "gains.seed", "--sweep-values", "0;1;2"])

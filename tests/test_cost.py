@@ -36,7 +36,7 @@ class TestScheduling:
     def test_construction_rejects_nonvanishing_origin_weight(self):
         near = sa.CircularSafeSet(center=np.array([1.2, 0.0]), radius=1.0)
         with pytest.raises(ValueError):
-            sa.BarrierSpec(near, d_on=0.2, d_off=1.0)  # h(0) = 0.2 < d_off
+            sa.BarrierSpec(near, k_p=1.0, a=0.5, d_on=0.2, d_off=1.0)  # h(0) = 0.2 < d_off
 
 
 class TestBarrier:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,9 @@ from safeadp.critic import PROJ_LAYER
 @pytest.fixture()
 def setup(barrier, cost_spec, safeset):
     return {
-        "sys": sa.single_integrator(),
-        "cfg": sa.StaFConfig(),
-        "gains": sa.LearnerGains(),
+        "sys": sa.build_scenario().system,
+        "cfg": sa.build_scenario().staf,
+        "gains": sa.build_scenario().gains,
         "bar": barrier,
         "cost": cost_spec,
         "safeset": safeset,
@@ -137,7 +139,7 @@ class TestCriticUpdate:
 
 class TestGammaDynamics:
     def test_pure_forgetting(self, setup):
-        gains = sa.LearnerGains(kc1=0.0, kc2=0.0)
+        gains = dataclasses.replace(sa.build_scenario().gains, kc1=0.0, kc2=0.0)
         s = _bell(setup, np.ones(2), np.ones(2), np.ones(3), np.ones(3))
         G = np.diag([1.0, 2.0, 3.0])
         np.testing.assert_allclose(sa.gamma_rhs(gains, G, s, [s]), gains.beta * G,
@@ -166,21 +168,21 @@ class TestGammaDynamics:
 
 class TestActorProjection:
     def test_interior_unchanged(self):
-        gains = sa.LearnerGains(wa_bound=10.0)
+        gains = dataclasses.replace(sa.build_scenario().gains, wa_bound=10.0)
         Wa = np.array([1.0, 2.0, 3.0])
         Wc = np.array([0.0, 0.0, 0.0])
         np.testing.assert_allclose(sa.actor_rhs(gains, Wa, Wc),
                                    -gains.ka1 * (Wa - Wc))
 
     def test_inward_update_unchanged_at_boundary(self):
-        gains = sa.LearnerGains(wa_bound=1.0)
+        gains = dataclasses.replace(sa.build_scenario().gains, wa_bound=1.0)
         Wa = np.array([1.05, 0.0, 0.0])  # outside the nominal bound
         Wc = np.zeros(3)  # update points straight back toward the origin
         np.testing.assert_allclose(sa.actor_rhs(gains, Wa, Wc),
                                    -gains.ka1 * Wa)
 
     def test_outward_update_projected(self):
-        gains = sa.LearnerGains(wa_bound=1.0)
+        gains = dataclasses.replace(sa.build_scenario().gains, wa_bound=1.0)
         Wa = np.array([np.sqrt(1.0 + PROJ_LAYER), 0.0, 0.0])  # outer edge
         Wc = 10.0 * Wa  # update points radially outward
         out = sa.actor_rhs(gains, Wa, Wc)
@@ -188,7 +190,7 @@ class TestActorProjection:
         assert float(out @ Wa) == pytest.approx(0.0, abs=1e-12)
 
     def test_boundary_layer_is_continuous(self):
-        gains = sa.LearnerGains(wa_bound=1.0)
+        gains = dataclasses.replace(sa.build_scenario().gains, wa_bound=1.0)
         Wc = np.array([5.0, 0.0, 0.0])
         r_in = np.sqrt(1.0 - PROJ_LAYER)
         eps = 1e-7
@@ -198,7 +200,7 @@ class TestActorProjection:
 
     def test_norm_never_escapes(self):
         # forward-Euler push with an outward critic cannot leave the layer
-        gains = sa.LearnerGains(wa_bound=1.0, ka1=1.0)
+        gains = dataclasses.replace(sa.build_scenario().gains, wa_bound=1.0, ka1=1.0)
         Wa = np.array([0.9, 0.0, 0.0])
         Wc = np.array([50.0, 0.0, 0.0])
         dt = 1e-3
@@ -232,8 +234,8 @@ class TestExcitation:
 
 def test_gains_validation():
     with pytest.raises(ValueError):
-        sa.LearnerGains(nu=0.0)
+        dataclasses.replace(sa.build_scenario().gains, nu=0.0)
     with pytest.raises(ValueError):
-        sa.LearnerGains(kc1=-0.1)
+        dataclasses.replace(sa.build_scenario().gains, kc1=-0.1)
     with pytest.raises(ValueError):
-        sa.LearnerGains(N=0)
+        dataclasses.replace(sa.build_scenario().gains, N=0)

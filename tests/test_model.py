@@ -55,8 +55,8 @@ def test_boundary_iff_radius(safeset):
 
 
 def test_cbf_margin_examples(safeset):
-    sys_ = sa.single_integrator()
-    alpha = sa.ClassKScale(1.0)
+    sys_ = sa.build_scenario().system
+    alpha = 1.0
     x = np.array([2.0, 4.0])
     assert sa.cbf_margin(sys_, safeset, alpha, x, [0.0, 0.0]) == pytest.approx(1.0)
     assert sa.cbf_margin(sys_, safeset, alpha, x, [0.0, -1.0]) == pytest.approx(0.0)
@@ -64,8 +64,8 @@ def test_cbf_margin_examples(safeset):
 
 
 def test_clf_margin_examples():
-    sys_ = sa.single_integrator()
-    gamma = sa.ClassKScale(10.0)
+    sys_ = sa.build_scenario().system
+    gamma = 10.0
     Q = np.eye(2)
     assert sa.clf_margin(sys_, Q, gamma, [1.0, 0.0], [0.0, 0.0]) == pytest.approx(10.0)
     assert sa.clf_margin(sys_, Q, gamma, [1.0, 0.0], [-5.0, 0.0]) == pytest.approx(0.0)
@@ -73,9 +73,9 @@ def test_clf_margin_examples():
 
 
 def test_margins_affine_in_u(safeset):
-    sys_ = sa.single_integrator()
-    alpha = sa.ClassKScale(1.0)
-    gamma = sa.ClassKScale(10.0)
+    sys_ = sa.build_scenario().system
+    alpha = 1.0
+    gamma = 10.0
     Q = np.array([[2.0, 0.5], [0.5, 1.0]])
     rng = np.random.default_rng(4)
     for _ in range(20):

@@ -9,12 +9,12 @@ from safeadp.qpsolve import KKT_TOL, kkt_ok
 
 @pytest.fixture()
 def sys_():
-    return sa.single_integrator()
+    return sa.build_scenario().system
 
 
 @pytest.fixture()
 def params():
-    return sa.QpParams()
+    return sa.build_scenario().qp
 
 
 class TestBuild:
@@ -71,8 +71,7 @@ class TestController:
             prob = sa.build_qp(sys_, safeset, cost_spec.Q, cost_spec, params, x)
             assert kkt_ok(prob, sol.v_star, sol.multipliers, tol=KKT_TOL)
             gh = safeset.grad(x)
-            alpha = sa.ClassKScale(params.alpha_scale)
-            assert float(gh @ (sys_.input_map(x) @ u)) + alpha(safeset.h(x)) >= -1e-8
+            assert float(gh @ (sys_.input_map(x) @ u)) + params.alpha_scale * safeset.h(x) >= -1e-8
 
     def test_infeasible_without_relaxation(self, sys_, safeset, cost_spec, params):
         # just outside the disk, heading constraints clash once phi is
@@ -91,7 +90,7 @@ class TestController:
         tiny = sa.single_integrator(u_max=0.1)
         tiny_cost = sa.CostSpec(Q=np.eye(2), r_diag=np.array([10.0, 10.0]),
                                 u_max=0.1)
-        params = sa.QpParams()
+        params = sa.build_scenario().qp
         x = safeset.center + np.array([0.0, 0.5])  # h = -0.5
         with pytest.raises(QpInfeasible):
             sa.qp_controller(tiny, safeset, np.eye(2), tiny_cost, params, x)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,13 @@ class TestAdpEpisode:
         np.testing.assert_array_equal(adp_record.x, again.x)
         np.testing.assert_array_equal(adp_record.Wc, again.Wc)
         np.testing.assert_array_equal(adp_record.u, again.u)
+
+    def test_wall_clock_times_whole_episode(self):
+        scn = sa.build_scenario(sim__t_final=2.0)
+        t0 = time.perf_counter()
+        rec = sa.run_adp_episode(scn)
+        elapsed = time.perf_counter() - t0
+        assert rec.wall_clock >= 0.9 * elapsed
 
     def test_learning_disabled_freezes_weights(self):
         scn = sa.build_scenario(sim__t_final=2.0, gains__kc1=0.0,

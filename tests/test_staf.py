@@ -7,7 +7,7 @@ from safeadp.oracles import central_difference
 
 @pytest.fixture()
 def cfg():
-    return sa.StaFConfig()
+    return sa.build_scenario().staf
 
 
 def test_centers_at_origin(cfg):
@@ -64,7 +64,7 @@ def test_value_hat(cfg, barrier, safeset):
 
 
 def test_policy_star_examples(cost_spec):
-    sys_ = sa.single_integrator()
+    sys_ = sa.build_scenario().system
     assert np.all(sa.policy_star(cost_spec, sys_, np.zeros(2), np.zeros(2)) == 0.0)
     u = sa.policy_star(cost_spec, sys_, np.array([10.0, 0.0]), np.array([1.0, 1.0]))
     np.testing.assert_allclose(u, [-0.5 * np.tanh(1.0), 0.0], atol=1e-12)
@@ -78,14 +78,14 @@ def test_policy_star_examples(cost_spec):
 
 
 def test_policy_hat_zero_when_inactive(cfg, barrier, cost_spec):
-    sys_ = sa.single_integrator()
+    sys_ = sa.build_scenario().system
     y = np.array([-1.0, -1.0])  # scheduling off, so the barrier gradient vanishes
     u = sa.policy_hat(cfg, barrier, cost_spec, sys_, np.zeros(3), y, y)
     assert np.all(u == 0.0)
 
 
 def test_policy_hat_saturates_with_weight_growth(cfg, barrier, cost_spec):
-    sys_ = sa.single_integrator()
+    sys_ = sa.build_scenario().system
     y = np.array([1.0, 1.0])
     w = np.ones(3)
     for scale in (1e2, 1e4):
@@ -96,7 +96,7 @@ def test_policy_hat_saturates_with_weight_growth(cfg, barrier, cost_spec):
 
 
 def test_policy_hat_never_exceeds_box(cfg, barrier, cost_spec, safeset):
-    sys_ = sa.single_integrator()
+    sys_ = sa.build_scenario().system
     rng = np.random.default_rng(13)
     strict = 0
     for _ in range(200):
@@ -112,7 +112,7 @@ def test_policy_hat_never_exceeds_box(cfg, barrier, cost_spec, safeset):
 
 def test_policy_hat_matches_explicit_formula(cfg, barrier, cost_spec):
     # regression for the center bookkeeping at an anchor refresh y = x
-    sys_ = sa.single_integrator()
+    sys_ = sa.build_scenario().system
     rng = np.random.default_rng(14)
     for _ in range(20):
         x = rng.uniform(-2, 2, size=2)
@@ -127,15 +127,15 @@ def test_policy_hat_matches_explicit_formula(cfg, barrier, cost_spec):
 
 def test_offsets_validated():
     with pytest.raises(ValueError):
-        sa.StaFConfig(offsets=np.array([[0.0, -2.0], [1.0, 0.0]]))
+        sa.StaFConfig(offsets=np.array([[0.0, -2.0], [1.0, 0.0]]), scale_num=0.5)
     with pytest.raises(ValueError):
-        sa.StaFConfig(offsets=np.array([[0.0, 1.0], [0.0, 1.0]]))
-    cfg = sa.StaFConfig()
+        sa.StaFConfig(offsets=np.array([[0.0, 1.0], [0.0, 1.0]]), scale_num=0.5)
+    cfg = sa.build_scenario().staf
     np.testing.assert_allclose(np.linalg.norm(cfg.offsets, axis=1), 1.0, atol=1e-9)
 
 
 def test_theta_range():
-    cfg = sa.StaFConfig()
+    cfg = sa.build_scenario().staf
     rng = np.random.default_rng(15)
     assert cfg.theta(np.zeros(2)) == 0.0
     for _ in range(100):
