@@ -14,7 +14,7 @@ from .critic import LearnerGains
 from .errors import ConfigError
 from .model import CircularSafeSet, SystemModel, linear_system, single_integrator
 from .qpsolve import QpParams
-from .sim import SimConfig
+from .sim import SimConfig, check_start
 from .staf import StaFConfig
 
 DEFAULTS = {
@@ -128,6 +128,12 @@ def _cost(Q, r_diag, u_max, n):
     return CostSpec(Q=Q.reshape(n, n) if Q.ndim == 1 else Q, r_diag=r_diag, u_max=u_max)
 
 
+def _sim(safeset, **section):
+    sim = SimConfig(**section)
+    check_start(safeset, sim.x0)
+    return sim
+
+
 def build_scenario(values=None, **overrides):
     """Construct a Scenario from a config dict plus keyword overrides
     (dotted keys with `.` replaced by `__`, e.g. sim__controller).
@@ -164,4 +170,5 @@ def build_scenario(values=None, **overrides):
                     cost=build("cost", partial(_cost, n=system.n)),
                     barrier=build("barrier", partial(BarrierSpec, safeset)),
                     staf=build("staf", StaFConfig), gains=build("gains", LearnerGains),
-                    qp=build("qp", QpParams), sim=build("sim", SimConfig), values=cfg)
+                    qp=build("qp", QpParams), sim=build("sim", partial(_sim, safeset)),
+                    values=cfg)

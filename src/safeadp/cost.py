@@ -104,14 +104,6 @@ def barrier_B(spec: BarrierSpec, x):
     return spec.k_p * _s_of_h(spec, h) / h
 
 
-def barrier_B_or_inf(spec: BarrierSpec, x):
-    """Non-raising variant used for trajectory reporting."""
-    h = spec.safeset.h(x)
-    if h <= H_MIN:
-        return np.inf
-    return spec.k_p * _s_of_h(spec, h) / h
-
-
 def barrier_Bbar(spec: BarrierSpec, x):
     """Bounded barrier k_p s/(h+a); finite on the boundary."""
     h = spec.safeset.h(x)

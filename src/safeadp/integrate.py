@@ -48,27 +48,30 @@ class StepRecord:
         self.ys.append(np.array(y))
         self.fs.append(np.array(f))
 
+    def extend(self, other):
+        """Append another record's steps, its start point included: at a
+        junction the time repeats with the derivative of each side."""
+        self.ts += other.ts
+        self.ys += other.ys
+        self.fs += other.fs
+
     def sample(self, t_grid):
-        """Cubic Hermite interpolation of the state on a time grid."""
-        ts = np.asarray(self.ts)
-        if len(ts) == 1:
+        """Cubic Hermite interpolation of the state on a time grid. A time
+        that two steps share is read from the earlier segment, which ends
+        on that point exactly."""
+        if len(self.ts) == 1:
             return np.tile(self.ys[0], (len(t_grid), 1))
-        out = np.empty((len(t_grid), self.ys[0].size))
-        j = 0
-        for i, t in enumerate(t_grid):
-            while j < len(ts) - 2 and ts[j + 1] < t:
-                j += 1
-            t0, t1 = ts[j], ts[j + 1]
-            dt = t1 - t0
-            s = np.clip((t - t0) / dt, 0.0, 1.0)
-            y0, y1 = self.ys[j], self.ys[j + 1]
-            f0, f1 = self.fs[j], self.fs[j + 1]
-            h00 = (1 + 2 * s) * (1 - s) ** 2
-            h10 = s * (1 - s) ** 2
-            h01 = s * s * (3 - 2 * s)
-            h11 = s * s * (s - 1)
-            out[i] = h00 * y0 + h10 * dt * f0 + h01 * y1 + h11 * dt * f1
-        return out
+        ts = np.asarray(self.ts)
+        ys = np.asarray(self.ys)
+        fs = np.asarray(self.fs)
+        j = np.clip(np.searchsorted(ts, t_grid, side="left"), 1, len(ts) - 1) - 1
+        dt = (ts[j + 1] - ts[j])[:, None]
+        s = np.clip((np.asarray(t_grid)[:, None] - ts[j][:, None]) / dt, 0.0, 1.0)
+        h00 = (1 + 2 * s) * (1 - s) ** 2
+        h10 = s * (1 - s) ** 2
+        h01 = s * s * (3 - 2 * s)
+        h11 = s * s * (s - 1)
+        return h00 * ys[j] + h10 * dt * fs[j] + h01 * ys[j + 1] + h11 * dt * fs[j + 1]
 
 
 def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,

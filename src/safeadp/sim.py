@@ -9,11 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import H_MIN, barrier_B_or_inf
+from .cost import H_MIN, barrier_B
 from .critic import (actor_rhs, bellman_at, critic_rhs, excitation_metrics,
                      gamma_rhs, sample_extrapolation_points, weak_excitation)
 from .errors import BoundaryViolation, QpInfeasible
-from .integrate import integrate_adaptive
+from .integrate import StepRecord, integrate_adaptive
 from .model import cbf_margin
 from .qpsolve import qp_controller
 from .staf import policy_hat, value_hat
@@ -121,9 +121,32 @@ def summarize(record: TrajectoryRecord, window=5.0):
     )
 
 
+def check_start(safeset, x0):
+    """Reject a start x0 outside the interior of the safe set."""
+    if safeset.h(x0) <= H_MIN:
+        raise ValueError("x0 must lie in the interior of the safe set")
+
+
 def _output_grid(t_final, dt_out, t_reached):
     grid = np.arange(0.0, t_final + 0.5 * dt_out, dt_out)
     return grid[grid <= t_reached + 1e-9]
+
+
+def _held(times, values, grid, empty):
+    """Zero-order hold: at each grid time the value recorded at the last
+    time at or before it (within 1e-12), the first value before any, and
+    `empty` on every row when nothing was recorded."""
+    if not times:
+        return np.array([empty] * len(grid))
+    j = np.searchsorted(np.asarray(times), grid + 1e-12, side="right") - 1
+    return np.asarray(values)[np.maximum(j, 0)]
+
+
+def _barrier_columns(safeset, bar, xs):
+    """h and B per row, with B = inf where h <= H_MIN."""
+    hs = np.array([safeset.h(x) for x in xs])
+    Bs = np.array([np.inf if h <= H_MIN else barrier_B(bar, x) for h, x in zip(hs, xs)])
+    return hs, Bs
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +186,7 @@ def run_adp_episode(scn):
     s0[pack.i_wc: pack.i_wa] = rng.uniform(0.0, 4.0, L)
     s0[pack.i_wa: pack.i_g] = rng.uniform(0.0, 4.0, L)
     s0[pack.i_g: pack.i_jn] = (gains.gamma0 * np.eye(L)).ravel()
-    if safeset.h(sim.x0) <= H_MIN:
-        raise ValueError("x0 must lie in the interior of the safe set")
+    check_start(safeset, sim.x0)
 
     cell = {"pts": sample_extrapolation_points(rng, sim.x0, gains.N, cfg, safeset)}
     hist_t, hist_lam, hist_lam_mean, hist_c1 = [], [], [], []
@@ -215,22 +237,15 @@ def run_adp_episode(scn):
     grid = _output_grid(sim.t_final, sim.dt_out, rec.ts[-1])
     states = rec.sample(grid)
     R = len(grid)
-    out = {k: np.empty(R) for k in ("h", "B", "Vhat", "delta", "mineig", "c1")}
-    xs = np.empty((R, n))
+    # copies, so that a kept record does not hold every sampled column
+    xs = states[:, :n].copy()
+    Wcs = states[:, pack.i_wc: pack.i_wa].copy()
+    Was = states[:, pack.i_wa: pack.i_g].copy()
+    hs, Bs = _barrier_columns(safeset, bar, xs)
+    out = {k: np.empty(R) for k in ("Vhat", "delta", "mineig")}
     us = np.empty((R, sys_.m))
-    Wcs = np.empty((R, L))
-    Was = np.empty((R, L))
-    Js = np.empty(R)
-    step_t = np.asarray(hist_t) if hist_t else np.array([0.0])
-    step_c1 = np.asarray(hist_c1) if hist_c1 else np.array([0.0])
     for i, s in enumerate(states):
-        x, Wc, Wa, Gamma, _, jq = pack.unpack(s)
-        xs[i] = x
-        Wcs[i] = Wc
-        Was[i] = Wa
-        Js[i] = jq
-        out["h"][i] = safeset.h(x)
-        out["B"][i] = barrier_B_or_inf(bar, x)
+        x, Wc, Wa, Gamma, _, _ = pack.unpack(s)
         out["Vhat"][i] = value_hat(cfg, bar, Wc, x, x)
         try:
             on = bellman_at(x, x, Wc, Wa, sys_, cost, bar, cfg, gains)
@@ -240,8 +255,6 @@ def run_adp_episode(scn):
             us[i] = policy_hat(cfg, bar, cost, sys_, Wa, x, x)
             out["delta"][i] = np.nan
         out["mineig"][i] = np.linalg.eigvalsh(0.5 * (Gamma + Gamma.T))[0]
-        j = np.searchsorted(step_t, grid[i], side="right") - 1
-        out["c1"][i] = step_c1[max(j, 0)]
 
     flag = False
     if hist_t:
@@ -249,9 +262,10 @@ def run_adp_episode(scn):
         flag = weak_excitation(metrics)
     ge = np.asarray(gamma_eigs) if gamma_eigs else np.full((1, 2), np.nan)
     return TrajectoryRecord(
-        t=grid, x=xs, u=us, h=out["h"], B=out["B"], Vhat=out["Vhat"],
+        t=grid, x=xs, u=us, h=hs, B=Bs, Vhat=out["Vhat"],
         delta=out["delta"], Wc=Wcs, Wa=Was, min_eig_gamma=out["mineig"],
-        c1=out["c1"], J=Js, status=status, controller="adp",
+        c1=_held(hist_t, hist_c1, grid, 0.0), J=states[:, pack.i_jn + 1].copy(),
+        status=status, controller="adp",
         j_native_total=float(states[-1][pack.i_jn]), weak_excitation_flag=flag,
         gamma_eig_min=float(np.min(ge[:, 0])), gamma_eig_max=float(np.max(ge[:, 1])),
         wall_clock=time.perf_counter() - t_start,
@@ -269,27 +283,24 @@ def run_qp_episode(scn):
     sys_, safeset, cost, bar = scn.system, scn.safeset, scn.cost, scn.barrier
     sim, qp = scn.sim, scn.qp
     n = sys_.n
-    if safeset.h(sim.x0) <= H_MIN:
-        raise ValueError("x0 must lie in the interior of the safe set")
+    check_start(safeset, sim.x0)
 
     status = "OK"
     infeasible_events = 0
-    x = sim.x0.copy()
-    Jq = 0.0
-    step_ts = [0.0]
-    step_xs = [x.copy()]
-    step_Js = [0.0]
-    hold = []  # (t_interval_start, u)
+    y = np.append(sim.x0, 0.0)  # [x, J]
+    steps = StepRecord()
+    hold_ts, hold_us = [], []
     n_holds = int(round(sim.t_final / qp.dt))
     t = 0.0
     for k in range(n_holds):
         try:
-            u, _sol = qp_controller(sys_, safeset, cost.Q, cost, qp, x)
+            u, _sol = qp_controller(sys_, safeset, cost.Q, cost, qp, y[:n])
         except QpInfeasible:
             status = "QP_INFEASIBLE"
             infeasible_events += 1
             break
-        hold.append((t, u))
+        hold_ts.append(t)
+        hold_us.append(u)
         t_end = min((k + 1) * qp.dt, sim.t_final)
 
         def rhs(_t, s):
@@ -299,16 +310,11 @@ def run_qp_episode(scn):
             ds[n] = cost.state_cost(s[:n]) + cost.quadratic_input_cost(u)
             return ds
 
-        s0 = np.concatenate([x, [Jq]])
-        st, rec = integrate_adaptive(rhs, t, s0, t_end,
+        st, rec = integrate_adaptive(rhs, t, y, t_end,
                                      abs_tol=sim.abs_tol, rel_tol=sim.rel_tol,
                                      first_step=qp.dt)
-        for ti, yi in zip(rec.ts[1:], rec.ys[1:]):
-            step_ts.append(ti)
-            step_xs.append(yi[:n].copy())
-            step_Js.append(float(yi[n]))
-        x = rec.ys[-1][:n].copy()
-        Jq = float(rec.ys[-1][n])
+        steps.extend(rec)
+        y = rec.ys[-1]
         t = t_end  # snap to the hold grid to avoid drift accumulation
         if st != "OK":
             status = "STEP_UNDERFLOW"
@@ -317,31 +323,21 @@ def run_qp_episode(scn):
         if any(safeset.h(yi[:n]) < 0.0 for yi in rec.ys[1:]):
             status = "SAFETY_BREACH"
             break
+    if not steps.ts:  # infeasible at the first solve
+        steps.append(0.0, y, np.zeros(n + 1))
 
     grid = _output_grid(sim.t_final, sim.dt_out, t)
-    # dense sampling via linear interpolation on the fine step mesh
-    step_ts_a = np.asarray(step_ts)
-    step_xs_a = np.asarray(step_xs)
-    step_Js_a = np.asarray(step_Js)
+    states = steps.sample(grid)
     R = len(grid)
-    xs = np.empty((R, n))
-    for j in range(n):
-        xs[:, j] = np.interp(grid, step_ts_a, step_xs_a[:, j])
-    Js = np.interp(grid, step_ts_a, step_Js_a)
-    us = np.empty((R, sys_.m))
-    hold_ts = np.asarray([hk[0] for hk in hold]) if hold else np.array([0.0])
-    hold_us = np.asarray([hk[1] for hk in hold]) if hold else np.zeros((1, sys_.m))
-    for i, ti in enumerate(grid):
-        j = np.searchsorted(hold_ts, ti + 1e-12, side="right") - 1
-        us[i] = hold_us[max(j, 0)]
-    hs = np.array([safeset.h(xi) for xi in xs])
-    Bs = np.array([barrier_B_or_inf(bar, xi) for xi in xs])
+    xs = states[:, :n]
+    hs, Bs = _barrier_columns(safeset, bar, xs)
     nanL = np.full((R, scn.staf.L), np.nan)
     nanv = np.full(R, np.nan)
     return TrajectoryRecord(
-        t=grid, x=xs, u=us, h=hs, B=Bs, Vhat=nanv.copy(), delta=nanv.copy(),
-        Wc=nanL.copy(), Wa=nanL.copy(), min_eig_gamma=nanv.copy(), c1=nanv.copy(),
-        J=Js, status=status, controller="qp", infeasible_events=infeasible_events,
+        t=grid, x=xs, u=_held(hold_ts, hold_us, grid, np.zeros(sys_.m)), h=hs, B=Bs,
+        Vhat=nanv.copy(), delta=nanv.copy(), Wc=nanL.copy(), Wa=nanL.copy(),
+        min_eig_gamma=nanv.copy(), c1=nanv.copy(), J=states[:, n], status=status,
+        controller="qp", infeasible_events=infeasible_events,
         wall_clock=time.perf_counter() - t_start,
     )
 
@@ -356,16 +352,13 @@ def run_episode(scn):
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-def prop1_diagnostics(record: TrajectoryRecord, sys_, safeset, alpha_scale=1.0):
+def prop1_diagnostics(record: TrajectoryRecord, scn):
     """Per-row invariance diagnostics: h, B, CBF margin at the applied
-    input, and a value-decrease flag; plus the row-wise minima."""
-    if alpha_scale <= 0:
-        raise ValueError("alpha_scale must be positive")
-    R = len(record.t)
-    margins = np.empty(R)
-    for i in range(R):
-        margins[i] = cbf_margin(sys_, safeset, alpha_scale, record.x[i], record.u[i])
-    vhat_decreasing = np.ones(R, dtype=bool)
+    input (with the scenario's qp.alpha_scale), and a value-decrease flag;
+    plus the row-wise minima."""
+    margins = np.array([cbf_margin(scn.system, scn.safeset, scn.qp.alpha_scale, x, u)
+                        for x, u in zip(record.x, record.u)])
+    vhat_decreasing = np.ones(len(record.t), dtype=bool)
     if np.all(np.isfinite(record.Vhat)):
         vhat_decreasing[1:] = np.diff(record.Vhat) <= 1e-9
     return {

@@ -97,6 +97,7 @@ class TestConfig:
         ("gains.nu = 0", "gains: nu must be positive"),
         ("qp.alpha_scale = 0", "qp: alpha_scale must be positive"),
         ("gains.N = 1.5", "gains.N: expected an integer"),
+        ("sim.x0 = [2.0, 2.5]", "sim: x0 must lie in the interior of the safe set"),
     ])
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import safeadp as sa
-from safeadp.cost import barrier_B_or_inf
 from safeadp.errors import BoundaryViolation, InputOutOfBox
 from safeadp.oracles import quadrature_Ru
 
@@ -51,7 +50,6 @@ class TestBarrier:
     def test_boundary_violation(self, safeset, barrier):
         with pytest.raises(BoundaryViolation):
             sa.barrier_B(barrier, _h_point(safeset, 0.0))
-        assert barrier_B_or_inf(barrier, _h_point(safeset, 0.0)) == np.inf
 
     def test_monotone_along_exit_ray(self, safeset, barrier):
         # dense sampling oracle: B nonincreasing in h on (0, d_on]

@@ -96,6 +96,54 @@ def test_single_record_sample():
     np.testing.assert_allclose(out, [[1.0, 2.0], [1.0, 2.0]])
 
 
+def _hermite_row(rec, t):
+    """Row-by-row cubic Hermite, the reference for the vectorised sampler."""
+    j = 0
+    while j < len(rec.ts) - 2 and rec.ts[j + 1] < t:
+        j += 1
+    dt = rec.ts[j + 1] - rec.ts[j]
+    s = min(max((t - rec.ts[j]) / dt, 0.0), 1.0)
+    return ((1 + 2 * s) * (1 - s) ** 2 * rec.ys[j] + s * (1 - s) ** 2 * dt * rec.fs[j]
+            + s * s * (3 - 2 * s) * rec.ys[j + 1] + s * s * (s - 1) * dt * rec.fs[j + 1])
+
+
+def test_sample_matches_row_by_row_hermite():
+    _s, rec = integrate_adaptive(lambda t, y: np.array([y[1], np.sin(3 * t) - y[0]]),
+                                 0.0, np.array([1.0, 0.0]), 5.0)
+    grid = np.sort(np.concatenate([np.linspace(-0.1, 5.1, 523), rec.ts]))
+    ref = np.array([_hermite_row(rec, t) for t in grid])
+    # the same formula; only the rounding of (1 - s)**2 may differ
+    tol = 8 * np.finfo(float).eps * np.max(np.abs(ref))
+    np.testing.assert_allclose(rec.sample(grid), ref, rtol=0, atol=tol)
+
+
+def test_sample_reads_each_side_of_a_junction():
+    # two holds meet at t = 1 with different slopes: the shared time is
+    # read from the earlier segment, later times from the later one
+    rec = StepRecord()
+    rec.append(0.0, np.array([0.0]), np.array([1.0]))
+    rec.append(1.0, np.array([1.0]), np.array([1.0]))
+    rec.append(1.0, np.array([1.0]), np.array([-2.0]))
+    rec.append(2.0, np.array([-1.0]), np.array([-2.0]))
+    out = rec.sample(np.array([0.5, 1.0, 1.5, 2.0]))[:, 0]
+    assert out[1] == 1.0
+    np.testing.assert_allclose(out, [0.5, 1.0, 0.0, -1.0], rtol=0, atol=1e-15)
+
+
+def test_sample_reproduces_a_cubic():
+    def p(t):
+        return 2 * t ** 3 - t ** 2 + 0.5 * t - 3
+
+    def dp(t):
+        return 6 * t ** 2 - 2 * t + 0.5
+
+    rec = StepRecord()
+    for t in (0.0, 0.3, 1.1, 2.0):
+        rec.append(t, np.array([p(t)]), np.array([dp(t)]))
+    grid = np.linspace(0.0, 2.0, 41)
+    np.testing.assert_allclose(rec.sample(grid)[:, 0], p(grid), rtol=1e-14, atol=1e-14)
+
+
 def test_reaches_exact_final_time():
     for t_final in (1.0, 2.5, 11.44, 25.0):
         status, rec = integrate_adaptive(lambda t, y: -0.1 * y, 0.0,

@@ -147,6 +147,18 @@ class TestSolver:
             sa.QpProblem(H=np.array([[1.0, 0.5], [0.0, 1.0]]),
                          c_lin=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0))
 
+    @pytest.mark.parametrize("gap, accepted", [(0.99e-5, True), (1.01e-5, False)])
+    def test_symmetry_tolerance_matches_allclose(self, gap, accepted):
+        # |H - H^T| <= 1e-12 + 1e-5 |H^T|: the boundary sits at gap 1e-5 + 1e-12
+        H = np.array([[2.0, 1.0 + gap], [1.0, 2.0]])
+        assert np.allclose(H, H.T, atol=1e-12) == accepted
+        make = lambda: sa.QpProblem(H=H, c_lin=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0))
+        if accepted:
+            make()
+        else:
+            with pytest.raises(ValueError):
+                make()
+
     def test_kkt_residuals_report(self):
         prob = sa.QpProblem(H=np.eye(2), c_lin=np.zeros(2),
                             A=np.array([[-1.0, 0.0]]), b=np.array([-1.0]))

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -82,9 +83,15 @@ class TestAdpEpisode:
         assert rec.J[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_unsafe_start(self):
-        scn = sa.build_scenario(sim__x0=[2.0, 2.5])  # inside the obstacle
-        with pytest.raises(ValueError):
-            sa.run_adp_episode(scn)
+        # build_scenario refuses this start; a scenario assembled by hand
+        # meets the runners' own check
+        scn = sa.build_scenario()
+        inside = dataclasses.replace(scn.sim, x0=np.array([2.0, 2.5]))
+        with pytest.raises(sa.ConfigError, match="sim: x0"):
+            sa.build_scenario(sim__x0=[2.0, 2.5])
+        for run in (sa.run_adp_episode, sa.run_qp_episode):
+            with pytest.raises(ValueError, match="interior of the safe set"):
+                run(dataclasses.replace(scn, sim=inside))
 
 
 class TestQpEpisode:
@@ -125,6 +132,37 @@ class TestQpEpisode:
         assert rec.status == "SAFETY_BREACH"
         assert np.min(rec.h) < 0.0
         assert rec.t[-1] < scn.sim.t_final
+        # B is reported as inf exactly on the rows at or past the boundary
+        np.testing.assert_array_equal(np.isinf(rec.B), rec.h <= sa.cost.H_MIN)
+        finite = np.isfinite(rec.B)
+        assert finite.any()
+        assert list(rec.B[finite]) == [sa.barrier_B(scn.barrier, x) for x in rec.x[finite]]
+
+    def test_cost_between_holds_is_the_hold_integral(self):
+        # qp.dt = 2 dt_out puts every odd row mid-hold, where J is cubic in
+        # time: J(t_k + tau) = J_k + tau x'Qx + tau^2 x'Qu + tau^3/3 u'Qu + tau u'Ru
+        scn = sa.build_scenario(sim__controller="qp", sim__t_final=2.0, qp__dt=0.02)
+        rec = sa.run_qp_episode(scn)
+        Q, r = scn.cost.Q, scn.cost.r_diag
+        x, u, J = rec.x[0:-1:2], rec.u[0:-1:2], rec.J[0:-1:2]
+        tau = rec.t[1::2] - rec.t[0:-1:2]
+        quad = lambda a, b: np.einsum("ri,ij,rj->r", a, Q, b)
+        exact = (J + tau * quad(x, x) + tau ** 2 * quad(x, u) + tau ** 3 / 3 * quad(u, u)
+                 + tau * (u ** 2 @ r))
+        np.testing.assert_allclose(rec.J[1::2], exact, rtol=1e-12, atol=0)
+
+    def test_infeasible_first_solve_reports_the_start(self, monkeypatch):
+        def infeasible(*_args):
+            raise sa.QpInfeasible("box and CBF rows conflict")
+
+        monkeypatch.setattr(sa.sim, "qp_controller", infeasible)
+        scn = sa.build_scenario(sim__controller="qp")
+        rec = sa.run_qp_episode(scn)
+        assert rec.status == "QP_INFEASIBLE"
+        assert rec.infeasible_events == 1
+        np.testing.assert_array_equal(rec.x, [scn.sim.x0])
+        assert list(rec.t) == [0.0] and list(rec.J) == [0.0]
+        np.testing.assert_array_equal(rec.u, np.zeros((1, 2)))
 
     def test_deterministic(self, qp_record):
         scn = sa.build_scenario(sim__controller="qp")
@@ -158,15 +196,22 @@ class TestDispatchAndSummary:
 
 class TestDiagnostics:
     def test_prop1_on_adp_run(self, adp_record, default_scenario):
-        diag = sa.prop1_diagnostics(adp_record, default_scenario.system,
-                                    default_scenario.safeset)
+        diag = sa.prop1_diagnostics(adp_record, default_scenario)
         assert diag["min_h"] > 0.0
         assert len(diag["cbf_margin"]) == len(adp_record.t)
         assert diag["h"] is adp_record.h
 
     def test_prop1_on_qp_run(self, qp_record, default_scenario):
-        diag = sa.prop1_diagnostics(qp_record, default_scenario.system,
-                                    default_scenario.safeset)
+        diag = sa.prop1_diagnostics(qp_record, default_scenario)
         # the applied (held) input satisfies the CBF row at the solve
         # state; between solves the margin can dip slightly below zero
+        assert diag["min_cbf_margin"] >= -0.05
+
+    def test_prop1_takes_alpha_scale_from_the_scenario(self):
+        scn = sa.build_scenario(sim__controller="qp", sim__t_final=1.0, qp__alpha_scale=2.0)
+        rec = sa.run_qp_episode(scn)
+        diag = sa.prop1_diagnostics(rec, scn)
+        expected = [sa.cbf_margin(scn.system, scn.safeset, 2.0, x, u)
+                    for x, u in zip(rec.x, rec.u)]
+        assert list(diag["cbf_margin"]) == expected
         assert diag["min_cbf_margin"] >= -0.05
