@@ -37,12 +37,13 @@ class CostSpec:
         self.m = r_diag.size
 
     def state_cost(self, x):
-        x = np.asarray(x, float)
-        return float(x @ self.Q @ x)
+        """x^T Q x per row of x (..., n)."""
+        return np.vecdot(np.vecmat(x, self.Q), x)
 
     def quadratic_input_cost(self, u):
+        """u^T R u per row of u (..., m)."""
         u = np.asarray(u, float)
-        return float(u @ (self.r_diag * u))
+        return np.vecdot(u, self.r_diag * u)
 
 
 class BarrierSpec:
@@ -75,20 +76,31 @@ def _smoothstep_slope(t):
     return 30.0 * t * t * (1.0 + t * (t - 2.0))
 
 
+def _ramp(spec: BarrierSpec, h):
+    # (d_off - h)/(d_off - d_on) clipped to [0, 1]: 1 at and below d_on,
+    # 0 at and above d_off
+    return np.minimum(np.maximum((spec.d_off - h) / (spec.d_off - spec.d_on), 0.0), 1.0)
+
+
 def _s_of_h(spec: BarrierSpec, h):
-    if h <= spec.d_on:
-        return 1.0
-    if h >= spec.d_off:
-        return 0.0
-    t = (spec.d_off - h) / (spec.d_off - spec.d_on)
-    return _smoothstep(t)
+    return _smoothstep(_ramp(spec, h))
 
 
 def _ds_dh(spec: BarrierSpec, h):
-    if h <= spec.d_on or h >= spec.d_off:
-        return 0.0
-    t = (spec.d_off - h) / (spec.d_off - spec.d_on)
-    return -_smoothstep_slope(t) / (spec.d_off - spec.d_on)
+    return -_smoothstep_slope(_ramp(spec, h)) / (spec.d_off - spec.d_on)
+
+
+def _scheduled(spec: BarrierSpec, x, floor, what):
+    """h and s(h) per row of x; BoundaryViolation if any row has h <= floor."""
+    h = spec.safeset.h(x)
+    if (h <= floor).any():
+        raise BoundaryViolation(f"{what} at h={np.min(h):g} <= {floor:g}")
+    return h, _s_of_h(spec, h)
+
+
+def _grad_Bbar(spec: BarrierSpec, x, h, s):
+    ha = h + spec.a
+    return (spec.k_p * (_ds_dh(spec, h) * ha - s) / (ha * ha))[..., None] * spec.safeset.grad(x)
 
 
 def scheduling_s(spec: BarrierSpec, x):
@@ -97,55 +109,51 @@ def scheduling_s(spec: BarrierSpec, x):
 
 
 def barrier_B(spec: BarrierSpec, x):
-    """Reciprocal barrier k_p s/h; blows up as h -> 0+."""
-    h = spec.safeset.h(x)
-    if h <= H_MIN:
-        raise BoundaryViolation(f"barrier requested at h={h:g} <= {H_MIN:g}")
-    return spec.k_p * _s_of_h(spec, h) / h
+    """Reciprocal barrier k_p s/h per row; blows up as h -> 0+. Raises
+    BoundaryViolation if any row has h <= H_MIN."""
+    h, s = _scheduled(spec, x, H_MIN, "barrier requested")
+    return spec.k_p * s / h
 
 
 def barrier_Bbar(spec: BarrierSpec, x):
-    """Bounded barrier k_p s/(h+a); finite on the boundary."""
-    h = spec.safeset.h(x)
-    if h <= -spec.a:
-        raise BoundaryViolation(f"bounded barrier undefined at h={h:g} <= -a")
-    return spec.k_p * _s_of_h(spec, h) / (h + spec.a)
+    """Bounded barrier k_p s/(h+a) per row; finite on the boundary."""
+    h, s = _scheduled(spec, x, -spec.a, "bounded barrier undefined")
+    return spec.k_p * s / (h + spec.a)
 
 
 def grad_Bbar(spec: BarrierSpec, x):
-    """Analytic gradient of the bounded barrier."""
-    h = spec.safeset.h(x)
-    if h <= -spec.a:
-        raise BoundaryViolation(f"bounded barrier undefined at h={h:g} <= -a")
-    s = _s_of_h(spec, h)
-    dsdh = _ds_dh(spec, h)
-    if s == 0.0 and dsdh == 0.0:
-        return np.zeros_like(np.asarray(x, float))
-    gh = spec.safeset.grad(x)
-    ha = h + spec.a
-    return spec.k_p * (dsdh * ha - s) / (ha * ha) * gh
+    """Analytic gradient of the bounded barrier per row (..., n); zero where
+    the scheduling is off (h >= d_off), since s and ds/dh both vanish there."""
+    return _grad_Bbar(spec, x, *_scheduled(spec, x, -spec.a, "bounded barrier undefined"))
+
+
+def barrier_B_grad_Bbar(spec: BarrierSpec, x):
+    """barrier_B and grad_Bbar per row from one evaluation of h and s: the
+    two barrier terms of the Bellman error. Raises as barrier_B does."""
+    h, s = _scheduled(spec, x, H_MIN, "barrier requested")
+    return spec.k_p * s / h, _grad_Bbar(spec, x, h, s)
 
 
 def input_penalty_Ru(spec: CostSpec, u):
-    """Closed form of the saturating input penalty.
+    """Closed form of the saturating input penalty, per row of u (..., m).
 
     Per component: 2 u_max r_i [u atanh(u/u_max) + (u_max/2) log(1 - (u/u_max)^2)],
     with the analytic limit 2 u_max^2 r_i log 2 at the box corner.
     """
     u = np.asarray(u, dtype=float)
     ub = spec.u_max
-    if np.any(np.abs(u) > ub * (1.0 + 1e-9)):
+    z = np.abs(u)
+    if (z > ub * (1.0 + 1e-9)).any():
         raise InputOutOfBox(f"|u| exceeds the input box u_max={ub:g}: u={u}")
-    total = 0.0
-    for ui, ri in zip(u, spec.r_diag):
-        z = abs(ui) / ub
-        if z >= 1.0 - 1e-12:
-            total += 2.0 * ub * ub * ri * np.log(2.0)
-        else:
-            total += 2.0 * ub * ri * (ui * np.arctanh(ui / ub) + 0.5 * ub * np.log1p(-z * z))
-    return float(total)
+    z /= ub
+    # corner components are zeroed in the closed form and take the limit
+    inside = z < 1.0 - 1e-12
+    ui = u * inside
+    z *= inside
+    inner = 2.0 * ub * spec.r_diag * (ui * np.arctanh(ui / ub) + 0.5 * ub * np.log1p(-z * z))
+    return (inner + ~inside * (2.0 * ub * ub * spec.r_diag * np.log(2.0))).sum(-1)
 
 
 def instantaneous_cost(cost: CostSpec, bar: BarrierSpec, x, u):
-    """x^T Q x + Ru(u) + B(x); bounded below by q_lo ||x||^2."""
+    """x^T Q x + Ru(u) + B(x) per row; bounded below by q_lo ||x||^2."""
     return cost.state_cost(x) + input_penalty_Ru(cost, u) + barrier_B(bar, x)

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import H_MIN, BarrierSpec, CostSpec, grad_Bbar, instantaneous_cost
-from .staf import StaFConfig, grad_sigma, policy_hat
+from .cost import H_MIN, BarrierSpec, CostSpec, barrier_B_grad_Bbar, input_penalty_Ru
+from .staf import StaFConfig, grad_sigma, policy_star
 
 PROJ_LAYER = 0.05  # boundary-layer fraction of the actor projection
 
@@ -40,54 +40,75 @@ class LearnerGains:
 
 @dataclass
 class BellmanSample:
-    """Bellman error and its normalized regressor at one evaluation point."""
+    """Bellman error and its normalized regressor at evaluation points.
+
+    Every field carries the rows of the evaluation: y (..., n), u (..., m),
+    omega (..., L), omega_B, rho and delta (...), Lambda (..., L, L). A
+    sample over rows is a sequence of its row samples.
+    """
 
     y: np.ndarray
     u: np.ndarray
     omega: np.ndarray
-    omega_B: float
-    rho: float
-    delta: float
+    omega_B: np.ndarray
+    rho: np.ndarray
+    delta: np.ndarray
     Lambda: np.ndarray = field(repr=False)
+
+    def __len__(self):
+        return len(self.delta)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, i):
+        return BellmanSample(y=self.y[i], u=self.u[i], omega=self.omega[i],
+                             omega_B=self.omega_B[i], rho=self.rho[i],
+                             delta=self.delta[i], Lambda=self.Lambda[i])
 
 
 def bellman_at(y, x, Wc, Wa, sys, cost: CostSpec, bar: BarrierSpec,
                cfg: StaFConfig, gains: LearnerGains):
-    """Evaluate the Bellman error at y with kernels anchored at x.
+    """Evaluate the Bellman error at the rows of y with kernels anchored at
+    the rows of x, under critic and actor weights Wc, Wa (..., L); all four
+    broadcast against each other.
 
-    With y = x this is the on-trajectory error; otherwise it is an
-    extrapolated sample. Raises BoundaryViolation outside the interior.
+    A row with y = x gives the on-trajectory error; otherwise it is an
+    extrapolated sample. The input u is policy_hat at each row. Raises
+    BoundaryViolation if any row lies outside the interior.
     """
     y = np.asarray(y, float)
-    u = policy_hat(cfg, bar, cost, sys, Wa, y, x)
-    ydot = np.asarray(sys.drift(y), float) + np.asarray(sys.input_map(y), float) @ u
-    omega = grad_sigma(cfg, y, x) @ ydot
-    omega_B = float(grad_Bbar(bar, y) @ ydot)
-    r = instantaneous_cost(cost, bar, y, u)
-    delta = float(np.asarray(Wc, float) @ omega) + r + omega_B
-    rho = 1.0 + gains.nu * float(omega @ omega)
-    Lam = np.outer(omega, omega) / (rho * rho)
+    C = grad_sigma(cfg, y, x)
+    B, gB = barrier_B_grad_Bbar(bar, y)
+    u = policy_star(cost, sys, np.vecmat(Wa, C) + gB, y)
+    ydot = sys.xdot(y, u)
+    omega = np.matvec(C, ydot)
+    omega_B = np.vecdot(gB, ydot)
+    r = cost.state_cost(y) + input_penalty_Ru(cost, u) + B  # instantaneous_cost
+    delta = np.vecdot(Wc, omega) + r + omega_B
+    rho = 1.0 + gains.nu * np.vecdot(omega, omega)
+    Lam = omega[..., :, None] * omega[..., None, :]
+    Lam /= (rho * rho)[..., None, None]
     return BellmanSample(y=y, u=u, omega=omega, omega_B=omega_B,
                          rho=rho, delta=delta, Lambda=Lam)
 
 
 def sample_extrapolation_points(rng, x, N, cfg: StaFConfig, safeset, h_min=H_MIN):
-    """N points uniform on the 0.1 theta(x) square centered at x.
+    """N x n array of points uniform on the 0.1 theta(x) square centered at x.
 
     Points landing outside the interior of the safe set are resampled up
     to 16 times, then collapse to x.
     """
     x = np.asarray(x, float)
     half = 0.05 * cfg.theta(x)
-    pts = []
-    for _ in range(N):
+    pts = np.empty((N, x.size))
+    for k in range(N):
         for _attempt in range(16):
-            p = x + rng.uniform(-half, half, size=x.shape)
-            if safeset.h(p) > h_min:
+            pts[k] = x + rng.uniform(-half, half, size=x.shape)
+            if safeset.h(pts[k]) > h_min:
                 break
         else:
-            p = x.copy()
-        pts.append(p)
+            pts[k] = x
     return pts
 
 

@@ -21,9 +21,5 @@ class QpInfeasible(SafeAdpError):
     """Box and CBF rows of the QP conflict; the relaxation cannot fix it."""
 
 
-class StepSizeUnderflow(SafeAdpError):
-    """Adaptive integrator drove the step size below machine resolution."""
-
-
 class ConfigError(SafeAdpError):
     """Malformed configuration file or unknown key."""

@@ -22,6 +22,7 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 MAX_SAFETY_HALVINGS = 40
+SAMPLE_BLOCK = 128  # output rows per block in StepRecord.sample
 
 
 def dp54_step(rhs, t, y, h, f0=None):
@@ -67,11 +68,18 @@ class StepRecord:
         j = np.clip(np.searchsorted(ts, t_grid, side="left"), 1, len(ts) - 1) - 1
         dt = (ts[j + 1] - ts[j])[:, None]
         s = np.clip((np.asarray(t_grid)[:, None] - ts[j][:, None]) / dt, 0.0, 1.0)
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * ys[j] + h10 * dt * fs[j] + h01 * ys[j + 1] + h11 * dt * fs[j + 1]
+        out = np.empty((len(j), ys.shape[1]))
+        # blocks of rows bound the temporaries; each row's arithmetic is as
+        # in one whole-array expression
+        for lo in range(0, len(j), SAMPLE_BLOCK):
+            b = slice(lo, lo + SAMPLE_BLOCK)
+            jb, sb, db = j[b], s[b], dt[b]
+            h00 = (1 + 2 * sb) * (1 - sb) ** 2
+            h10 = sb * (1 - sb) ** 2
+            h01 = sb * sb * (3 - 2 * sb)
+            h11 = sb * sb * (sb - 1)
+            out[b] = h00 * ys[jb] + h10 * db * fs[jb] + h01 * ys[jb + 1] + h11 * db * fs[jb + 1]
+        return out
 
 
 def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
@@ -97,8 +105,12 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
     safety_halvings = 0
 
     t_edge = 1e-12 * max(1.0, abs(t_final))
-    while t < t_final - t_edge:
-        h = min(h, t_final - t)
+    while t < t_final:
+        # a remainder within t_edge of the step is taken whole, and that
+        # step lands on t_final exactly
+        last = t_final - t - h <= t_edge
+        if last:
+            h = t_final - t
         if h < 1e-15 * max(1.0, abs(t)):
             # an underflow mid-way through a safety-halving streak means
             # the rejection, not the error control, drove h to zero
@@ -120,7 +132,7 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
         if err <= 1.0:
-            t = t + h
+            t = t_final if last else t + h
             y = y_new
             if on_accept is not None:
                 replaced = on_accept(t, y)

@@ -3,6 +3,10 @@
 The safe set is any object with ``h(x)`` and ``grad(x)``; the circular set
 below is the shipped instance. Systems expose ``drift`` and ``input_map``
 callables plus a symmetric input box ``u_max``.
+
+Every function of a state takes rows: ``x`` of shape ``(..., n)`` gives a
+result with the same leading axes, and a single state ``(n,)`` is the case
+with no row axis.
 """
 
 from __future__ import annotations
@@ -17,7 +21,12 @@ GRAD_TOL = 1e-12
 
 
 class SystemModel:
-    """xdot = drift(x) + input_map(x) @ u with |u_i| <= u_max."""
+    """xdot = drift(x) + input_map(x) @ u with |u_i| <= u_max.
+
+    drift maps states (..., n) to (..., n); input_map maps them to an
+    array that broadcasts to (..., n, m), so a constant n x m matrix
+    serves every row. Both are probed on a batch of 8 states here.
+    """
 
     def __init__(self, n, m, drift, input_map, u_max, g_bound, name="system"):
         if n <= 0 or m <= 0:
@@ -35,16 +44,22 @@ class SystemModel:
         f0 = np.asarray(drift(np.zeros(self.n)), dtype=float)
         if not np.allclose(f0, 0.0, atol=0.0):
             raise ValueError("drift must vanish exactly at the origin")
-        rng = np.random.default_rng(0)
-        for x in rng.normal(scale=2.0, size=(8, self.n)):
-            gn = np.linalg.norm(np.asarray(input_map(x), dtype=float), 2)
+        probes = np.random.default_rng(0).normal(scale=2.0, size=(8, self.n))
+        try:
+            f_shape = np.shape(drift(probes))
+            G = np.broadcast_to(np.asarray(input_map(probes), float), (8, self.n, self.m))
+        except ValueError as exc:
+            raise ValueError(f"drift and input_map must take (R, n) rows: {exc}") from None
+        if f_shape != probes.shape:
+            raise ValueError(f"drift must map (R, n) rows to (R, n): got {f_shape}")
+        for gn in np.linalg.norm(G, 2, axis=(-2, -1)):
             if not (0.0 < gn <= self.g_bound + 1e-9):
                 raise ValueError(
                     f"input_map norm {gn:g} outside (0, {self.g_bound:g}] at probe state"
                 )
 
     def xdot(self, x, u):
-        return np.asarray(self.drift(x), float) + np.asarray(self.input_map(x), float) @ u
+        return np.asarray(self.drift(x), float) + np.matvec(self.input_map(x), u)
 
 
 def single_integrator(u_max):
@@ -53,7 +68,7 @@ def single_integrator(u_max):
     return SystemModel(
         n=2,
         m=2,
-        drift=lambda x: np.zeros(2),
+        drift=lambda x: np.zeros(np.shape(x)),
         input_map=lambda x: eye,
         u_max=u_max,
         g_bound=1.0,
@@ -72,7 +87,7 @@ def linear_system(A, B, u_max):
     return SystemModel(
         n=A.shape[0],
         m=B.shape[1],
-        drift=lambda x: A @ x,
+        drift=lambda x: np.matvec(A, x),
         input_map=lambda x: B,
         u_max=u_max,
         g_bound=np.linalg.norm(B, 2) + 1e-9,
@@ -86,6 +101,8 @@ class CircularSafeSet:
 
     The disk (obstacle) has center ``center`` and radius ``radius``; the
     safe set is its exterior, so the origin must lie strictly outside.
+    A custom safe set follows the same row contract: ``h`` maps states
+    (..., n) to (...) and ``grad`` maps them to (..., n).
     """
 
     center: np.ndarray
@@ -99,29 +116,29 @@ class CircularSafeSet:
             raise ValueError("origin must be strictly inside the safe set")
 
     def h(self, x):
-        return float(np.linalg.norm(np.asarray(x, float) - self.center)) - self.radius
+        d = np.asarray(x, float) - self.center
+        return np.sqrt(np.vecdot(d, d)) - self.radius
 
     def grad(self, x):
         d = np.asarray(x, float) - self.center
-        nd = np.linalg.norm(d)
-        if nd < GRAD_TOL:
+        nd = np.sqrt(np.vecdot(d, d))[..., None]
+        if (nd < GRAD_TOL).any():
             raise SingularGradient(f"gradient of h undefined at the set center {self.center}")
         return d / nd
 
 
 def cbf_margin(sys, safeset, alpha_scale, x, u):
-    """L_f h + L_g h u + alpha_scale h; nonnegative for barrier-admissible u."""
+    """L_f h + L_g h u + alpha_scale h per row of x and u; nonnegative for
+    barrier-admissible u."""
     gh = safeset.grad(x)
-    f = np.asarray(sys.drift(x), float)
-    g = np.asarray(sys.input_map(x), float)
-    return float(gh @ f + gh @ (g @ np.asarray(u, float)) + alpha_scale * safeset.h(x))
+    return (np.vecdot(gh, sys.drift(x)) + np.vecdot(gh, np.matvec(sys.input_map(x), u))
+            + alpha_scale * safeset.h(x))
 
 
 def clf_margin(sys, Q, gamma_scale, x, u):
-    """L_f V + L_g V u + gamma_scale V for V(x) = x^T Q x; nonpositive when stabilizing."""
-    x = np.asarray(x, float)
+    """L_f V + L_g V u + gamma_scale V per row of x and u, for V(x) = x^T Q x;
+    nonpositive when stabilizing."""
     Q = np.asarray(Q, float)
-    gV = 2.0 * (Q @ x)
-    f = np.asarray(sys.drift(x), float)
-    g = np.asarray(sys.input_map(x), float)
-    return float(gV @ f + gV @ (g @ np.asarray(u, float)) + gamma_scale * float(x @ Q @ x))
+    gV = 2.0 * np.matvec(Q, x)
+    return (np.vecdot(gV, sys.drift(x)) + np.vecdot(gV, np.matvec(sys.input_map(x), u))
+            + gamma_scale * np.vecdot(np.vecmat(x, Q), x))

@@ -12,7 +12,7 @@ import numpy as np
 from .cost import H_MIN, barrier_B
 from .critic import (actor_rhs, bellman_at, critic_rhs, excitation_metrics,
                      gamma_rhs, sample_extrapolation_points, weak_excitation)
-from .errors import BoundaryViolation, QpInfeasible
+from .errors import QpInfeasible
 from .integrate import StepRecord, integrate_adaptive
 from .model import cbf_margin
 from .qpsolve import qp_controller
@@ -144,9 +144,26 @@ def _held(times, values, grid, empty):
 
 def _barrier_columns(safeset, bar, xs):
     """h and B per row, with B = inf where h <= H_MIN."""
-    hs = np.array([safeset.h(x) for x in xs])
-    Bs = np.array([np.inf if h <= H_MIN else barrier_B(bar, x) for h, x in zip(hs, xs)])
+    hs = safeset.h(xs)
+    ok = hs > H_MIN
+    Bs = np.full(hs.shape, np.inf)
+    Bs[ok] = barrier_B(bar, xs[ok])
     return hs, Bs
+
+
+def _learner_columns(scn, xs, Wcs, Was, hs):
+    """u and the Bellman error delta per output row, each row anchored at
+    itself. Rows at or past the boundary (h <= H_MIN) get u from the policy
+    alone and delta = NaN."""
+    sys_, cost, bar, cfg = scn.system, scn.cost, scn.barrier, scn.staf
+    ok = hs > H_MIN
+    on = bellman_at(xs[ok], xs[ok], Wcs[ok], Was[ok], sys_, cost, bar, cfg, scn.gains)
+    us = np.empty((len(hs), sys_.m))
+    us[ok] = on.u
+    us[~ok] = policy_hat(cfg, bar, cost, sys_, Was[~ok], xs[~ok], xs[~ok])
+    deltas = np.full(len(hs), np.nan)
+    deltas[ok] = on.delta
+    return us, deltas
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +172,7 @@ def _barrier_columns(safeset, bar, xs):
 
 class _AdpPack:
     """Index bookkeeping for the augmented state vector
-    [x, Wc, Wa, Gamma.flat, J_native, J_quad]."""
+    [x, Wc, Wa, Gamma.flat, J_native, J_quad], with any leading row axes."""
 
     def __init__(self, n, L):
         self.n = n
@@ -168,8 +185,9 @@ class _AdpPack:
 
     def unpack(self, s):
         L = self.L
-        return (s[: self.n], s[self.i_wc: self.i_wa], s[self.i_wa: self.i_g],
-                s[self.i_g: self.i_jn].reshape(L, L), s[self.i_jn], s[self.i_jn + 1])
+        return (s[..., : self.n], s[..., self.i_wc: self.i_wa], s[..., self.i_wa: self.i_g],
+                s[..., self.i_g: self.i_jn].reshape(s.shape[:-1] + (L, L)),
+                s[..., self.i_jn], s[..., self.i_jn + 1])
 
 
 def run_adp_episode(scn):
@@ -192,13 +210,16 @@ def run_adp_episode(scn):
     hist_t, hist_lam, hist_lam_mean, hist_c1 = [], [], [], []
     gamma_eigs = []
 
+    def learner_rows(x, Wc, Wa):
+        # rows [x, p_1..p_N], all anchored at x
+        return bellman_at(np.concatenate(([x], cell["pts"])), x, Wc, Wa,
+                          sys_, cost, bar, cfg, gains)
+
     def rhs(t, s):
         x, Wc, Wa, Gamma, _, _ = pack.unpack(s)
-        on = bellman_at(x, x, Wc, Wa, sys_, cost, bar, cfg, gains)
-        extraps = [bellman_at(p, x, Wc, Wa, sys_, cost, bar, cfg, gains)
-                   for p in cell["pts"]]
+        on, *extraps = learner_rows(x, Wc, Wa)
         ds = np.empty(pack.size)
-        ds[:n] = np.asarray(sys_.drift(x), float) + np.asarray(sys_.input_map(x), float) @ on.u
+        ds[:n] = sys_.xdot(x, on.u)
         ds[pack.i_wc: pack.i_wa] = critic_rhs(gains, Gamma, on, extraps)
         ds[pack.i_wa: pack.i_g] = actor_rhs(gains, Wa, Wc)
         ds[pack.i_g: pack.i_jn] = gamma_rhs(gains, Gamma, on, extraps).ravel()
@@ -220,12 +241,10 @@ def run_adp_episode(scn):
             raise RuntimeError(f"gain matrix lost positive definiteness at t={t:g}")
         gamma_eigs.append((eigs[0], eigs[-1]))
         cell["pts"] = sample_extrapolation_points(rng, x, gains.N, cfg, safeset)
-        on = bellman_at(x, x, Wc, Wa, sys_, cost, bar, cfg, gains)
-        extraps = [bellman_at(p, x, Wc, Wa, sys_, cost, bar, cfg, gains)
-                   for p in cell["pts"]]
-        lam_mean = sum(e.Lambda for e in extraps) / gains.N
+        lam = learner_rows(x, Wc, Wa).Lambda
+        lam_mean = lam[1:].sum(axis=0) / gains.N
         hist_t.append(t)
-        hist_lam.append(on.Lambda)
+        hist_lam.append(lam[0])
         hist_lam_mean.append(lam_mean)
         hist_c1.append(float(np.linalg.eigvalsh(lam_mean)[0]))
         return s
@@ -235,26 +254,12 @@ def run_adp_episode(scn):
                                      unsafe=unsafe, on_accept=on_accept)
 
     grid = _output_grid(sim.t_final, sim.dt_out, rec.ts[-1])
-    states = rec.sample(grid)
-    R = len(grid)
-    # copies, so that a kept record does not hold every sampled column
-    xs = states[:, :n].copy()
-    Wcs = states[:, pack.i_wc: pack.i_wa].copy()
-    Was = states[:, pack.i_wa: pack.i_g].copy()
+    # copies, so that neither the post-processing nor a kept record holds
+    # every sampled column
+    xs, Wcs, Was, Gammas, Jns, Js = (c.copy() for c in pack.unpack(rec.sample(grid)))
+    mineig = np.linalg.eigvalsh(0.5 * (Gammas + Gammas.transpose(0, 2, 1))).min(axis=1)
     hs, Bs = _barrier_columns(safeset, bar, xs)
-    out = {k: np.empty(R) for k in ("Vhat", "delta", "mineig")}
-    us = np.empty((R, sys_.m))
-    for i, s in enumerate(states):
-        x, Wc, Wa, Gamma, _, _ = pack.unpack(s)
-        out["Vhat"][i] = value_hat(cfg, bar, Wc, x, x)
-        try:
-            on = bellman_at(x, x, Wc, Wa, sys_, cost, bar, cfg, gains)
-            us[i] = on.u
-            out["delta"][i] = on.delta
-        except BoundaryViolation:
-            us[i] = policy_hat(cfg, bar, cost, sys_, Wa, x, x)
-            out["delta"][i] = np.nan
-        out["mineig"][i] = np.linalg.eigvalsh(0.5 * (Gamma + Gamma.T))[0]
+    us, deltas = _learner_columns(scn, xs, Wcs, Was, hs)
 
     flag = False
     if hist_t:
@@ -262,11 +267,11 @@ def run_adp_episode(scn):
         flag = weak_excitation(metrics)
     ge = np.asarray(gamma_eigs) if gamma_eigs else np.full((1, 2), np.nan)
     return TrajectoryRecord(
-        t=grid, x=xs, u=us, h=hs, B=Bs, Vhat=out["Vhat"],
-        delta=out["delta"], Wc=Wcs, Wa=Was, min_eig_gamma=out["mineig"],
-        c1=_held(hist_t, hist_c1, grid, 0.0), J=states[:, pack.i_jn + 1].copy(),
+        t=grid, x=xs, u=us, h=hs, B=Bs, Vhat=value_hat(cfg, bar, Wcs, xs, xs),
+        delta=deltas, Wc=Wcs, Wa=Was, min_eig_gamma=mineig,
+        c1=_held(hist_t, hist_c1, grid, 0.0), J=Js,
         status=status, controller="adp",
-        j_native_total=float(states[-1][pack.i_jn]), weak_excitation_flag=flag,
+        j_native_total=float(Jns[-1]), weak_excitation_flag=flag,
         gamma_eig_min=float(np.min(ge[:, 0])), gamma_eig_max=float(np.max(ge[:, 1])),
         wall_clock=time.perf_counter() - t_start,
     )
@@ -356,8 +361,7 @@ def prop1_diagnostics(record: TrajectoryRecord, scn):
     """Per-row invariance diagnostics: h, B, CBF margin at the applied
     input (with the scenario's qp.alpha_scale), and a value-decrease flag;
     plus the row-wise minima."""
-    margins = np.array([cbf_margin(scn.system, scn.safeset, scn.qp.alpha_scale, x, u)
-                        for x, u in zip(record.x, record.u)])
+    margins = cbf_margin(scn.system, scn.safeset, scn.qp.alpha_scale, record.x, record.u)
     vhat_decreasing = np.ones(len(record.t), dtype=bool)
     if np.all(np.isfinite(record.Vhat)):
         vhat_decreasing[1:] = np.diff(record.Vhat) <= 1e-9

@@ -38,43 +38,47 @@ class StaFConfig:
         self.scale_num = float(scale_num)
 
     def theta(self, x):
-        x = np.asarray(x, float)
-        q = float(x @ x)
+        """Offset scale per row of x (..., n)."""
+        q = np.vecdot(x, x)
         return self.scale_num * q / (self.scale_den_offset + q)
 
 
 def centers(cfg: StaFConfig, x):
-    """L x n array of kernel centers about the anchor x."""
+    """Kernel centers about each anchor row of x: (..., n) -> (..., L, n)."""
     x = np.asarray(x, float)
-    return x[None, :] + cfg.theta(x) * cfg.offsets
+    return x[..., None, :] + cfg.theta(x)[..., None, None] * cfg.offsets
 
 
 def kernel_sigma(cfg: StaFConfig, y, x):
-    """Kernel vector sigma_i(y) = y . c_i(x), centers anchored at x."""
-    return centers(cfg, x) @ np.asarray(y, float)
+    """Kernel vector sigma_i(y) = y . c_i(x), centers anchored at x; the
+    rows of y and x broadcast, (..., L) out."""
+    return np.matvec(centers(cfg, x), y)
 
 
 def grad_sigma(cfg: StaFConfig, y, x):
-    """Derivative of kernel_sigma in its first argument (L x n); centers
-    are held fixed at the anchor, so row i is c_i(x)."""
+    """Derivative of kernel_sigma in its first argument, (..., L, n) for
+    the anchor rows of x; centers are held fixed at the anchor, so row i is
+    c_i(x) whatever y is."""
     return centers(cfg, x)
 
 
 def value_hat(cfg: StaFConfig, bar: BarrierSpec, Wc, y, x):
-    """Approximate value Wc . sigma(y, c(x)) + Bbar(y)."""
-    return float(np.asarray(Wc, float) @ kernel_sigma(cfg, y, x)) + barrier_Bbar(bar, y)
+    """Approximate value Wc . sigma(y, c(x)) + Bbar(y) per row; Wc (..., L)
+    broadcasts against the rows."""
+    return np.vecdot(Wc, kernel_sigma(cfg, y, x)) + barrier_Bbar(bar, y)
 
 
 def policy_star(cost: CostSpec, sys, gradV, y):
-    """Saturated optimal-policy form for a supplied value gradient."""
-    g = np.asarray(sys.input_map(y), float)
+    """Saturated optimal-policy form for a supplied value gradient, per row
+    of gradV and y (..., n); (..., m) out."""
     ub = cost.u_max
-    arg = (g.T @ np.asarray(gradV, float)) / (2.0 * ub * cost.r_diag)
+    arg = np.vecmat(gradV, sys.input_map(y)) / (2.0 * ub * cost.r_diag)
     return -ub * np.tanh(arg)
 
 
 def policy_hat(cfg: StaFConfig, bar: BarrierSpec, cost: CostSpec, sys, Wa, y, x):
-    """Approximate policy: saturated form driven by the actor weights and
-    the bounded-barrier gradient; strictly inside the input box."""
-    D = grad_sigma(cfg, y, x).T @ np.asarray(Wa, float) + grad_Bbar(bar, y)
+    """Approximate policy per row: saturated form driven by the actor
+    weights Wa (..., L) and the bounded-barrier gradient; strictly inside
+    the input box."""
+    D = np.vecmat(Wa, grad_sigma(cfg, y, x)) + grad_Bbar(bar, y)
     return policy_star(cost, sys, D, y)

@@ -150,3 +150,32 @@ def test_reaches_exact_final_time():
                                          np.array([1.0]), t_final)
         assert status == "OK"
         assert rec.ts[-1] == pytest.approx(t_final, abs=1e-9)
+
+
+def test_lands_on_final_time_when_remainder_exceeds_step_by_an_ulp():
+    # a constant rhs accepts every step, so the step stays at first_step
+    # and the remainder is the one ulp over it (or the QP hold 5.8 -> 5.9)
+    for t0, t_final in ((0.0, np.nextafter(0.1, 1.0)), (5.8, 5.9)):
+        status, rec = integrate_adaptive(lambda t, y: np.array([1.0]), t0,
+                                         np.array([0.0]), t_final, first_step=0.1)
+        assert status == "OK"
+        assert rec.ts[-1] == t_final
+        assert len(rec.ts) == 2
+
+
+def test_sample_peak_memory_is_at_most_twice_the_output():
+    import tracemalloc
+    # the ADP output shape: 2501 rows of a 19-wide state from 84 steps
+    rng = np.random.default_rng(0)
+    rec = StepRecord()
+    for t in np.linspace(0.0, 25.0, 84):
+        rec.append(t, rng.normal(size=19), rng.normal(size=19))
+    grid = np.linspace(0.0, 25.0, 2501)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = rec.sample(grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes

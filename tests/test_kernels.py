@@ -1,0 +1,197 @@
+"""Row kernels: every kernel evaluated on a batch of rows equals the same
+kernel evaluated one row at a time, and a batch holding one bad row fails
+as that row alone would."""
+
+import numpy as np
+import pytest
+
+import safeadp as sa
+from safeadp import cost as sa_cost
+from safeadp import sim as sa_sim
+from safeadp.errors import BoundaryViolation
+
+R = 200
+
+
+def assert_within_ulps(batched, rows, ulps=8):
+    batched, rows = np.asarray(batched), np.asarray(rows)
+    assert batched.shape == rows.shape
+    tol = ulps * np.spacing(np.maximum(np.abs(batched), np.abs(rows)))
+    assert np.all(np.abs(batched - rows) <= tol), np.max(np.abs(batched - rows) / tol)
+
+
+def row_by_row(fun, *arrays):
+    """fun applied to each row of the arrays, stacked."""
+    return np.array([fun(*row) for row in zip(*arrays)])
+
+
+@pytest.fixture(scope="module")
+def scn():
+    return sa.build_scenario()
+
+
+@pytest.fixture(scope="module")
+def rows(scn):
+    """States at levels h spread over the barrier's three regimes: near the
+    boundary (1e-8 .. 0.05), inside the scheduling band d_on .. d_off, and
+    beyond d_off; plus per-row anchors and weights."""
+    rng = np.random.default_rng(42)
+    bar = scn.barrier
+    h = np.concatenate([10.0 ** rng.uniform(-8, np.log10(0.05), R // 4),
+                        rng.uniform(0.05, bar.d_on, R // 4),
+                        rng.uniform(bar.d_on, bar.d_off, R // 4),
+                        rng.uniform(bar.d_off, 3.0, R - 3 * (R // 4))])
+    ang = rng.uniform(0.0, 2 * np.pi, R)
+    ys = scn.safeset.center + (scn.safeset.radius + h)[:, None] * np.column_stack(
+        (np.cos(ang), np.sin(ang)))
+    return {
+        "y": ys,
+        "x": ys + rng.uniform(-0.05, 0.05, size=ys.shape) * (h[:, None] > 0.1),
+        "Wc": rng.normal(scale=3.0, size=(R, scn.staf.L)),
+        "Wa": rng.normal(scale=3.0, size=(R, scn.staf.L)),
+        "u": rng.uniform(-0.5, 0.5, size=(R, scn.system.m)),
+    }
+
+
+def test_rows_cover_every_barrier_regime(scn, rows):
+    h = scn.safeset.h(rows["y"])
+    bar = scn.barrier
+    assert np.all(h > sa_cost.H_MIN)
+    assert np.sum(h < 1e-6) >= 10
+    assert np.sum((h > bar.d_on) & (h < bar.d_off)) >= 40
+    assert np.sum(h > bar.d_off) >= 40
+
+
+def test_geometry_and_system_kernels(scn, rows):
+    sys_, safe = scn.system, scn.safeset
+    y, u = rows["y"], rows["u"]
+    assert_within_ulps(safe.h(y), row_by_row(safe.h, y))
+    assert_within_ulps(safe.grad(y), row_by_row(safe.grad, y))
+    assert_within_ulps(sys_.xdot(y, u), row_by_row(sys_.xdot, y, u))
+    assert_within_ulps(sa.cbf_margin(sys_, safe, 2.0, y, u),
+                       row_by_row(lambda a, b: sa.cbf_margin(sys_, safe, 2.0, a, b), y, u))
+    Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert_within_ulps(sa.clf_margin(sys_, Q, 10.0, y, u),
+                       row_by_row(lambda a, b: sa.clf_margin(sys_, Q, 10.0, a, b), y, u))
+    lin = sa.linear_system(A=np.array([[0.0, 1.0], [-1.0, -0.5]]),
+                           B=np.array([[0.0, 0.3], [1.0, 0.2]]), u_max=0.5)
+    assert_within_ulps(lin.xdot(y, u), row_by_row(lin.xdot, y, u))
+
+
+def test_cost_kernels(scn, rows):
+    cost, bar = scn.cost, scn.barrier
+    y, u = rows["y"], rows["u"]
+    h = scn.safeset.h(y)
+    for fun, arg in ((cost.state_cost, y), (cost.quadratic_input_cost, u),
+                     (lambda a: sa.input_penalty_Ru(cost, a), u),
+                     (lambda a: sa_cost._s_of_h(bar, a), h),
+                     (lambda a: sa_cost._ds_dh(bar, a), h),
+                     (lambda a: sa.scheduling_s(bar, a), y),
+                     (lambda a: sa.barrier_B(bar, a), y),
+                     (lambda a: sa.barrier_Bbar(bar, a), y),
+                     (lambda a: sa.grad_Bbar(bar, a), y)):
+        assert_within_ulps(fun(arg), row_by_row(fun, arg))
+    assert_within_ulps(sa.instantaneous_cost(cost, bar, y, u),
+                       row_by_row(lambda a, b: sa.instantaneous_cost(cost, bar, a, b), y, u))
+    B, gB = sa_cost.barrier_B_grad_Bbar(bar, y)
+    assert_within_ulps(B, sa.barrier_B(bar, y))
+    assert_within_ulps(gB, sa.grad_Bbar(bar, y))
+
+
+def test_input_penalty_at_the_box_corner(scn):
+    # corner components take the analytic limit inside a batch too
+    u = np.array([[0.5, 0.0], [-0.5, 0.2], [0.1, 0.2]])
+    assert_within_ulps(sa.input_penalty_Ru(scn.cost, u),
+                       row_by_row(lambda a: sa.input_penalty_Ru(scn.cost, a), u))
+    assert np.all(np.isfinite(sa.input_penalty_Ru(scn.cost, u)))
+
+
+def test_staf_kernels(scn, rows):
+    cfg, bar, cost, sys_ = scn.staf, scn.barrier, scn.cost, scn.system
+    y, x, Wc, Wa = rows["y"], rows["x"], rows["Wc"], rows["Wa"]
+    assert_within_ulps(cfg.theta(x), row_by_row(cfg.theta, x))
+    assert_within_ulps(sa.centers(cfg, x), row_by_row(lambda a: sa.centers(cfg, a), x))
+    assert_within_ulps(sa.kernel_sigma(cfg, y, x),
+                       row_by_row(lambda a, b: sa.kernel_sigma(cfg, a, b), y, x))
+    assert_within_ulps(sa.grad_sigma(cfg, y, x),
+                       row_by_row(lambda a, b: sa.grad_sigma(cfg, a, b), y, x))
+    assert_within_ulps(sa.value_hat(cfg, bar, Wc, y, x),
+                       row_by_row(lambda w, a, b: sa.value_hat(cfg, bar, w, a, b), Wc, y, x))
+    assert_within_ulps(sa.policy_star(cost, sys_, Wa[:, :2], y),
+                       row_by_row(lambda g, a: sa.policy_star(cost, sys_, g, a), Wa[:, :2], y))
+    assert_within_ulps(sa.policy_hat(cfg, bar, cost, sys_, Wa, y, x),
+                       row_by_row(lambda w, a, b: sa.policy_hat(cfg, bar, cost, sys_, w, a, b),
+                                  Wa, y, x))
+
+
+@pytest.mark.parametrize("anchor", ["per-row", "shared"])
+def test_bellman_at(scn, rows, anchor):
+    # per-row: the post-processing (each row its own anchor and weights);
+    # shared: the rhs (every row anchored at one state, one set of weights)
+    args = (scn.system, scn.cost, scn.barrier, scn.staf, scn.gains)
+    y, x, Wc, Wa = rows["y"], rows["x"], rows["Wc"], rows["Wa"]
+    if anchor == "shared":
+        x, Wc, Wa = x[0], Wc[0], Wa[0]
+    batch = sa.bellman_at(y, x, Wc, Wa, *args)
+    per_row = (np.broadcast_to(v, (R, v.shape[-1])) for v in (x, Wc, Wa))
+    singles = [sa.bellman_at(*row, *args) for row in zip(y, *per_row)]
+    assert len(batch) == R
+    for name in ("y", "u", "omega", "omega_B", "rho", "delta", "Lambda"):
+        assert_within_ulps(getattr(batch, name), [getattr(s, name) for s in singles])
+    # a batched sample is the sequence of its row samples
+    first, *rest = batch
+    assert len(rest) == R - 1
+    assert first.delta == batch.delta[0]
+    np.testing.assert_array_equal(rest[-1].Lambda, batch.Lambda[-1])
+
+
+def test_one_bad_row_fails_the_batch(scn, rows):
+    bar, safe = scn.barrier, scn.safeset
+    args = (scn.system, scn.cost, bar, scn.staf, scn.gains)
+    y = rows["y"].copy()
+    y[7] = safe.center + np.array([0.0, safe.radius])  # h = 0
+    for fun in (sa.barrier_B, lambda b, a: sa.bellman_at(a, a, rows["Wc"], rows["Wa"], *args)):
+        with pytest.raises(BoundaryViolation):
+            fun(bar, y)
+    sa.grad_Bbar(bar, y)  # h = 0 > -a: the bounded barrier is still defined
+    y[7] = safe.center + np.array([0.0, safe.radius - 1.5 * bar.a])  # h = -1.5 a
+    for fun in (sa.barrier_B, sa.barrier_Bbar, sa.grad_Bbar):
+        with pytest.raises(BoundaryViolation):
+            fun(bar, y)
+
+
+def test_postprocessing_rows_at_the_boundary(scn, rows):
+    # rows with h <= H_MIN: B = inf, delta = NaN and u from policy_hat
+    safe = scn.safeset
+    xs = rows["y"].copy()
+    bad = [3, 120]
+    xs[3] = safe.center + np.array([safe.radius, 0.0])  # h = 0
+    xs[120] = safe.center + np.array([0.0, -safe.radius - 0.5e-9])  # h = 5e-10
+    Wcs, Was = rows["Wc"], rows["Wa"]
+    hs, Bs = sa_sim._barrier_columns(safe, scn.barrier, xs)
+    assert np.all(hs[bad] <= sa_cost.H_MIN)
+    us, deltas = sa_sim._learner_columns(scn, xs, Wcs, Was, hs)
+    good = np.setdiff1d(np.arange(R), bad)
+    assert np.all(np.isinf(Bs[bad])) and np.all(np.isnan(deltas[bad]))
+    assert np.all(np.isfinite(Bs[good])) and np.all(np.isfinite(deltas[good]))
+    for i in bad:
+        np.testing.assert_array_equal(
+            us[i], sa.policy_hat(scn.staf, scn.barrier, scn.cost, scn.system,
+                                 Was[i], xs[i], xs[i]))
+    on = sa.bellman_at(xs[good], xs[good], Wcs[good], Was[good], scn.system, scn.cost,
+                       scn.barrier, scn.staf, scn.gains)
+    np.testing.assert_array_equal(us[good], on.u)
+    np.testing.assert_array_equal(deltas[good], on.delta)
+    np.testing.assert_array_equal(Bs[good], sa.barrier_B(scn.barrier, xs[good]))
+
+
+def test_system_model_probes_the_row_contract():
+    # a drift written for one state only fails at construction, not mid-run
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for drift in (lambda x: A @ x, lambda x: np.zeros(2)):
+        with pytest.raises(ValueError, match="rows"):
+            sa.SystemModel(2, 2, drift=drift, input_map=lambda x: np.eye(2),
+                           u_max=1.0, g_bound=1.0)
+    with pytest.raises(ValueError, match="rows"):
+        sa.SystemModel(2, 2, drift=lambda x: np.zeros(np.shape(x)),
+                       input_map=lambda x: np.eye(3), u_max=1.0, g_bound=1.0)
