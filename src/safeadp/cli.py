@@ -19,12 +19,14 @@ EXIT_OK = 0
 EXIT_SAFETY_BREACH = 2
 EXIT_QP_INFEASIBLE = 3
 EXIT_CONFIG_ERROR = 4
+EXIT_NUMERICAL_FAILURE = 5
 
 _STATUS_EXIT = {
     "OK": EXIT_OK,
     "SAFETY_BREACH": EXIT_SAFETY_BREACH,
     "QP_INFEASIBLE": EXIT_QP_INFEASIBLE,
-    "STEP_UNDERFLOW": EXIT_SAFETY_BREACH,
+    "STEP_UNDERFLOW": EXIT_NUMERICAL_FAILURE,
+    "GAIN_INDEFINITE": EXIT_NUMERICAL_FAILURE,
 }
 
 
@@ -104,19 +106,17 @@ def cmd_run(args):
         write_summary(summary.as_dict(), args.summary)
     print(f"{record.controller}: status={record.status} min_h={summary.min_h:.6g} "
           f"terminal_x={summary.terminal_x_norm:.6g} J={summary.total_J:.6g}")
-    return _STATUS_EXIT.get(record.status, EXIT_OK)
+    return _STATUS_EXIT[record.status]
 
 
 def cmd_compare(args):
     values = _load_values(args)
     stem = str(Path(args.out).with_suffix("")) if args.out else "compare"
-    records = {}
     summaries = {}
     for ctrl in ("adp", "qp"):
         v = dict(values)
         v["sim.controller"] = ctrl
         record, summary = _run_one(v)
-        records[ctrl] = record
         summaries[ctrl] = summary
         write_csv(record, f"{stem}_{ctrl}.csv")
         write_panels(record, f"{stem}_{ctrl}")
@@ -132,8 +132,7 @@ def cmd_compare(args):
         s = summaries[ctrl]
         print(f"{ctrl}: status={s.status} min_h={s.min_h:.6g} "
               f"terminal_x={s.terminal_x_norm:.6g} J={s.total_J:.6g}")
-    worst = max(_STATUS_EXIT.get(r.status, EXIT_OK) for r in records.values())
-    return worst
+    return max(_STATUS_EXIT[s.status] for s in summaries.values())
 
 
 def cmd_sweep(args):
@@ -158,7 +157,7 @@ def cmd_sweep(args):
     for (status, d) in results:
         print(f"{args.sweep_key}={d['sweep_value']}: status={status} "
               f"min_h={d['min_h']:.6g} terminal_x={d['terminal_x_norm']:.6g}")
-    return max(_STATUS_EXIT.get(status, EXIT_OK) for status, _ in results)
+    return max(_STATUS_EXIT[status] for status, _ in results)
 
 
 def cmd_selftest(_args):

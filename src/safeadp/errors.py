@@ -23,3 +23,7 @@ class QpInfeasible(SafeAdpError):
 
 class ConfigError(SafeAdpError):
     """Malformed configuration file or unknown key."""
+
+
+class RunEnded(SafeAdpError):
+    """Raised by an integrator hook to end the run; args[0] is the status."""

@@ -1,11 +1,12 @@
 """Adaptive Dormand-Prince 5(4) integrator with PI step-size control,
-per-accepted-step hooks, and state-based step rejection."""
+exact stop times, per-accepted-step hooks, and state-based step
+rejection."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundaryViolation
+from .errors import BoundaryViolation, RunEnded
 
 # Dormand-Prince 5(4) Butcher tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -49,13 +50,6 @@ class StepRecord:
         self.ys.append(np.array(y))
         self.fs.append(np.array(f))
 
-    def extend(self, other):
-        """Append another record's steps, its start point included: at a
-        junction the time repeats with the derivative of each side."""
-        self.ts += other.ts
-        self.ys += other.ys
-        self.fs += other.fs
-
     def sample(self, t_grid):
         """Cubic Hermite interpolation of the state on a time grid. A time
         that two steps share is read from the earlier segment, which ends
@@ -83,34 +77,40 @@ class StepRecord:
 
 
 def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
-                       unsafe=None, on_accept=None, first_step=1e-3):
-    """Integrate y' = rhs(t, y) from t0 to t_final.
+                       unsafe=None, on_accept=None, first_step=1e-3, stops=()):
+    """Integrate y' = rhs(t, y) from t0 to t_final, landing exactly on
+    each of the sorted `stops` in (t0, t_final); step size and controller
+    state carry across stops. Returns (status, record) with status OK,
+    SAFETY_BREACH, STEP_UNDERFLOW or that of a RunEnded.
 
     unsafe(y) -> bool rejects proposed states (step halved; after
     MAX_SAFETY_HALVINGS consecutive halvings the run ends with status
     SAFETY_BREACH). rhs raising BoundaryViolation at a trial state is
-    treated the same way. on_accept(t, y) may return a replacement state
-    applied after each accepted step.
-
-    Returns (status, record) with status OK, SAFETY_BREACH, or
-    STEP_UNDERFLOW.
+    treated the same way. on_accept(t, y), called after each accepted
+    step, may raise RunEnded(status) to end the run there (the point is
+    recorded) or return a replacement state, which the record keeps twice:
+    with the step's own derivative, closing the segment that ends there,
+    then with rhs(t, y), opening the next.
     """
     t = float(t0)
     y = np.array(y0, dtype=float)
     f = np.asarray(rhs(t, y), float)
     record = StepRecord()
     record.append(t, y, f)
-    h = min(first_step, t_final - t0)
+    stops = [float(s) for s in stops if t0 < s < t_final] + [float(t_final)]
+    i_stop = 0
+    h = first_step
     err_prev = 1.0
     safety_halvings = 0
 
-    t_edge = 1e-12 * max(1.0, abs(t_final))
     while t < t_final:
         # a remainder within t_edge of the step is taken whole, and that
-        # step lands on t_final exactly
-        last = t_final - t - h <= t_edge
-        if last:
-            h = t_final - t
+        # step lands on the stop exactly
+        t_stop = stops[i_stop]
+        t_edge = 1e-12 * max(1.0, abs(t_stop))
+        land = t_stop - t - h <= t_edge
+        if land:
+            h = t_stop - t
         if h < 1e-15 * max(1.0, abs(t)):
             # an underflow mid-way through a safety-halving streak means
             # the rejection, not the error control, drove h to zero
@@ -132,17 +132,19 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
         if err <= 1.0:
-            t = t_final if last else t + h
+            t = t_stop if land else t + h
+            i_stop += land
             y = y_new
-            if on_accept is not None:
-                replaced = on_accept(t, y)
-                if replaced is not None:
-                    y = np.asarray(replaced, float)
-                    f = np.asarray(rhs(t, y), float)
-                else:
-                    f = ks[6]  # FSAL
-            else:
-                f = ks[6]
+            f = ks[6]  # FSAL
+            try:
+                replaced = None if on_accept is None else on_accept(t, y)
+            except RunEnded as end:
+                record.append(t, y, f)
+                return end.args[0], record
+            if replaced is not None:
+                y = np.asarray(replaced, float)
+                record.append(t, y, f)
+                f = np.asarray(rhs(t, y), float)
             record.append(t, y, f)
             # PI controller (Gustafsson)
             fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0) if err > 0 else 5.0

@@ -1,5 +1,5 @@
 """Episode runners: coupled plant + learner integration for the ADP
-controller, zero-order-hold stepping for the QP baseline, trajectory
+controller, zero-order holds on a fixed grid for the QP baseline, trajectory
 records, summaries, and invariance diagnostics."""
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 from .cost import H_MIN, barrier_B
 from .critic import (actor_rhs, bellman_at, critic_rhs, excitation_metrics,
                      gamma_rhs, sample_extrapolation_points, weak_excitation)
-from .errors import QpInfeasible
+from .errors import QpInfeasible, RunEnded
 from .integrate import StepRecord, integrate_adaptive
 from .model import cbf_margin
 from .qpsolve import qp_controller
@@ -136,7 +136,7 @@ def _held(times, values, grid, empty):
     """Zero-order hold: at each grid time the value recorded at the last
     time at or before it (within 1e-12), the first value before any, and
     `empty` on every row when nothing was recorded."""
-    if not times:
+    if len(times) == 0:
         return np.array([empty] * len(grid))
     j = np.searchsorted(np.asarray(times), grid + 1e-12, side="right") - 1
     return np.asarray(values)[np.maximum(j, 0)]
@@ -238,7 +238,7 @@ def run_adp_episode(scn):
         s[pack.i_g: pack.i_jn] = G.ravel()
         eigs = np.linalg.eigvalsh(G)
         if eigs[0] <= 0:
-            raise RuntimeError(f"gain matrix lost positive definiteness at t={t:g}")
+            raise RunEnded("GAIN_INDEFINITE")
         gamma_eigs.append((eigs[0], eigs[-1]))
         cell["pts"] = sample_extrapolation_points(rng, x, gains.N, cfg, safeset)
         lam = learner_rows(x, Wc, Wa).Lambda
@@ -282,67 +282,62 @@ def run_adp_episode(scn):
 # ---------------------------------------------------------------------------
 
 def run_qp_episode(scn):
-    """Sampled-data CLF-CBF QP baseline: solve the QP, hold the input over
-    each sampling interval, integrate the plant in between."""
+    """Sampled-data CLF-CBF QP baseline: the QP is solved at each hold time
+    k*qp.dt below t_final and its input held until the next (the last hold
+    ends at t_final), in one integration that lands on every hold time."""
     t_start = time.perf_counter()
     sys_, safeset, cost, bar = scn.system, scn.safeset, scn.cost, scn.barrier
     sim, qp = scn.sim, scn.qp
     n = sys_.n
     check_start(safeset, sim.x0)
 
-    status = "OK"
-    infeasible_events = 0
-    y = np.append(sim.x0, 0.0)  # [x, J]
-    steps = StepRecord()
-    hold_ts, hold_us = [], []
-    n_holds = int(round(sim.t_final / qp.dt))
-    t = 0.0
-    for k in range(n_holds):
+    hold_ts = qp.dt * np.arange(np.ceil(sim.t_final / qp.dt - 1e-9))  # k*qp.dt < t_final - ulps
+    hold_us = []  # the input held from each solved hold time; rhs reads the last
+    y0 = np.append(sim.x0, 0.0)  # [x, J]
+
+    def solve(x):
         try:
-            u, _sol = qp_controller(sys_, safeset, cost.Q, cost, qp, y[:n])
+            hold_us.append(qp_controller(sys_, safeset, cost.Q, cost, qp, x)[0])
         except QpInfeasible:
-            status = "QP_INFEASIBLE"
-            infeasible_events += 1
-            break
-        hold_ts.append(t)
-        hold_us.append(u)
-        t_end = min((k + 1) * qp.dt, sim.t_final)
+            raise RunEnded("QP_INFEASIBLE") from None
 
-        def rhs(_t, s):
-            ds = np.empty(n + 1)
-            ds[:n] = np.asarray(sys_.drift(s[:n]), float) + \
-                np.asarray(sys_.input_map(s[:n]), float) @ u
-            ds[n] = cost.state_cost(s[:n]) + cost.quadratic_input_cost(u)
-            return ds
+    def rhs(_t, s):
+        u = hold_us[-1]
+        ds = np.empty(n + 1)
+        ds[:n] = np.asarray(sys_.drift(s[:n]), float) + \
+            np.asarray(sys_.input_map(s[:n]), float) @ u
+        ds[n] = cost.state_cost(s[:n]) + cost.quadratic_input_cost(u)
+        return ds
 
-        st, rec = integrate_adaptive(rhs, t, y, t_end,
-                                     abs_tol=sim.abs_tol, rel_tol=sim.rel_tol,
-                                     first_step=qp.dt)
-        steps.extend(rec)
-        y = rec.ys[-1]
-        t = t_end  # snap to the hold grid to avoid drift accumulation
-        if st != "OK":
-            status = "STEP_UNDERFLOW"
-            break
+    def on_accept(t, s):
         # strict h < 0: the collinear stall legitimately grazes h ~ 5e-12 < H_MIN
-        if any(safeset.h(yi[:n]) < 0.0 for yi in rec.ys[1:]):
-            status = "SAFETY_BREACH"
-            break
-    if not steps.ts:  # infeasible at the first solve
-        steps.append(0.0, y, np.zeros(n + 1))
+        if safeset.h(s[:n]) < 0.0:
+            raise RunEnded("SAFETY_BREACH")
+        if len(hold_us) < len(hold_ts) and t == hold_ts[len(hold_us)]:
+            solve(s[:n])
+            return s  # f is re-evaluated with the new input
 
-    grid = _output_grid(sim.t_final, sim.dt_out, t)
-    states = steps.sample(grid)
-    R = len(grid)
+    try:
+        solve(sim.x0)
+    except RunEnded as end:  # infeasible at the first solve
+        status, rec = end.args[0], StepRecord()
+        rec.append(0.0, y0, np.zeros(n + 1))
+    else:
+        status, rec = integrate_adaptive(rhs, 0.0, y0, sim.t_final, stops=hold_ts[1:],
+                                         abs_tol=sim.abs_tol, rel_tol=sim.rel_tol,
+                                         on_accept=on_accept, first_step=qp.dt)
+
+    grid = _output_grid(sim.t_final, sim.dt_out, rec.ts[-1])
+    states = rec.sample(grid)
     xs = states[:, :n]
     hs, Bs = _barrier_columns(safeset, bar, xs)
-    nanL = np.full((R, scn.staf.L), np.nan)
-    nanv = np.full(R, np.nan)
+    nanL = np.full((len(grid), scn.staf.L), np.nan)
+    nanv = np.full(len(grid), np.nan)
     return TrajectoryRecord(
-        t=grid, x=xs, u=_held(hold_ts, hold_us, grid, np.zeros(sys_.m)), h=hs, B=Bs,
-        Vhat=nanv.copy(), delta=nanv.copy(), Wc=nanL.copy(), Wa=nanL.copy(),
+        t=grid, x=xs, u=_held(hold_ts[:len(hold_us)], hold_us, grid, np.zeros(sys_.m)),
+        h=hs, B=Bs, Vhat=nanv.copy(), delta=nanv.copy(), Wc=nanL.copy(), Wa=nanL.copy(),
         min_eig_gamma=nanv.copy(), c1=nanv.copy(), J=states[:, n], status=status,
-        controller="qp", infeasible_events=infeasible_events,
+        controller="qp", infeasible_events=int(status == "QP_INFEASIBLE"),
         wall_clock=time.perf_counter() - t_start,
     )
 

@@ -80,6 +80,30 @@ class TestRun:
         assert out.read_text().splitlines()[-1].endswith(",SAFETY_BREACH")
 
 
+class TestExitCodes:
+    def test_every_runner_status_has_an_exit_code(self):
+        # the statuses the runners and the integrator can end with, read
+        # from their source, so that a new status cannot fall through
+        import inspect
+        import re
+        from safeadp import cli, integrate, sim
+        source = inspect.getsource(sim) + inspect.getsource(integrate)
+        statuses = set(re.findall(r'"([A-Z][A-Z_]+)"', source))
+        assert {"OK", "SAFETY_BREACH", "QP_INFEASIBLE", "STEP_UNDERFLOW",
+                "GAIN_INDEFINITE"} <= statuses
+        assert statuses <= set(cli._STATUS_EXIT)
+        assert [s for s, code in cli._STATUS_EXIT.items() if code == 0] == ["OK"]
+        assert cli._STATUS_EXIT["STEP_UNDERFLOW"] == cli._STATUS_EXIT["GAIN_INDEFINITE"] == 5
+
+    def test_gain_indefinite_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sa.sim, "gamma_rhs",
+                            lambda gains, Gamma, on, extraps: -20.0 * np.eye(len(Gamma)))
+        code, out, _ = _run(tmp_path)
+        assert code == 5
+        assert "status=GAIN_INDEFINITE" in capsys.readouterr().out
+        assert out.read_text().splitlines()[-1].endswith(",GAIN_INDEFINITE")
+
+
 class TestConfig:
     def test_parse_defaults_file(self):
         values = parse_config("default.cfg")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from safeadp.errors import BoundaryViolation
+from safeadp.errors import BoundaryViolation, RunEnded
 from safeadp.integrate import StepRecord, dp54_step, integrate_adaptive
 
 
@@ -87,6 +87,60 @@ def test_on_accept_replacement():
                                      0.0, np.array([0.0]), 2.0, on_accept=clamp)
     assert status == "OK"
     assert max(y[0] for y in rec.ys) <= 0.5
+
+
+def test_lands_on_every_stop():
+    # stops closer than the step the controller would take, off any step
+    # boundary, and one a hair past the previous step
+    stops = [0.05, 0.3, 0.3000001, 1.7, 2.9]
+    status, rec = integrate_adaptive(lambda t, y: np.array([y[1], -y[0]]), 0.0,
+                                     np.array([1.0, 0.0]), 3.0, stops=stops)
+    assert status == "OK"
+    assert rec.ts[-1] == 3.0
+    assert set(stops) <= set(rec.ts)
+    assert rec.ts == sorted(rec.ts)
+    np.testing.assert_allclose(rec.sample(np.array(stops))[:, 0], np.cos(stops),
+                               rtol=0, atol=1e-6)
+
+
+def test_hook_switching_the_rhs_gives_exact_segments():
+    # the hook switches the constant slope after each accepted step, so the
+    # exact solution is piecewise linear; each segment's Hermite must use
+    # the slope it was integrated with at both of its ends
+    slope = {"c": 1.0}
+    switches = [(0.0, 0.0, 1.0)]  # (t, y, slope from t on)
+
+    def switch(t, y):
+        slope["c"] = -2.0 * slope["c"] + 0.5
+        switches.append((t, y[0], slope["c"]))
+        return y
+
+    status, rec = integrate_adaptive(lambda t, y: np.array([slope["c"]]), 0.0,
+                                     np.array([0.0]), 2.0, on_accept=switch,
+                                     stops=[0.7, 1.3])
+    assert status == "OK" and len(switches) >= 6
+    for (ta, ya, c), (tb, _yb, _c) in zip(switches, switches[1:]):
+        mid = np.linspace(ta, tb, 7)[1:-1]
+        np.testing.assert_allclose(rec.sample(mid)[:, 0], ya + c * (mid - ta),
+                                   rtol=0, atol=1e-12)
+
+
+def test_hook_ends_the_run_with_its_status():
+    seen = []
+
+    def stop_late(t, y):
+        seen.append((t, y.copy()))
+        if t >= 0.5:
+            raise RunEnded("STOPPED")
+
+    status, rec = integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 2.0,
+                                     on_accept=stop_late)
+    assert status == "STOPPED"
+    t_end, y_end = seen[-1]
+    assert 0.5 <= t_end < 2.0
+    assert rec.ts[-1] == t_end and rec.ts.count(t_end) == 1
+    np.testing.assert_array_equal(rec.ys[-1], y_end)
+    assert len(rec.ts) == len(seen) + 1
 
 
 def test_single_record_sample():

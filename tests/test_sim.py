@@ -82,6 +82,19 @@ class TestAdpEpisode:
         assert np.max(np.abs(rec.x)) <= 1e-9
         assert rec.J[-1] == pytest.approx(0.0, abs=1e-12)
 
+    def test_gain_matrix_losing_definiteness_is_a_status(self, monkeypatch):
+        # a gain law that drains Gamma through zero within about 0.1 s
+        monkeypatch.setattr(sa.sim, "gamma_rhs",
+                            lambda gains, Gamma, on, extraps: -20.0 * np.eye(len(Gamma)))
+        scn = sa.build_scenario(sim__t_final=1.0)
+        rec = sa.run_adp_episode(scn)
+        assert rec.status == "GAIN_INDEFINITE"
+        # the rows run up to the accepted step on which Gamma left PD
+        t_cross = scn.gains.gamma0 / 20.0
+        assert t_cross - scn.sim.dt_out < rec.t[-1] < scn.sim.t_final
+        np.testing.assert_allclose(rec.min_eig_gamma, scn.gains.gamma0 - 20.0 * rec.t,
+                                   rtol=0, atol=1e-9)
+
     def test_rejects_unsafe_start(self):
         # build_scenario refuses this start; a scenario assembled by hand
         # meets the runners' own check
@@ -150,6 +163,28 @@ class TestQpEpisode:
         exact = (J + tau * quad(x, x) + tau ** 2 * quad(x, u) + tau ** 3 / 3 * quad(u, u)
                  + tau * (u ** 2 @ r))
         np.testing.assert_allclose(rec.J[1::2], exact, rtol=1e-12, atol=0)
+
+    def test_one_integration_per_episode(self, monkeypatch):
+        calls = []
+        integrate = sa.sim.integrate_adaptive
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(sa.sim, "integrate_adaptive", counted)
+        rec = sa.run_qp_episode(sa.build_scenario(sim__controller="qp", sim__t_final=2.0))
+        assert rec.status == "OK"
+        assert len(calls) == 1
+
+    def test_last_partial_hold_reaches_t_final(self):
+        # qp.dt = 0.3 does not divide 25 s: the last hold runs 24.9 -> 25
+        scn = sa.build_scenario(sim__controller="qp", qp__dt=0.3)
+        rec = sa.run_qp_episode(scn)
+        assert rec.status == "OK"
+        assert len(rec.t) == 2501
+        assert rec.t[-1] == scn.sim.t_final
+        np.testing.assert_array_equal(rec.u[-1], rec.u[rec.t >= 24.9 - 1e-9][0])
 
     def test_infeasible_first_solve_reports_the_start(self, monkeypatch):
         def infeasible(*_args):
