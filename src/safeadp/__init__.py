@@ -9,7 +9,8 @@ from .critic import (BellmanSample, LearnerGains, actor_rhs, bellman_at,
                      regressor_sum, sample_extrapolation_points,
                      weak_excitation)
 from .errors import (BoundaryViolation, ConfigError, InputOutOfBox,
-                     QpInfeasible, RunEnded, SafeAdpError, SingularGradient)
+                     QpInfeasible, QpSolverFailed, RunEnded, SafeAdpError,
+                     SingularGradient)
 from .model import (CircularSafeSet, SystemModel, cbf_margin, clf_margin,
                     linear_system, single_integrator)
 from .qpsolve import (QpParams, QpProblem, QpSolution, build_qp,

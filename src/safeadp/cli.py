@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULTS, build_scenario, parse_config
+from .config import DEFAULTS, _parse_value, build_scenario, parse_config
 from .errors import ConfigError
 from .sim import TrajectoryRecord, run_episode, summarize
 
@@ -27,11 +27,8 @@ _STATUS_EXIT = {
     "QP_INFEASIBLE": EXIT_QP_INFEASIBLE,
     "STEP_UNDERFLOW": EXIT_NUMERICAL_FAILURE,
     "GAIN_INDEFINITE": EXIT_NUMERICAL_FAILURE,
+    "QP_SOLVER_FAILED": EXIT_NUMERICAL_FAILURE,
 }
-
-
-def _fmt(v):
-    return f"{v:.17g}"
 
 
 def write_csv(record: TrajectoryRecord, path):
@@ -46,33 +43,26 @@ def write_csv(record: TrajectoryRecord, path):
               + [f"Wc{i+1}" for i in range(L)]
               + [f"Wa{i+1}" for i in range(L)]
               + ["minEigGamma", "c1", "J", "status"])
-    R = len(record.t)
+    table = np.column_stack((record.t, record.x, record.u, record.h, record.B, record.Vhat,
+                             record.delta, record.Wc, record.Wa, record.min_eig_gamma,
+                             record.c1, record.J)).tolist()
+    row_fmt = ",".join(["%.17g"] * (len(header) - 1)) + ",%s\n"
+    statuses = ["OK"] * (len(table) - 1) + [record.status]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for i in range(R):
-                row_status = record.status if i == R - 1 else "OK"
-                vals = ([record.t[i]] + list(record.x[i]) + list(record.u[i])
-                        + [record.h[i], record.B[i], record.Vhat[i], record.delta[i]]
-                        + list(record.Wc[i]) + list(record.Wa[i])
-                        + [record.min_eig_gamma[i], record.c1[i], record.J[i]])
-                fh.write(",".join(_fmt(v) for v in vals) + f",{row_status}\n")
+            fh.writelines(row_fmt % (*row, st) for row, st in zip(table, statuses))
     except OSError as exc:
         raise OSError(f"cannot write trajectory CSV to {path}: {exc}") from exc
 
 
 def write_panels(record: TrajectoryRecord, stem):
     """Two-column plot-ready files: state norm, barrier value, input magnitude."""
-    panels = {
-        "xnorm": np.linalg.norm(record.x, axis=1),
-        "h": record.h,
-        "uinf": np.max(np.abs(record.u), axis=1),
-    }
-    for name, series in panels.items():
-        path = f"{stem}_panel_{name}.dat"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for t, v in zip(record.t, series):
-                fh.write(f"{_fmt(t)} {_fmt(v)}\n")
+    table = np.column_stack((record.t, np.linalg.norm(record.x, axis=1), record.h,
+                             np.max(np.abs(record.u), axis=1))).tolist()
+    for k, name in enumerate(("xnorm", "h", "uinf"), start=1):
+        with open(f"{stem}_panel_{name}.dat", "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines("%.17g %.17g\n" % (row[0], row[k]) for row in table)
 
 
 def write_summary(summary_dict, path):
@@ -139,8 +129,8 @@ def cmd_sweep(args):
     values = _load_values(args)
     if args.sweep_key not in DEFAULTS:
         raise ConfigError(f"unknown sweep key {args.sweep_key!r}")
-    import ast
-    sweep_values = [ast.literal_eval(tok) for tok in args.sweep_values.split(";")]
+    sweep_values = [_parse_value(tok.strip(), args.sweep_key, "--sweep-values", i)
+                    for i, tok in enumerate(args.sweep_values.split(";"), start=1)]
     stem = str(Path(args.out).with_suffix("")) if args.out else "sweep"
 
     results = []
@@ -202,7 +192,8 @@ def build_parser():
     common(p_sw)
     p_sw.add_argument("--sweep-key", required=True)
     p_sw.add_argument("--sweep-values", required=True,
-                      help="semicolon-separated literals, e.g. '0.01;0.05' or '[3,3];[3,3.5]'")
+                      help="semicolon-separated values, parsed as config values, "
+                           "e.g. '0.01;0.05', '[3,3];[3,3.5]' or 'adp;qp'")
     p_sw.set_defaults(func=cmd_sweep, out="sweep.csv")
 
     p_st = sub.add_parser("selftest", help="run the oracle suites")

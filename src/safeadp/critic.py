@@ -42,29 +42,16 @@ class LearnerGains:
 class BellmanSample:
     """Bellman error and its normalized regressor at evaluation points.
 
-    Every field carries the rows of the evaluation: y (..., n), u (..., m),
-    omega (..., L), omega_B, rho and delta (...), Lambda (..., L, L). A
-    sample over rows is a sequence of its row samples.
+    Every field carries the rows of the evaluation: u (..., m),
+    omega (..., L), omega_B, rho and delta (...), Lambda (..., L, L).
     """
 
-    y: np.ndarray
     u: np.ndarray
     omega: np.ndarray
     omega_B: np.ndarray
     rho: np.ndarray
     delta: np.ndarray
     Lambda: np.ndarray = field(repr=False)
-
-    def __len__(self):
-        return len(self.delta)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __getitem__(self, i):
-        return BellmanSample(y=self.y[i], u=self.u[i], omega=self.omega[i],
-                             omega_B=self.omega_B[i], rho=self.rho[i],
-                             delta=self.delta[i], Lambda=self.Lambda[i])
 
 
 def bellman_at(y, x, Wc, Wa, sys, cost: CostSpec, bar: BarrierSpec,
@@ -89,8 +76,7 @@ def bellman_at(y, x, Wc, Wa, sys, cost: CostSpec, bar: BarrierSpec,
     rho = 1.0 + gains.nu * np.vecdot(omega, omega)
     Lam = omega[..., :, None] * omega[..., None, :]
     Lam /= (rho * rho)[..., None, None]
-    return BellmanSample(y=y, u=u, omega=omega, omega_B=omega_B,
-                         rho=rho, delta=delta, Lambda=Lam)
+    return BellmanSample(u=u, omega=omega, omega_B=omega_B, rho=rho, delta=delta, Lambda=Lam)
 
 
 def sample_extrapolation_points(rng, x, N, cfg: StaFConfig, safeset, h_min=H_MIN):
@@ -112,30 +98,30 @@ def sample_extrapolation_points(rng, x, N, cfg: StaFConfig, safeset, h_min=H_MIN
     return pts
 
 
-def critic_rhs(gains: LearnerGains, Gamma, on: BellmanSample, extraps):
-    """Normalized-gradient critic update direction."""
-    acc = gains.kc1 * on.omega * on.delta / (on.rho * on.rho)
-    if extraps:
-        scale = gains.kc2 / gains.N
-        for s in extraps:
-            acc = acc + scale * s.omega * s.delta / (s.rho * s.rho)
+def _row_weights(gains: LearnerGains, rows: BellmanSample):
+    """(kc1, kc2/N, ..., kc2/N) over the rows of the learner's sample: row 0
+    is the on-trajectory sample, rows 1..N the extrapolated ones."""
+    w = np.full(rows.delta.shape, gains.kc2 / gains.N)
+    w[0] = gains.kc1
+    return w
+
+
+def critic_rhs(gains: LearnerGains, Gamma, rows: BellmanSample):
+    """Normalized-gradient critic update direction over the learner's rows."""
+    w = _row_weights(gains, rows)[:, None]
+    acc = (w * rows.omega * rows.delta[:, None] / (rows.rho * rows.rho)[:, None]).sum(axis=0)
     return -np.asarray(Gamma, float) @ acc
 
 
-def regressor_sum(gains: LearnerGains, on: BellmanSample, extraps):
-    """kc1 Lambda + (kc2/N) sum_k Lambda_k, the curvature of the update."""
-    S = gains.kc1 * on.Lambda
-    if extraps:
-        scale = gains.kc2 / gains.N
-        for s in extraps:
-            S = S + scale * s.Lambda
-    return S
+def regressor_sum(gains: LearnerGains, rows: BellmanSample):
+    """kc1 Lambda_0 + (kc2/N) sum_k Lambda_k, the curvature of the update."""
+    return (_row_weights(gains, rows)[:, None, None] * rows.Lambda).sum(axis=0)
 
 
-def gamma_rhs(gains: LearnerGains, Gamma, on: BellmanSample, extraps):
+def gamma_rhs(gains: LearnerGains, Gamma, rows: BellmanSample):
     """Gain-matrix dynamics: forgetting growth minus regressor contraction."""
     Gamma = np.asarray(Gamma, float)
-    S = regressor_sum(gains, on, extraps)
+    S = regressor_sum(gains, rows)
     M = gains.beta * Gamma - Gamma @ S @ Gamma
     return 0.5 * (M + M.T)
 

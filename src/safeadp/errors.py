@@ -21,6 +21,11 @@ class QpInfeasible(SafeAdpError):
     """Box and CBF rows of the QP conflict; the relaxation cannot fix it."""
 
 
+class QpSolverFailed(SafeAdpError):
+    """The QP solver ended without a verified optimum: no convergence
+    within its iteration limit, or a point failing the KKT check."""
+
+
 class ConfigError(SafeAdpError):
     """Malformed configuration file or unknown key."""
 

@@ -1,6 +1,6 @@
 """Adaptive Dormand-Prince 5(4) integrator with PI step-size control,
-exact stop times, per-accepted-step hooks, and state-based step
-rejection."""
+exact stop times, per-accepted-step hooks, and step rejection when the
+rhs reports a boundary violation."""
 
 from __future__ import annotations
 
@@ -77,16 +77,15 @@ class StepRecord:
 
 
 def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
-                       unsafe=None, on_accept=None, first_step=1e-3, stops=()):
+                       on_accept=None, first_step=1e-3, stops=()):
     """Integrate y' = rhs(t, y) from t0 to t_final, landing exactly on
     each of the sorted `stops` in (t0, t_final); step size and controller
     state carry across stops. Returns (status, record) with status OK,
     SAFETY_BREACH, STEP_UNDERFLOW or that of a RunEnded.
 
-    unsafe(y) -> bool rejects proposed states (step halved; after
-    MAX_SAFETY_HALVINGS consecutive halvings the run ends with status
-    SAFETY_BREACH). rhs raising BoundaryViolation at a trial state is
-    treated the same way. on_accept(t, y), called after each accepted
+    rhs raising BoundaryViolation at a trial state rejects the step (step
+    halved; after MAX_SAFETY_HALVINGS consecutive halvings the run ends
+    with status SAFETY_BREACH). on_accept(t, y), called after each accepted
     step, may raise RunEnded(status) to end the run there (the point is
     recorded) or return a replacement state, which the record keeps twice:
     with the step's own derivative, closing the segment that ends there,
@@ -117,11 +116,7 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
             return ("SAFETY_BREACH" if safety_halvings > 0 else "STEP_UNDERFLOW"), record
         try:
             y_new, err_vec, ks = dp54_step(rhs, t, y, h, f0=f)
-            blocked = unsafe is not None and unsafe(y_new)
         except BoundaryViolation:
-            blocked = True
-            y_new = None
-        if blocked:
             safety_halvings += 1
             if safety_halvings > MAX_SAFETY_HALVINGS:
                 return "SAFETY_BREACH", record

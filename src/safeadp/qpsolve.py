@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QpInfeasible
+from .errors import QpInfeasible, QpSolverFailed
 
 KKT_TOL = 1e-8
 SOLVE_TOL = 1e-9
@@ -103,7 +103,8 @@ def solve_qp(prob: QpProblem, tol=SOLVE_TOL, max_iter=200):
     would turn negative first (a partial step). No finite step means the
     problem is infeasible. The point returned solves the final active set
     as equalities, and every Optimal result satisfies the KKT conditions
-    at KKT_TOL (verified before returning).
+    at KKT_TOL (verified before returning; QpSolverFailed otherwise, as
+    when max_iter runs out).
     """
     d, k = prob.d, prob.k
     A, b = prob.A, prob.b
@@ -153,7 +154,7 @@ def solve_qp(prob: QpProblem, tol=SOLVE_TOL, max_iter=200):
             lam = np.delete(lam, drop)
             it += 1
     else:
-        raise RuntimeError("active-set solver failed to converge")
+        raise QpSolverFailed("active-set solver failed to converge")
     if len(W) == d:
         # a vertex: solving A_W v = b_W keeps the active rows exact even when
         # the multipliers are large; these then follow from stationarity
@@ -169,7 +170,7 @@ def solve_qp(prob: QpProblem, tol=SOLVE_TOL, max_iter=200):
     lam_full = np.zeros(k)
     lam_full[W] = lam
     if not kkt_ok(prob, v, lam_full):
-        raise RuntimeError("active-set solver produced a non-KKT point")
+        raise QpSolverFailed("active-set solver produced a non-KKT point")
     return QpSolution(v_star=v, active_set=tuple(sorted(W)), multipliers=lam_full,
                       status="Optimal", objective=prob.objective(v), iterations=it)
 

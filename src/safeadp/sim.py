@@ -12,7 +12,7 @@ import numpy as np
 from .cost import H_MIN, barrier_B
 from .critic import (actor_rhs, bellman_at, critic_rhs, excitation_metrics,
                      gamma_rhs, sample_extrapolation_points, weak_excitation)
-from .errors import QpInfeasible, RunEnded
+from .errors import QpInfeasible, QpSolverFailed, RunEnded
 from .integrate import StepRecord, integrate_adaptive
 from .model import cbf_margin
 from .qpsolve import qp_controller
@@ -207,33 +207,31 @@ def run_adp_episode(scn):
     check_start(safeset, sim.x0)
 
     cell = {"pts": sample_extrapolation_points(rng, sim.x0, gains.N, cfg, safeset)}
-    hist_t, hist_lam, hist_lam_mean, hist_c1 = [], [], [], []
+    accepted = []  # (t, s, points) after each accepted step's hook
     gamma_eigs = []
 
-    def learner_rows(x, Wc, Wa):
-        # rows [x, p_1..p_N], all anchored at x
-        return bellman_at(np.concatenate(([x], cell["pts"])), x, Wc, Wa,
-                          sys_, cost, bar, cfg, gains)
+    def learner_rows(x, Wc, Wa, pts):
+        # rows [x, p_1..p_N] per anchor x
+        return bellman_at(np.concatenate((x[..., None, :], pts), axis=-2), x[..., None, :],
+                          Wc[..., None, :], Wa[..., None, :], sys_, cost, bar, cfg, gains)
 
     def rhs(t, s):
         x, Wc, Wa, Gamma, _, _ = pack.unpack(s)
-        on, *extraps = learner_rows(x, Wc, Wa)
+        rows = learner_rows(x, Wc, Wa, cell["pts"])
+        u = rows.u[0]
         ds = np.empty(pack.size)
-        ds[:n] = sys_.xdot(x, on.u)
-        ds[pack.i_wc: pack.i_wa] = critic_rhs(gains, Gamma, on, extraps)
+        ds[:n] = sys_.xdot(x, u)
+        ds[pack.i_wc: pack.i_wa] = critic_rhs(gains, Gamma, rows)
         ds[pack.i_wa: pack.i_g] = actor_rhs(gains, Wa, Wc)
-        ds[pack.i_g: pack.i_jn] = gamma_rhs(gains, Gamma, on, extraps).ravel()
-        r_native = on.delta - float(Wc @ on.omega) - on.omega_B
+        ds[pack.i_g: pack.i_jn] = gamma_rhs(gains, Gamma, rows).ravel()
+        r_native = rows.delta[0] - float(Wc @ rows.omega[0]) - rows.omega_B[0]
         ds[pack.i_jn] = r_native
-        ds[pack.i_jn + 1] = cost.state_cost(x) + cost.quadratic_input_cost(on.u)
+        ds[pack.i_jn + 1] = cost.state_cost(x) + cost.quadratic_input_cost(u)
         return ds
-
-    def unsafe(s):
-        return safeset.h(s[:n]) <= H_MIN
 
     def on_accept(t, s):
         s = np.array(s)
-        x, Wc, Wa, Gamma, _, _ = pack.unpack(s)
+        x, _, _, Gamma, _, _ = pack.unpack(s)
         G = 0.5 * (Gamma + Gamma.T)
         s[pack.i_g: pack.i_jn] = G.ravel()
         eigs = np.linalg.eigvalsh(G)
@@ -241,17 +239,11 @@ def run_adp_episode(scn):
             raise RunEnded("GAIN_INDEFINITE")
         gamma_eigs.append((eigs[0], eigs[-1]))
         cell["pts"] = sample_extrapolation_points(rng, x, gains.N, cfg, safeset)
-        lam = learner_rows(x, Wc, Wa).Lambda
-        lam_mean = lam[1:].sum(axis=0) / gains.N
-        hist_t.append(t)
-        hist_lam.append(lam[0])
-        hist_lam_mean.append(lam_mean)
-        hist_c1.append(float(np.linalg.eigvalsh(lam_mean)[0]))
+        accepted.append((t, s, cell["pts"]))
         return s
 
-    status, rec = integrate_adaptive(rhs, 0.0, s0, sim.t_final,
-                                     abs_tol=sim.abs_tol, rel_tol=sim.rel_tol,
-                                     unsafe=unsafe, on_accept=on_accept)
+    status, rec = integrate_adaptive(rhs, 0.0, s0, sim.t_final, abs_tol=sim.abs_tol,
+                                     rel_tol=sim.rel_tol, on_accept=on_accept)
 
     grid = _output_grid(sim.t_final, sim.dt_out, rec.ts[-1])
     # copies, so that neither the post-processing nor a kept record holds
@@ -261,10 +253,16 @@ def run_adp_episode(scn):
     hs, Bs = _barrier_columns(safeset, bar, xs)
     us, deltas = _learner_columns(scn, xs, Wcs, Was, hs)
 
-    flag = False
-    if hist_t:
-        metrics = excitation_metrics(hist_t, hist_lam_mean, hist_lam, gains.pe_window)
-        flag = weak_excitation(metrics)
+    # the excitation history: each accepted state's regressors at the
+    # points drawn there, in one evaluation over all accepted steps
+    hist_t, hist_c1, flag = [], [], False
+    if accepted:
+        hist_t, ss, pts = zip(*accepted)
+        x_a, Wc_a, Wa_a, _, _, _ = pack.unpack(np.array(ss))
+        lam = learner_rows(x_a, Wc_a, Wa_a, np.array(pts)).Lambda
+        lam_mean = lam[:, 1:].sum(axis=1) / gains.N
+        hist_c1 = np.linalg.eigvalsh(lam_mean)[:, 0]
+        flag = weak_excitation(excitation_metrics(hist_t, lam_mean, lam[:, 0], gains.pe_window))
     ge = np.asarray(gamma_eigs) if gamma_eigs else np.full((1, 2), np.nan)
     return TrajectoryRecord(
         t=grid, x=xs, u=us, h=hs, B=Bs, Vhat=value_hat(cfg, bar, Wcs, xs, xs),
@@ -300,6 +298,8 @@ def run_qp_episode(scn):
             hold_us.append(qp_controller(sys_, safeset, cost.Q, cost, qp, x)[0])
         except QpInfeasible:
             raise RunEnded("QP_INFEASIBLE") from None
+        except QpSolverFailed:
+            raise RunEnded("QP_SOLVER_FAILED") from None
 
     def rhs(_t, s):
         u = hold_us[-1]
@@ -319,7 +319,7 @@ def run_qp_episode(scn):
 
     try:
         solve(sim.x0)
-    except RunEnded as end:  # infeasible at the first solve
+    except RunEnded as end:  # the first solve failed
         status, rec = end.args[0], StepRecord()
         rec.append(0.0, y0, np.zeros(n + 1))
     else:

@@ -128,10 +128,11 @@ def test_criterion_9_critic_gradient(default_scenario):
         Wc, Wa = rng.normal(size=(2, 3))
         Gamma = np.eye(3)
         pts = sa.sample_extrapolation_points(rng, x, gains.N, cfg, scn.safeset)
+        rows = sa.bellman_at(np.vstack([x, pts]), x, Wc, Wa, scn.system, cost, bar, cfg, gains)
+        rhs = sa.critic_rhs(gains, Gamma, rows)
         on = sa.bellman_at(x, x, Wc, Wa, scn.system, cost, bar, cfg, gains)
         ext = [sa.bellman_at(p, x, Wc, Wa, scn.system, cost, bar, cfg, gains)
                for p in pts]
-        rhs = sa.critic_rhs(gains, Gamma, on, ext)
 
         def E(w):
             # omega and rho frozen at the evaluation point; delta is

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import safeadp as sa
-from safeadp.cli import main, write_csv
+from safeadp.cli import main, write_csv, write_panels
 from safeadp.config import DEFAULTS, parse_config
 
 
@@ -52,6 +52,37 @@ class TestRun:
             assert float(vals[1]) == adp_record.x[i, 0]
             assert float(vals[2]) == adp_record.x[i, 1]
             assert float(vals[18 - 1]) == adp_record.J[i]
+
+    def test_every_cell_is_its_17_digit_form(self, tmp_path):
+        # non-finite, signed-zero, subnormal and extreme cells in every column
+        rng = np.random.default_rng(5)
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -1e-300]
+        R, n, m, L = 4, 2, 2, 3
+
+        def col(*shape):
+            return rng.choice(special + list(rng.normal(size=4)), size=(R,) + shape)
+
+        rec = sa.TrajectoryRecord(
+            t=col(), x=col(n), u=col(m), h=col(), B=col(), Vhat=col(), delta=col(),
+            Wc=col(L), Wa=col(L), min_eig_gamma=col(), c1=col(), J=col(),
+            status="SAFETY_BREACH", controller="adp")
+        path = tmp_path / "cells.csv"
+        write_csv(rec, path)
+        table = np.column_stack((rec.t, rec.x, rec.u, rec.h, rec.B, rec.Vhat, rec.delta,
+                                 rec.Wc, rec.Wa, rec.min_eig_gamma, rec.c1, rec.J))
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == R
+        for i, line in enumerate(lines):
+            cells = line.split(",")
+            assert cells[:-1] == [f"{v:.17g}" for v in table[i]]
+            assert cells[-1] == ("SAFETY_BREACH" if i == R - 1 else "OK")
+        with np.errstate(over="ignore"):  # the norm of a row near the largest double
+            write_panels(rec, tmp_path / "p")
+            panels = {"xnorm": np.linalg.norm(rec.x, axis=1), "h": rec.h,
+                      "uinf": np.max(np.abs(rec.u), axis=1)}
+        for name, series in panels.items():
+            text = (tmp_path / f"p_panel_{name}.dat").read_text()
+            assert text == "".join(f"{t:.17g} {v:.17g}\n" for t, v in zip(rec.t, series))
 
     def test_byte_identical_across_runs(self, tmp_path):
         _c1, out1, _ = _run(tmp_path)
@@ -97,11 +128,19 @@ class TestExitCodes:
 
     def test_gain_indefinite_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sa.sim, "gamma_rhs",
-                            lambda gains, Gamma, on, extraps: -20.0 * np.eye(len(Gamma)))
+                            lambda gains, Gamma, rows: -20.0 * np.eye(len(Gamma)))
         code, out, _ = _run(tmp_path)
         assert code == 5
         assert "status=GAIN_INDEFINITE" in capsys.readouterr().out
         assert out.read_text().splitlines()[-1].endswith(",GAIN_INDEFINITE")
+
+
+    def test_qp_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sa.qpsolve, "kkt_ok", lambda *args, **kwargs: False)
+        code, out, _ = _run(tmp_path, "--controller", "qp")
+        assert code == 5
+        assert "status=QP_SOLVER_FAILED" in capsys.readouterr().out
+        assert out.read_text().splitlines()[-1].endswith(",QP_SOLVER_FAILED")
 
 
 class TestConfig:
@@ -184,6 +223,26 @@ class TestSweep:
             assert (tmp_path / f"sw_{i:03d}.csv").exists()
             d = json.loads((tmp_path / f"sw_{i:03d}_summary.json").read_text())
             assert d["sweep_value"] == i
+
+    def test_bare_words_for_a_string_key(self, tmp_path, capsys):
+        stem = tmp_path / "sw.csv"
+        code = main(["sweep", "--t-final", "0.3", "--out", str(stem),
+                     "--sweep-key", "sim.controller", "--sweep-values", "adp; qp"])
+        assert code == 0
+        for i, ctrl in enumerate(("adp", "qp")):
+            d = json.loads((tmp_path / f"sw_{i:03d}_summary.json").read_text())
+            assert d["sweep_value"] == d["controller"] == ctrl
+        assert "sim.controller=qp: status=OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("values", ["0;[1", "0;adp", "0;1+"])
+    def test_malformed_value_is_a_config_error(self, tmp_path, capsys, values):
+        code = main(["sweep", "--t-final", "0.3", "--out", str(tmp_path / "sw.csv"),
+                     "--sweep-key", "gains.seed", "--sweep-values", values])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --sweep-values:2: cannot parse value")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "sw_000.csv").exists()
 
     def test_unknown_sweep_key(self, tmp_path):
         code = main(["sweep", "--sweep-key", "nope.nope", "--sweep-values", "1",

@@ -5,6 +5,7 @@ import pytest
 
 import safeadp as sa
 from safeadp.critic import PROJ_LAYER
+from safeadp.oracles import central_difference
 
 
 @pytest.fixture()
@@ -104,54 +105,74 @@ class TestExtrapolation:
 
 class TestCriticUpdate:
     def test_zero_error_zero_update(self, setup):
-        s = _bell(setup, np.zeros(2), np.zeros(2), np.zeros(3), np.zeros(3))
-        rhs = sa.critic_rhs(setup["gains"], np.eye(3), s, [s])
+        s = _bell(setup, np.zeros((2, 2)), np.zeros(2), np.zeros(3), np.zeros(3))
+        rhs = sa.critic_rhs(setup["gains"], np.eye(3), s)
         assert np.all(rhs == 0.0)
 
     def test_matches_squared_error_gradient(self, setup):
         # the update is -Gamma times the gradient of the normalized
-        # squared Bellman error in the critic weights
-        gains = setup["gains"]
+        # squared Bellman error in the critic weights; with N = 3 each
+        # extrapolated row weighs kc2/N
         rng = np.random.default_rng(24)
-        for _ in range(20):
-            x = rng.uniform(0.5, 2.0, size=2) * np.array([-1.0, 1.0])
-            Wc, Wa = rng.normal(size=(2, 3))
-            Gamma = np.eye(3) + 0.1 * np.ones((3, 3))
-            pts = sa.sample_extrapolation_points(rng, x, gains.N,
-                                                 setup["cfg"], setup["safeset"])
-            on = _bell(setup, x, x, Wc, Wa)
-            ext = [_bell(setup, p, x, Wc, Wa) for p in pts]
-            rhs = sa.critic_rhs(gains, Gamma, on, ext)
+        for N in (1, 3):
+            gains = dataclasses.replace(setup["gains"], N=N)
+            for _ in range(20):
+                x = rng.uniform(0.5, 2.0, size=2) * np.array([-1.0, 1.0])
+                Wc, Wa = rng.normal(size=(2, 3))
+                Gamma = np.eye(3) + 0.1 * np.ones((3, 3))
+                pts = sa.sample_extrapolation_points(rng, x, gains.N,
+                                                     setup["cfg"], setup["safeset"])
+                rows = _bell(setup, np.vstack([x, pts]), x, Wc, Wa)
+                rhs = sa.critic_rhs(gains, Gamma, rows)
 
-            def E(w):
-                so = _bell(setup, x, x, w, Wa)
-                total = gains.kc1 * so.delta ** 2 / (2.0 * so.rho ** 2)
-                for p in pts:
-                    sk = _bell(setup, p, x, w, Wa)
-                    total += gains.kc2 / gains.N * sk.delta ** 2 / (2.0 * sk.rho ** 2)
-                return total
+                def E(w):
+                    so = _bell(setup, x, x, w, Wa)
+                    total = gains.kc1 * so.delta ** 2 / (2.0 * so.rho ** 2)
+                    for p in pts:
+                        sk = _bell(setup, p, x, w, Wa)
+                        total += gains.kc2 / gains.N * sk.delta ** 2 / (2.0 * sk.rho ** 2)
+                    return total
 
-            from safeadp.oracles import central_difference
-            fd = central_difference(E, Wc)
-            ref = -Gamma @ fd
-            assert np.linalg.norm(rhs - ref) <= 1e-6 * max(np.linalg.norm(ref), 1.0)
+                fd = central_difference(E, Wc)
+                ref = -Gamma @ fd
+                assert np.linalg.norm(rhs - ref) <= 1e-6 * max(np.linalg.norm(ref), 1.0)
+
+
+    def test_weighted_rows_equal_the_row_loop(self, setup):
+        # the one expression over the row axis against the per-row sum it
+        # replaces; the arithmetic is the same, so the results are equal
+        rng = np.random.default_rng(26)
+        x = np.array([-1.2, 1.7])
+        Wc, Wa = rng.normal(size=(2, 3))
+        Gamma = np.eye(3) + 0.1 * np.ones((3, 3))
+        for N in (1, 3, 12):
+            gains = dataclasses.replace(setup["gains"], N=N)
+            pts = sa.sample_extrapolation_points(rng, x, N, setup["cfg"], setup["safeset"])
+            rows = _bell(setup, np.vstack([x, pts]), x, Wc, Wa)
+            acc, S = 0.0, 0.0
+            for k in range(N + 1):
+                w = gains.kc1 if k == 0 else gains.kc2 / N
+                acc = acc + w * rows.omega[k] * rows.delta[k] / (rows.rho[k] * rows.rho[k])
+                S = S + w * rows.Lambda[k]
+            np.testing.assert_array_equal(sa.critic_rhs(gains, Gamma, rows), -Gamma @ acc)
+            np.testing.assert_array_equal(sa.regressor_sum(gains, rows), S)
 
 
 class TestGammaDynamics:
     def test_pure_forgetting(self, setup):
         gains = dataclasses.replace(sa.build_scenario().gains, kc1=0.0, kc2=0.0)
-        s = _bell(setup, np.ones(2), np.ones(2), np.ones(3), np.ones(3))
+        s = _bell(setup, np.ones((2, 2)), np.ones(2), np.ones(3), np.ones(3))
         G = np.diag([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(sa.gamma_rhs(gains, G, s, [s]), gains.beta * G,
+        np.testing.assert_allclose(sa.gamma_rhs(gains, G, s), gains.beta * G,
                                    atol=1e-15)
 
     def test_scalar_contraction_sign(self, setup):
         gains = setup["gains"]
         x = np.array([1.5, 1.5 - 2.0])  # keep clear of the obstacle
-        s = _bell(setup, x, x, np.ones(3), np.ones(3))
+        s = _bell(setup, np.array([x, x]), x, np.ones(3), np.ones(3))
         G = 10.0 * np.eye(3)
-        dG = sa.gamma_rhs(gains, G, s, [s])
-        S = sa.regressor_sum(gains, s, [s])
+        dG = sa.gamma_rhs(gains, G, s)
+        S = sa.regressor_sum(gains, s)
         np.testing.assert_allclose(dG, 0.5 * ((gains.beta * G - G @ S @ G)
                                               + (gains.beta * G - G @ S @ G).T), atol=1e-12)
         assert np.all(np.linalg.eigvalsh(dG - gains.beta * G) <= 1e-12)
@@ -159,10 +180,10 @@ class TestGammaDynamics:
     def test_symmetric_output(self, setup):
         rng = np.random.default_rng(25)
         x = np.array([-1.0, 2.0])
-        s = _bell(setup, x, x, rng.normal(size=3), rng.normal(size=3))
+        s = _bell(setup, np.array([x, x]), x, rng.normal(size=3), rng.normal(size=3))
         G = np.eye(3) + rng.normal(scale=0.01, size=(3, 3))
         G = 0.5 * (G + G.T)
-        dG = sa.gamma_rhs(setup["gains"], G, s, [s])
+        dG = sa.gamma_rhs(setup["gains"], G, s)
         np.testing.assert_allclose(dG, dG.T, atol=1e-15)
 
 

@@ -56,16 +56,6 @@ def test_deterministic():
     np.testing.assert_array_equal(np.asarray(r1.ys), np.asarray(r2.ys))
 
 
-def test_unsafe_halving_then_breach():
-    # the flow drives y through zero; unsafe rejects y <= 0, so the run
-    # must end in SAFETY_BREACH before crossing
-    status, rec = integrate_adaptive(lambda t, y: np.array([-1.0]),
-                                     0.0, np.array([1.0]), 10.0,
-                                     unsafe=lambda y: y[0] <= 0.0)
-    assert status == "SAFETY_BREACH"
-    assert rec.ys[-1][0] > 0.0
-
-
 def test_rhs_boundary_violation_treated_as_unsafe():
     def rhs(t, y):
         if y[0] <= 0.0:

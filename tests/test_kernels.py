@@ -135,14 +135,9 @@ def test_bellman_at(scn, rows, anchor):
     batch = sa.bellman_at(y, x, Wc, Wa, *args)
     per_row = (np.broadcast_to(v, (R, v.shape[-1])) for v in (x, Wc, Wa))
     singles = [sa.bellman_at(*row, *args) for row in zip(y, *per_row)]
-    assert len(batch) == R
-    for name in ("y", "u", "omega", "omega_B", "rho", "delta", "Lambda"):
+    assert batch.delta.shape == (R,)
+    for name in ("u", "omega", "omega_B", "rho", "delta", "Lambda"):
         assert_within_ulps(getattr(batch, name), [getattr(s, name) for s in singles])
-    # a batched sample is the sequence of its row samples
-    first, *rest = batch
-    assert len(rest) == R - 1
-    assert first.delta == batch.delta[0]
-    np.testing.assert_array_equal(rest[-1].Lambda, batch.Lambda[-1])
 
 
 def test_one_bad_row_fails_the_batch(scn, rows):

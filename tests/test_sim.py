@@ -85,7 +85,7 @@ class TestAdpEpisode:
     def test_gain_matrix_losing_definiteness_is_a_status(self, monkeypatch):
         # a gain law that drains Gamma through zero within about 0.1 s
         monkeypatch.setattr(sa.sim, "gamma_rhs",
-                            lambda gains, Gamma, on, extraps: -20.0 * np.eye(len(Gamma)))
+                            lambda gains, Gamma, rows: -20.0 * np.eye(len(Gamma)))
         scn = sa.build_scenario(sim__t_final=1.0)
         rec = sa.run_adp_episode(scn)
         assert rec.status == "GAIN_INDEFINITE"
@@ -94,6 +94,30 @@ class TestAdpEpisode:
         assert t_cross - scn.sim.dt_out < rec.t[-1] < scn.sim.t_final
         np.testing.assert_allclose(rec.min_eig_gamma, scn.gains.gamma0 - 20.0 * rec.t,
                                    rtol=0, atol=1e-9)
+
+    def test_one_bellman_call_per_rhs_evaluation(self, monkeypatch):
+        # one batched call per rhs evaluation, one for the excitation
+        # history of all accepted steps and one for the output rows; the
+        # accept hook makes none
+        bellman, integrate = sa.sim.bellman_at, sa.sim.integrate_adaptive
+        counts = {"bellman": 0, "rhs": 0}
+
+        def counted_bellman(*args, **kwargs):
+            counts["bellman"] += 1
+            return bellman(*args, **kwargs)
+
+        def counted_integrate(rhs, *args, **kwargs):
+            def counted_rhs(t, y):
+                counts["rhs"] += 1
+                return rhs(t, y)
+            return integrate(counted_rhs, *args, **kwargs)
+
+        monkeypatch.setattr(sa.sim, "bellman_at", counted_bellman)
+        monkeypatch.setattr(sa.sim, "integrate_adaptive", counted_integrate)
+        rec = sa.run_adp_episode(sa.build_scenario(sim__t_final=3.0))
+        assert rec.status == "OK"
+        assert counts["rhs"] > 0
+        assert counts["bellman"] == counts["rhs"] + 2
 
     def test_rejects_unsafe_start(self):
         # build_scenario refuses this start; a scenario assembled by hand
@@ -198,6 +222,24 @@ class TestQpEpisode:
         np.testing.assert_array_equal(rec.x, [scn.sim.x0])
         assert list(rec.t) == [0.0] and list(rec.J) == [0.0]
         np.testing.assert_array_equal(rec.u, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("good_solves", [0, 10])
+    def test_solver_failure_is_a_status(self, monkeypatch, good_solves):
+        # from the (good_solves + 1)-th solve on, the solver's point fails
+        # the KKT check; the rows run up to the hold time of that solve
+        kkt_ok, calls = sa.qpsolve.kkt_ok, []
+
+        def fails_later(*args, **kwargs):
+            calls.append(None)
+            return len(calls) <= good_solves and kkt_ok(*args, **kwargs)
+
+        monkeypatch.setattr(sa.qpsolve, "kkt_ok", fails_later)
+        scn = sa.build_scenario(sim__controller="qp")
+        rec = sa.run_qp_episode(scn)
+        assert rec.status == "QP_SOLVER_FAILED"
+        assert rec.infeasible_events == 0
+        assert rec.t[-1] == pytest.approx(good_solves * scn.qp.dt, abs=1e-12)
+        np.testing.assert_array_equal(rec.x[0], scn.sim.x0)
 
     def test_deterministic(self, qp_record):
         scn = sa.build_scenario(sim__controller="qp")
