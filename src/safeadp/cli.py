@@ -82,15 +82,13 @@ def _load_values(args):
     return values
 
 
-def _run_one(values):
-    scn = build_scenario(values)
+def _run_one(scn):
     record = run_episode(scn)
     return record, summarize(record)
 
 
 def cmd_run(args):
-    values = _load_values(args)
-    record, summary = _run_one(values)
+    record, summary = _run_one(build_scenario(_load_values(args)))
     write_csv(record, args.out)
     if args.summary:
         write_summary(summary.as_dict(), args.summary)
@@ -104,9 +102,7 @@ def cmd_compare(args):
     stem = str(Path(args.out).with_suffix("")) if args.out else "compare"
     summaries = {}
     for ctrl in ("adp", "qp"):
-        v = dict(values)
-        v["sim.controller"] = ctrl
-        record, summary = _run_one(v)
+        record, summary = _run_one(build_scenario(values, sim__controller=ctrl))
         summaries[ctrl] = summary
         write_csv(record, f"{stem}_{ctrl}.csv")
         write_panels(record, f"{stem}_{ctrl}")
@@ -131,13 +127,19 @@ def cmd_sweep(args):
         raise ConfigError(f"unknown sweep key {args.sweep_key!r}")
     sweep_values = [_parse_value(tok.strip(), args.sweep_key, "--sweep-values", i)
                     for i, tok in enumerate(args.sweep_values.split(";"), start=1)]
+    # every value's scenario is built before the first episode runs, so a
+    # value a component rejects ends the sweep before it writes anything
+    scenarios = []
+    for i, val in enumerate(sweep_values, start=1):
+        try:
+            scenarios.append(build_scenario({**values, args.sweep_key: val}))
+        except ConfigError as exc:
+            raise ConfigError(f"--sweep-values:{i}: {exc}") from None
     stem = str(Path(args.out).with_suffix("")) if args.out else "sweep"
 
     results = []
-    for idx, val in enumerate(sweep_values):
-        v = dict(values)
-        v[args.sweep_key] = val
-        record, summary = _run_one(v)
+    for idx, (val, scn) in enumerate(zip(sweep_values, scenarios)):
+        record, summary = _run_one(scn)
         write_csv(record, f"{stem}_{idx:03d}.csv")
         d = summary.as_dict()
         d["sweep_key"] = args.sweep_key

@@ -111,21 +111,32 @@ class Scenario:
     gains: LearnerGains
     qp: QpParams
     sim: SimConfig
-    values: dict
 
 
-def _system(kind, A, B, u_max):
+def _system(kind, A, B):
     if kind == "single_integrator":
-        return single_integrator(u_max)
+        return single_integrator()
     if kind == "linear":
         if A is None or B is None:
             raise ConfigError("system.kind = linear requires system.A and system.B")
-        return linear_system(A, B, u_max)
+        return linear_system(A, B)
     raise ConfigError(f"unknown system.kind {kind!r}")
 
 
-def _cost(Q, r_diag, u_max, n):
-    return CostSpec(Q=Q.reshape(n, n) if Q.ndim == 1 else Q, r_diag=r_diag, u_max=u_max)
+def _fit_to_system(sections, n, m):
+    """Check the config arrays against the system's n states and m inputs,
+    raising a ConfigError that names the first key that disagrees. A flat
+    cost.Q of n * n entries is read row by row."""
+    Q = sections["cost"]["Q"]
+    if Q.shape == (n * n,):
+        sections["cost"]["Q"] = Q.reshape(n, n)
+    for key, dims in (("cost.Q", (n, n)), ("cost.r_diag", (m,)), ("staf.offsets", (n,)),
+                      ("safeset.center", (n,)), ("sim.x0", (n,))):
+        section, _, name = key.partition(".")
+        shape = np.shape(sections[section][name])
+        if shape[-len(dims):] != dims:
+            raise ConfigError(f"{key}: shape {shape} does not fit the system "
+                              f"(n = {n} states, m = {m} inputs)")
 
 
 def _sim(safeset, **section):
@@ -140,7 +151,8 @@ def build_scenario(values=None, **overrides):
 
     Each section `name.*` of the config supplies the keyword arguments of
     one component; a value the component rejects is a ConfigError naming
-    the section."""
+    the section, and an array sized for another system than the one built
+    is a ConfigError naming its key."""
     cfg = dict(DEFAULTS)
     if values:
         unknown = set(values) - set(DEFAULTS)
@@ -164,11 +176,10 @@ def build_scenario(values=None, **overrides):
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from None
 
-    system = build("system", partial(_system, u_max=sections["cost"]["u_max"]))
+    system = build("system", _system)
+    _fit_to_system(sections, system.n, system.m)
     safeset = build("safeset", CircularSafeSet)
-    return Scenario(system=system, safeset=safeset,
-                    cost=build("cost", partial(_cost, n=system.n)),
+    return Scenario(system=system, safeset=safeset, cost=build("cost", CostSpec),
                     barrier=build("barrier", partial(BarrierSpec, safeset)),
                     staf=build("staf", StaFConfig), gains=build("gains", LearnerGains),
-                    qp=build("qp", QpParams), sim=build("sim", partial(_sim, safeset)),
-                    values=cfg)
+                    qp=build("qp", QpParams), sim=build("sim", partial(_sim, safeset)))

@@ -13,7 +13,8 @@ H_MIN = 1e-9
 
 class CostSpec:
     """Quadratic state penalty Q, diagonal input penalty R = diag(r_diag),
-    symmetric input box u_max."""
+    symmetric input box |u_i| <= u_max: the cost and the input constraint
+    that both controllers share."""
 
     def __init__(self, Q, r_diag, u_max):
         Q = np.asarray(Q, dtype=float)
@@ -22,8 +23,7 @@ class CostSpec:
             raise ValueError("Q must be square")
         if not np.allclose(Q, Q.T, atol=1e-12):
             raise ValueError("Q must be symmetric")
-        eigs = np.linalg.eigvalsh(Q)
-        if eigs[0] <= 0:
+        if np.linalg.eigvalsh(Q)[0] <= 0:
             raise ValueError("Q must be positive definite")
         if r_diag.ndim != 1 or np.any(r_diag <= 0):
             raise ValueError("r_diag entries must be positive")
@@ -32,9 +32,6 @@ class CostSpec:
         self.Q = Q
         self.r_diag = r_diag
         self.u_max = float(u_max)
-        self.q_lo = float(eigs[0])
-        self.q_hi = float(eigs[-1])
-        self.m = r_diag.size
 
     def state_cost(self, x):
         """x^T Q x per row of x (..., n)."""
@@ -155,5 +152,5 @@ def input_penalty_Ru(spec: CostSpec, u):
 
 
 def instantaneous_cost(cost: CostSpec, bar: BarrierSpec, x, u):
-    """x^T Q x + Ru(u) + B(x) per row; bounded below by q_lo ||x||^2."""
+    """x^T Q x + Ru(u) + B(x) per row; bounded below by lambda_min(Q) ||x||^2."""
     return cost.state_cost(x) + input_penalty_Ru(cost, u) + barrier_B(bar, x)

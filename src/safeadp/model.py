@@ -1,8 +1,9 @@
 """Control-affine system models and safe-set geometry.
 
 The safe set is any object with ``h(x)`` and ``grad(x)``; the circular set
-below is the shipped instance. Systems expose ``drift`` and ``input_map``
-callables plus a symmetric input box ``u_max``.
+below is the shipped instance. Systems expose their dimensions ``n`` and
+``m`` and the ``drift`` and ``input_map`` callables; the input box and the
+cost belong to ``CostSpec``.
 
 Every function of a state takes rows: ``x`` of shape ``(..., n)`` gives a
 result with the same leading axes, and a single state ``(n,)`` is the case
@@ -21,25 +22,21 @@ GRAD_TOL = 1e-12
 
 
 class SystemModel:
-    """xdot = drift(x) + input_map(x) @ u with |u_i| <= u_max.
+    """xdot = drift(x) + input_map(x) @ u with n states and m inputs.
 
     drift maps states (..., n) to (..., n); input_map maps them to an
     array that broadcasts to (..., n, m), so a constant n x m matrix
-    serves every row. Both are probed on a batch of 8 states here.
+    serves every row. Both are probed on a batch of 8 states here, and
+    input_map must not vanish at any of them.
     """
 
-    def __init__(self, n, m, drift, input_map, u_max, g_bound, name="system"):
+    def __init__(self, n, m, drift, input_map):
         if n <= 0 or m <= 0:
             raise ValueError("state and input dimensions must be positive")
-        if u_max <= 0:
-            raise ValueError("u_max must be positive")
         self.n = int(n)
         self.m = int(m)
         self.drift = drift
         self.input_map = input_map
-        self.u_max = float(u_max)
-        self.g_bound = float(g_bound)
-        self.name = name
 
         f0 = np.asarray(drift(np.zeros(self.n)), dtype=float)
         if not np.allclose(f0, 0.0, atol=0.0):
@@ -52,31 +49,20 @@ class SystemModel:
             raise ValueError(f"drift and input_map must take (R, n) rows: {exc}") from None
         if f_shape != probes.shape:
             raise ValueError(f"drift must map (R, n) rows to (R, n): got {f_shape}")
-        for gn in np.linalg.norm(G, 2, axis=(-2, -1)):
-            if not (0.0 < gn <= self.g_bound + 1e-9):
-                raise ValueError(
-                    f"input_map norm {gn:g} outside (0, {self.g_bound:g}] at probe state"
-                )
+        if not (np.linalg.norm(G, axis=(-2, -1)) > 0.0).all():
+            raise ValueError("input_map must not vanish at a probe state")
 
     def xdot(self, x, u):
         return np.asarray(self.drift(x), float) + np.matvec(self.input_map(x), u)
 
 
-def single_integrator(u_max):
+def single_integrator():
     """Planar single integrator: f = 0, g = I2."""
     eye = np.eye(2)
-    return SystemModel(
-        n=2,
-        m=2,
-        drift=lambda x: np.zeros(np.shape(x)),
-        input_map=lambda x: eye,
-        u_max=u_max,
-        g_bound=1.0,
-        name="single_integrator",
-    )
+    return SystemModel(2, 2, drift=lambda x: np.zeros(np.shape(x)), input_map=lambda x: eye)
 
 
-def linear_system(A, B, u_max):
+def linear_system(A, B):
     """Generic affine system xdot = A x + B u from config matrices."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -84,15 +70,8 @@ def linear_system(A, B, u_max):
         raise ValueError("A must be square")
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
         raise ValueError("B must be n x m")
-    return SystemModel(
-        n=A.shape[0],
-        m=B.shape[1],
-        drift=lambda x: np.matvec(A, x),
-        input_map=lambda x: B,
-        u_max=u_max,
-        g_bound=np.linalg.norm(B, 2) + 1e-9,
-        name="linear",
-    )
+    return SystemModel(A.shape[0], B.shape[1], drift=lambda x: np.matvec(A, x),
+                       input_map=lambda x: B)
 
 
 @dataclass(frozen=True)

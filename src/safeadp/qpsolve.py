@@ -175,13 +175,14 @@ def solve_qp(prob: QpProblem, tol=SOLVE_TOL, max_iter=200):
                       status="Optimal", objective=prob.objective(v), iterations=it)
 
 
-def build_qp(sys, safeset, Q, cost, params: QpParams, x):
+def build_qp(sys, safeset, cost, params: QpParams, x):
     """Assemble the relaxed CLF-CBF QP at state x.
 
-    Rows: CBF (hard), CLF relaxed by phi, then the 2m input-box rows.
+    Rows: CBF (hard), CLF with V = x^T cost.Q x relaxed by phi, then the 2m
+    rows of the input box |u_i| <= cost.u_max.
     """
     x = np.asarray(x, float)
-    Q = np.asarray(Q, float)
+    Q = cost.Q
     gh = safeset.grad(x)
     f = np.asarray(sys.drift(x), float)
     g = np.asarray(sys.input_map(x), float)
@@ -207,15 +208,15 @@ def build_qp(sys, safeset, Q, cost, params: QpParams, x):
     b[1] = -LfV - params.gamma_scale * V
     for i in range(m):
         A[2 + 2 * i, i] = 1.0
-        b[2 + 2 * i] = sys.u_max
+        b[2 + 2 * i] = cost.u_max
         A[3 + 2 * i, i] = -1.0
-        b[3 + 2 * i] = sys.u_max
+        b[3 + 2 * i] = cost.u_max
     return QpProblem(H=H, c_lin=np.zeros(d), A=A, b=b)
 
 
-def qp_controller(sys, safeset, Q, cost, params: QpParams, x):
+def qp_controller(sys, safeset, cost, params: QpParams, x):
     """Solve the QP at x and return the input block (applied zero-order hold)."""
-    prob = build_qp(sys, safeset, Q, cost, params, x)
+    prob = build_qp(sys, safeset, cost, params, x)
     sol = solve_qp(prob)
     if sol.status != "Optimal":
         raise QpInfeasible(f"CLF-CBF QP infeasible at x={np.asarray(x, float)}")

@@ -295,7 +295,7 @@ def run_qp_episode(scn):
 
     def solve(x):
         try:
-            hold_us.append(qp_controller(sys_, safeset, cost.Q, cost, qp, x)[0])
+            hold_us.append(qp_controller(sys_, safeset, cost, qp, x)[0])
         except QpInfeasible:
             raise RunEnded("QP_INFEASIBLE") from None
         except QpSolverFailed:

@@ -11,6 +11,9 @@ import safeadp as sa
 from safeadp.cli import main, write_csv, write_panels
 from safeadp.config import DEFAULTS, parse_config
 
+# a double integrator; the tests append its input matrix system.B
+LINEAR = "system.kind = linear\nsystem.A = [[0.0, 1.0], [0.0, 0.0]]\n"
+
 
 def _run(tmp_path, *extra):
     out = tmp_path / "traj.csv"
@@ -161,6 +164,13 @@ class TestConfig:
         ("qp.alpha_scale = 0", "qp: alpha_scale must be positive"),
         ("gains.N = 1.5", "gains.N: expected an integer"),
         ("sim.x0 = [2.0, 2.5]", "sim: x0 must lie in the interior of the safe set"),
+        # arrays sized for another system than the one built
+        ("cost.r_diag = [10.0, 10.0, 10.0]", "cost.r_diag: shape (3,) does not fit"),
+        ("cost.Q = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]", "cost.Q: shape (9,)"),
+        ("staf.offsets = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]", "staf.offsets: shape (2, 3)"),
+        ("safeset.center = [2.0, 2.0, 2.0]", "safeset.center: shape (3,) does not fit"),
+        ("sim.x0 = [3.0, 3.5, 1.0]", "sim.x0: shape (3,) does not fit"),
+        (LINEAR + "system.B = [[0.0], [1.0]]", "cost.r_diag: shape (2,) does not fit"),
     ])
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -169,6 +179,26 @@ class TestConfig:
         assert code == 4
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and message in err
+
+    @pytest.mark.parametrize("controller", ["adp", "qp"])
+    def test_linear_system_runs(self, tmp_path, controller):
+        cfg = tmp_path / "lin.cfg"
+        cfg.write_text(LINEAR + "system.B = [[0.0], [1.0]]\ncost.r_diag = [10.0]\n")
+        out = tmp_path / "t.csv"
+        code = main(["run", "--config", str(cfg), "--controller", controller, "--t-final", "0.5",
+                     "--out", str(out), "--summary", str(tmp_path / "s.json")])
+        assert code == 0
+        summary = json.loads((tmp_path / "s.json").read_text())
+        assert summary["status"] == "OK" and summary["controller"] == controller
+        header = out.read_text().splitlines()[0].split(",")
+        assert "u1" in header and "u2" not in header
+
+    def test_linear_system_needs_its_matrices(self, tmp_path, capsys):
+        cfg = tmp_path / "lin.cfg"
+        cfg.write_text("system.kind = linear\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "requires system.A and system.B" in err
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -241,6 +271,15 @@ class TestSweep:
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("config error: --sweep-values:2: cannot parse value")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "sw_000.csv").exists()
+
+    def test_rejected_value_ends_the_sweep_before_any_episode(self, tmp_path, capsys):
+        code = main(["sweep", "--t-final", "0.3", "--out", str(tmp_path / "sw.csv"),
+                     "--sweep-key", "sim.controller", "--sweep-values", "adp;xyz"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --sweep-values:2: sim: controller must be")
         assert err.count("\n") == 1
         assert not (tmp_path / "sw_000.csv").exists()
 

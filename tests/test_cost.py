@@ -132,4 +132,4 @@ class TestInstantaneousCost:
                 continue
             u = rng.uniform(-0.5, 0.5, size=2)
             r = sa.instantaneous_cost(cost_spec, barrier, x, u)
-            assert r >= cost_spec.q_lo * float(x @ x) - 1e-12
+            assert r >= np.linalg.eigvalsh(cost_spec.Q)[0] * float(x @ x) - 1e-12

@@ -74,7 +74,7 @@ def test_geometry_and_system_kernels(scn, rows):
     assert_within_ulps(sa.clf_margin(sys_, Q, 10.0, y, u),
                        row_by_row(lambda a, b: sa.clf_margin(sys_, Q, 10.0, a, b), y, u))
     lin = sa.linear_system(A=np.array([[0.0, 1.0], [-1.0, -0.5]]),
-                           B=np.array([[0.0, 0.3], [1.0, 0.2]]), u_max=0.5)
+                           B=np.array([[0.0, 0.3], [1.0, 0.2]]))
     assert_within_ulps(lin.xdot(y, u), row_by_row(lin.xdot, y, u))
 
 
@@ -185,8 +185,7 @@ def test_system_model_probes_the_row_contract():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     for drift in (lambda x: A @ x, lambda x: np.zeros(2)):
         with pytest.raises(ValueError, match="rows"):
-            sa.SystemModel(2, 2, drift=drift, input_map=lambda x: np.eye(2),
-                           u_max=1.0, g_bound=1.0)
+            sa.SystemModel(2, 2, drift=drift, input_map=lambda x: np.eye(2))
     with pytest.raises(ValueError, match="rows"):
         sa.SystemModel(2, 2, drift=lambda x: np.zeros(np.shape(x)),
-                       input_map=lambda x: np.eye(3), u_max=1.0, g_bound=1.0)
+                       input_map=lambda x: np.eye(3))

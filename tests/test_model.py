@@ -95,9 +95,9 @@ def test_margins_affine_in_u(safeset):
 
 def test_system_invariants():
     with pytest.raises(ValueError):
-        sa.linear_system(A=np.eye(2), B=np.zeros((2, 2)), u_max=0.5)  # g vanishes
+        sa.linear_system(A=np.eye(2), B=np.zeros((2, 2)))  # g vanishes
     sys_ = sa.linear_system(A=np.array([[0.0, 1.0], [-1.0, -0.5]]),
-                            B=np.array([[0.0], [1.0]]), u_max=1.0)
+                            B=np.array([[0.0], [1.0]]))
     np.testing.assert_allclose(sys_.xdot(np.array([1.0, 0.0]), np.array([0.0])),
                                [0.0, -1.0])
 

@@ -19,7 +19,7 @@ def params():
 
 class TestBuild:
     def test_shapes(self, sys_, safeset, cost_spec, params):
-        prob = sa.build_qp(sys_, safeset, cost_spec.Q, cost_spec, params,
+        prob = sa.build_qp(sys_, safeset, cost_spec, params,
                            np.array([3.0, 3.5]))
         assert prob.d == 3
         assert prob.k == 6
@@ -27,13 +27,13 @@ class TestBuild:
         np.testing.assert_allclose(prob.c_lin, np.zeros(3))
 
     def test_box_rows(self, sys_, safeset, cost_spec, params):
-        prob = sa.build_qp(sys_, safeset, cost_spec.Q, cost_spec, params,
+        prob = sa.build_qp(sys_, safeset, cost_spec, params,
                            np.array([-1.0, -1.0]))
         np.testing.assert_allclose(prob.b[2:], 0.5)
         np.testing.assert_allclose(prob.A[2:, 2], 0.0)
 
     def test_phi_column_only_in_clf_row(self, sys_, safeset, cost_spec, params):
-        prob = sa.build_qp(sys_, safeset, cost_spec.Q, cost_spec, params,
+        prob = sa.build_qp(sys_, safeset, cost_spec, params,
                            np.array([1.0, -1.0]))
         assert prob.A[1, 2] == -1.0
         assert np.all(prob.A[[0, 2, 3, 4, 5], 2] == 0.0)
@@ -42,7 +42,7 @@ class TestBuild:
 class TestController:
     def test_origin_gives_zero(self, sys_, safeset, cost_spec, params):
         # CLF row at x = 0 is 0 <= 0, so the unconstrained minimum v = 0 wins
-        u, sol = sa.qp_controller(sys_, safeset, cost_spec.Q, cost_spec, params,
+        u, sol = sa.qp_controller(sys_, safeset, cost_spec, params,
                                   np.zeros(2))
         np.testing.assert_allclose(u, 0.0, atol=1e-9)
         assert sol.status == "Optimal"
@@ -51,10 +51,10 @@ class TestController:
         # x = (1, 0): h ~ 1.236 so the CBF row is slack; the CLF row
         # LgV u - phi <= -gamma V forces motion toward the origin
         x = np.array([1.0, 0.0])
-        u, sol = sa.qp_controller(sys_, safeset, cost_spec.Q, cost_spec, params, x)
+        u, sol = sa.qp_controller(sys_, safeset, cost_spec, params, x)
         assert u[0] < 0.0
         assert abs(u[1]) <= 1e-9
-        prob = sa.build_qp(sys_, safeset, cost_spec.Q, cost_spec, params, x)
+        prob = sa.build_qp(sys_, safeset, cost_spec, params, x)
         assert kkt_ok(prob, sol.v_star, sol.multipliers)
         # CLF row active: phi picks up whatever the box leaves uncovered
         assert 1 in sol.active_set
@@ -65,10 +65,9 @@ class TestController:
             x = rng.uniform(-4, 6, size=2)
             if np.linalg.norm(x - safeset.center) < safeset.radius + 0.02:
                 continue
-            u, sol = sa.qp_controller(sys_, safeset, cost_spec.Q, cost_spec,
-                                      params, x)
+            u, sol = sa.qp_controller(sys_, safeset, cost_spec, params, x)
             assert np.all(np.abs(u) <= 0.5 + 1e-9)
-            prob = sa.build_qp(sys_, safeset, cost_spec.Q, cost_spec, params, x)
+            prob = sa.build_qp(sys_, safeset, cost_spec, params, x)
             assert kkt_ok(prob, sol.v_star, sol.multipliers, tol=KKT_TOL)
             gh = safeset.grad(x)
             assert float(gh @ (sys_.input_map(x) @ u)) + params.alpha_scale * safeset.h(x) >= -1e-8
@@ -77,7 +76,7 @@ class TestController:
         # just outside the disk, heading constraints clash once phi is
         # pinned to zero: CLF demands a large descent the box cannot give
         x = safeset.center + np.array([0.0, safeset.radius + 0.01])
-        prob = sa.build_qp(sys_, safeset, cost_spec.Q, cost_spec, params, x)
+        prob = sa.build_qp(sys_, safeset, cost_spec, params, x)
         A = np.vstack([prob.A, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
         b = np.concatenate([prob.b, [0.0, 0.0]])  # force phi = 0
         rigid = sa.QpProblem(H=prob.H, c_lin=prob.c_lin, A=A, b=b)
@@ -87,13 +86,13 @@ class TestController:
     def test_raises_on_infeasible(self, safeset):
         # from inside the obstacle a small input box cannot restore the
         # hard CBF row, so the controller must raise
-        tiny = sa.single_integrator(u_max=0.1)
+        tiny = sa.single_integrator()
         tiny_cost = sa.CostSpec(Q=np.eye(2), r_diag=np.array([10.0, 10.0]),
                                 u_max=0.1)
         params = sa.build_scenario().qp
         x = safeset.center + np.array([0.0, 0.5])  # h = -0.5
         with pytest.raises(QpInfeasible):
-            sa.qp_controller(tiny, safeset, np.eye(2), tiny_cost, params, x)
+            sa.qp_controller(tiny, safeset, tiny_cost, params, x)
 
 
 class TestSolver:
@@ -211,5 +210,5 @@ class TestSolverProperties:
             h = 10.0 ** rng.uniform(-12.0, -6.0)
             x = safeset.center + (safeset.radius + h) * np.array([np.cos(theta),
                                                                   np.sin(theta)])
-            prob = sa.build_qp(sys_, safeset, cost_spec.Q, cost_spec, params, x)
+            prob = sa.build_qp(sys_, safeset, cost_spec, params, x)
             assert _check_against_oracle(prob).status == "Optimal"
