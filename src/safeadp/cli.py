@@ -48,12 +48,9 @@ def write_csv(record: TrajectoryRecord, path):
                              record.c1, record.J)).tolist()
     row_fmt = ",".join(["%.17g"] * (len(header) - 1)) + ",%s\n"
     statuses = ["OK"] * (len(table) - 1) + [record.status]
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(row_fmt % (*row, st) for row, st in zip(table, statuses))
-    except OSError as exc:
-        raise OSError(f"cannot write trajectory CSV to {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row_fmt % (*row, st) for row, st in zip(table, statuses))
 
 
 def write_panels(record: TrajectoryRecord, stem):
@@ -210,6 +207,9 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except OSError as exc:  # an output file that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

@@ -58,7 +58,11 @@ DEFAULTS = {
 def parse_config(path):
     """Read a config file into a key -> value dict (defaults applied)."""
     values = dict(DEFAULTS)
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -8,9 +8,10 @@ import numpy as np
 
 from .errors import BoundaryViolation, RunEnded
 
-# Dormand-Prince 5(4) Butcher tableau
+# Dormand-Prince 5(4) Butcher tableau; the rows of A are built once, as
+# arrays, for the stage sums
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
+_A = [np.array(row) for row in (
     [],
     [1 / 5],
     [3 / 40, 9 / 40],
@@ -18,7 +19,7 @@ _A = [
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+)]
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
@@ -31,7 +32,7 @@ def dp54_step(rhs, t, y, h, f0=None):
     ks = np.empty((7, y.size))
     ks[0] = rhs(t, y) if f0 is None else f0
     for i in range(1, 7):
-        yi = y + h * (np.asarray(_A[i]) @ ks[:i])
+        yi = y + h * (_A[i] @ ks[:i])
         ks[i] = np.asarray(rhs(t + _C[i] * h, yi), float)
     y_new = y + h * (_B5 @ ks)
     return y_new, h * (_E @ ks), ks

@@ -5,9 +5,13 @@ for solving strictly convex quadratic programs", Math. Programming 27,
 
 Problems are stated as  min v^T H v + c_lin^T v  s.t.  A v <= b  with H
 symmetric positive definite. The dual method starts at the unconstrained
-minimum and needs no feasible start point. The controller instance has
-decision variables v = [u; phi] with H = blkdiag(R, p): the CLF row is
-relaxed by phi, the CBF and box rows are hard.
+minimum and needs no feasible start point. A solve may be warm-started
+from a guess of the active set (the previous hold's, in the controller):
+one equality-constrained solve on that set, kept only when it passes
+every check the dual loop stops on, in the manner of the online active
+set strategy of Ferreau, Bock and Diehl (IJRNC 18, 2008). The controller
+instance has decision variables v = [u; phi] with H = blkdiag(R, p): the
+CLF row is relaxed by phi, the CBF and box rows are hard.
 """
 
 from __future__ import annotations
@@ -95,17 +99,75 @@ def kkt_ok(prob, v, multipliers, tol=KKT_TOL):
     return all(r <= tol for r in res.values())
 
 
-def solve_qp(prob: QpProblem, tol=SOLVE_TOL, max_iter=200):
-    """Goldfarb-Idnani dual active-set method (Math. Programming 27, 1983).
+def _equality_solve(prob: QpProblem, W):
+    """The point and multipliers of min v^T H v + c^T v s.t. A_W v = b_W,
+    for a sorted list W of at most d independent rows (LinAlgError when
+    they are dependent)."""
+    d = prob.d
+    A, b = prob.A, prob.b
+    if len(W) == d:
+        # a vertex: solving A_W v = b_W keeps the active rows exact even when
+        # the multipliers are large; these then follow from stationarity
+        v = np.linalg.solve(A[W], b[W])
+        return v, np.linalg.solve(A[W].T, -(2.0 * prob.H @ v + prob.c_lin))
+    KKT = np.zeros((d + len(W), d + len(W)))
+    KKT[:d, :d] = 2.0 * prob.H
+    KKT[:d, d:] = A[W].T
+    KKT[d:, :d] = A[W]
+    sol = np.linalg.solve(KKT, np.concatenate([-prob.c_lin, b[W]]))
+    return sol[:d], sol[d:]
 
-    Starts at the unconstrained minimum and adds the most violated row
-    (smallest index on ties); an active row is dropped when its multiplier
-    would turn negative first (a partial step). No finite step means the
-    problem is infeasible. The point returned solves the final active set
-    as equalities, and every Optimal result satisfies the KKT conditions
-    at KKT_TOL (verified before returning; QpSolverFailed otherwise, as
-    when max_iter runs out).
+
+def _solution(prob: QpProblem, W, v, lam, iterations):
+    lam_full = np.zeros(prob.k)
+    lam_full[W] = lam
+    return QpSolution(v_star=v, active_set=tuple(W), multipliers=lam_full, status="Optimal",
+                      objective=prob.objective(v), iterations=iterations)
+
+
+def _warm_solve(prob: QpProblem, start, tol):
+    """The solution on the rows of `start` taken as equalities, or None
+    unless it meets every condition the dual loop stops on: each row
+    violated by at most tol, no negative multiplier, and the KKT check."""
+    W = sorted(start)
+    if len(W) > prob.d or len(set(W)) < len(W) or not all(0 <= i < prob.k for i in W):
+        return None
+    try:
+        v, lam = _equality_solve(prob, W)
+    except np.linalg.LinAlgError:  # dependent rows
+        return None
+    if (prob.A @ v - prob.b).max() > tol or (lam < 0.0).any():
+        return None
+    sol = _solution(prob, W, v, lam, 0)
+    return sol if kkt_ok(prob, v, sol.multipliers) else None
+
+
+def solve_qp(prob: QpProblem, tol=SOLVE_TOL, max_iter=200, start=()):
+    """Goldfarb-Idnani dual active-set method (Math. Programming 27, 1983)
+    with an optional warm start.
+
+    A non-empty `start` (row indices, for instance the active set of the
+    previous, nearby problem) is tried first: one equality-constrained
+    solve on sorted(start), accepted only when every row is violated by at
+    most tol, every multiplier is >= 0 and the KKT check passes. Anything
+    else (a stale or invalid start, dependent rows, an infeasible problem)
+    runs the dual loop from scratch, as does an empty start.
+
+    The dual loop starts at the unconstrained minimum and adds the most
+    violated row (smallest index on ties); an active row is dropped when
+    its multiplier would turn negative first (a partial step). No finite
+    step means the problem is infeasible. Both paths return the point that
+    solves the sorted final active set as equalities, so the result depends
+    only on the problem and that set, and a warm hit equals the cold solve
+    ending on the same set bit for bit. `iterations` counts passes of the
+    dual loop (0 on a warm hit). Every Optimal result satisfies the KKT
+    conditions at KKT_TOL (verified before returning; QpSolverFailed
+    otherwise, as when max_iter runs out).
     """
+    if len(start):
+        warm = _warm_solve(prob, start, tol)
+        if warm is not None:
+            return warm
     d, k = prob.d, prob.k
     A, b = prob.A, prob.b
     # in w = L^T v, with 2H = L L^T, the Hessian is I and the rows are A L^-T
@@ -155,24 +217,13 @@ def solve_qp(prob: QpProblem, tol=SOLVE_TOL, max_iter=200):
             it += 1
     else:
         raise QpSolverFailed("active-set solver failed to converge")
-    if len(W) == d:
-        # a vertex: solving A_W v = b_W keeps the active rows exact even when
-        # the multipliers are large; these then follow from stationarity
-        v = np.linalg.solve(A[W], b[W])
-        lam = np.linalg.solve(A[W].T, -(2.0 * prob.H @ v + prob.c_lin))
-    elif W:
-        KKT = np.zeros((d + len(W), d + len(W)))
-        KKT[:d, :d] = 2.0 * prob.H
-        KKT[:d, d:] = A[W].T
-        KKT[d:, :d] = A[W]
-        sol = np.linalg.solve(KKT, np.concatenate([-prob.c_lin, b[W]]))
-        v, lam = sol[:d], sol[d:]
-    lam_full = np.zeros(k)
-    lam_full[W] = lam
-    if not kkt_ok(prob, v, lam_full):
+    W.sort()
+    if W:
+        v, lam = _equality_solve(prob, W)
+    sol = _solution(prob, W, v, lam, it)
+    if not kkt_ok(prob, v, sol.multipliers):
         raise QpSolverFailed("active-set solver produced a non-KKT point")
-    return QpSolution(v_star=v, active_set=tuple(sorted(W)), multipliers=lam_full,
-                      status="Optimal", objective=prob.objective(v), iterations=it)
+    return sol
 
 
 def build_qp(sys, safeset, cost, params: QpParams, x):
@@ -214,10 +265,11 @@ def build_qp(sys, safeset, cost, params: QpParams, x):
     return QpProblem(H=H, c_lin=np.zeros(d), A=A, b=b)
 
 
-def qp_controller(sys, safeset, cost, params: QpParams, x):
-    """Solve the QP at x and return the input block (applied zero-order hold)."""
+def qp_controller(sys, safeset, cost, params: QpParams, x, start=()):
+    """Solve the QP at x, warm-started from the rows in `start`, and return
+    the input block (applied zero-order hold) and the solution."""
     prob = build_qp(sys, safeset, cost, params, x)
-    sol = solve_qp(prob)
+    sol = solve_qp(prob, start=start)
     if sol.status != "Optimal":
         raise QpInfeasible(f"CLF-CBF QP infeasible at x={np.asarray(x, float)}")
     return sol.v_star[: sys.m], sol

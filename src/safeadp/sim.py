@@ -60,6 +60,8 @@ class TrajectoryRecord:
     wall_clock: float = 0.0
     gamma_eig_min: float = np.nan
     gamma_eig_max: float = np.nan
+    qp_iterations: int = 0  # passes of the QP solver's dual loop, summed over holds
+    qp_cold_solves: int = 0  # holds whose QP the warm start did not settle
 
 
 @dataclass
@@ -291,22 +293,29 @@ def run_qp_episode(scn):
 
     hold_ts = qp.dt * np.arange(np.ceil(sim.t_final / qp.dt - 1e-9))  # k*qp.dt < t_final - ulps
     hold_us = []  # the input held from each solved hold time; rhs reads the last
+    # the last solve's active set (each solve is warm-started from it), the
+    # input cost of the held input, and the solver's work so far
+    held = {"active": (), "input_cost": 0.0, "iterations": 0, "cold": 0}
     y0 = np.append(sim.x0, 0.0)  # [x, J]
 
     def solve(x):
         try:
-            hold_us.append(qp_controller(sys_, safeset, cost, qp, x)[0])
+            u, sol = qp_controller(sys_, safeset, cost, qp, x, held["active"])
         except QpInfeasible:
             raise RunEnded("QP_INFEASIBLE") from None
         except QpSolverFailed:
             raise RunEnded("QP_SOLVER_FAILED") from None
+        hold_us.append(u)
+        held["active"] = sol.active_set
+        held["input_cost"] = cost.quadratic_input_cost(u)
+        held["iterations"] += sol.iterations
+        held["cold"] += sol.iterations > 0
 
     def rhs(_t, s):
-        u = hold_us[-1]
         ds = np.empty(n + 1)
         ds[:n] = np.asarray(sys_.drift(s[:n]), float) + \
-            np.asarray(sys_.input_map(s[:n]), float) @ u
-        ds[n] = cost.state_cost(s[:n]) + cost.quadratic_input_cost(u)
+            np.asarray(sys_.input_map(s[:n]), float) @ hold_us[-1]
+        ds[n] = cost.state_cost(s[:n]) + held["input_cost"]
         return ds
 
     def on_accept(t, s):
@@ -338,6 +347,7 @@ def run_qp_episode(scn):
         h=hs, B=Bs, Vhat=nanv.copy(), delta=nanv.copy(), Wc=nanL.copy(), Wa=nanL.copy(),
         min_eig_gamma=nanv.copy(), c1=nanv.copy(), J=states[:, n], status=status,
         controller="qp", infeasible_events=int(status == "QP_INFEASIBLE"),
+        qp_iterations=held["iterations"], qp_cold_solves=held["cold"],
         wall_clock=time.perf_counter() - t_start,
     )
 

@@ -95,6 +95,22 @@ class TestRun:
               "--summary", str(tmp_path / "s2.json")])
         assert data1 == out2.read_bytes()
 
+    def test_qp_episode_after_another_writes_the_same_bytes(self, tmp_path):
+        # no solver state outlives an episode: a QP run after a QP run from
+        # another start writes what the same run writes in a fresh process
+        src = str(Path(sa.__file__).resolve().parents[1])
+        alone = tmp_path / "alone.csv"
+        subprocess.run([sys.executable, "-m", "safeadp.cli", "run", "--controller", "qp",
+                        "--t-final", "2", "--out", str(alone)], capture_output=True,
+                       check=True, env={**os.environ, "PYTHONPATH": src})
+        cfg = tmp_path / "stall.cfg"
+        cfg.write_text("sim.x0 = [3.0, 3.0]\n")
+        after = tmp_path / "after.csv"
+        assert main(["run", "--controller", "qp", "--t-final", "2", "--config", str(cfg),
+                     "--out", str(tmp_path / "first.csv")]) == 0
+        assert main(["run", "--controller", "qp", "--t-final", "2", "--out", str(after)]) == 0
+        assert after.read_bytes() == alone.read_bytes()
+
     def test_summary_matches_csv(self, tmp_path):
         _code, out, summary = _run(tmp_path)
         d = json.loads(summary.read_text())
@@ -144,6 +160,25 @@ class TestExitCodes:
         assert code == 5
         assert "status=QP_SOLVER_FAILED" in capsys.readouterr().out
         assert out.read_text().splitlines()[-1].endswith(",QP_SOLVER_FAILED")
+
+
+class TestOutputErrors:
+    # a path whose directory does not exist ends in one line and exit 4
+    @pytest.mark.parametrize("command, flag", [("run", "--out"), ("run", "--summary"),
+                                               ("compare", "--out"), ("compare", "--summary")])
+    def test_unwritable_path_exit_code(self, tmp_path, capsys, command, flag):
+        paths = {"--out": str(tmp_path / "out.csv"), "--summary": str(tmp_path / "s.json")}
+        paths[flag] = str(tmp_path / "no" / "such" / "file")
+        args = [command, "--t-final", "0.2"] + [a for kv in paths.items() for a in kv]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and len(err.splitlines()) == 1
+        assert str(tmp_path / "no" / "such") in err
+
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1
 
 
 class TestConfig:

@@ -212,3 +212,102 @@ class TestSolverProperties:
                                                                   np.sin(theta)])
             prob = sa.build_qp(sys_, safeset, cost_spec, params, x)
             assert _check_against_oracle(prob).status == "Optimal"
+
+
+def _same_solution(a, b):
+    """Bit-for-bit equality of two solve_qp results."""
+    assert a.status == b.status
+    assert a.active_set == b.active_set
+    np.testing.assert_array_equal(a.v_star, b.v_star)
+    np.testing.assert_array_equal(a.multipliers, b.multipliers)
+    assert a.objective == b.objective
+
+
+class TestWarmStart:
+    # min v1^2 + v2^2  s.t.  v1 >= 1 (row 0, active with multiplier 2),
+    # v2 <= 5, v1 <= 3, and row 3 a copy of row 0: the optimum is (1, 0)
+    # on the active set (0,)
+    PROB = dict(H=np.eye(2), c_lin=np.zeros(2),
+                A=np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]]),
+                b=np.array([-1.0, 5.0, 3.0, -1.0]))
+
+    def test_hit_takes_no_iteration_and_equals_the_cold_solve(self):
+        prob = sa.QpProblem(**self.PROB)
+        cold = sa.solve_qp(prob)
+        warm = sa.solve_qp(prob, start=(0,))
+        assert cold.active_set == (0,) and cold.iterations > 0
+        assert warm.iterations == 0
+        _same_solution(warm, cold)
+
+    @pytest.mark.parametrize("start", [(1,), (2,), (0, 3), (0, 1, 2), (), (7,), (0, 0)],
+                             ids=["violated-row", "negative-multiplier", "dependent-rows",
+                                  "more-than-d", "empty", "out-of-range", "repeated"])
+    def test_stale_start_falls_back(self, start):
+        prob = sa.QpProblem(**self.PROB)
+        sol = sa.solve_qp(prob, start=start)
+        assert sol.iterations > 0  # the dual loop ran
+        _same_solution(sol, sa.solve_qp(prob))
+        ref = enumerate_qp(prob)
+        np.testing.assert_allclose(sol.v_star, ref[0], rtol=0, atol=1e-12)
+        assert abs(sol.objective - ref[2]) <= 1e-12
+
+    def test_stale_start_cases_fail_where_named(self):
+        # each stale start above trips the check its id names
+        prob = sa.QpProblem(**self.PROB)
+        v, _ = sa.qpsolve._equality_solve(prob, [1])
+        assert (prob.A @ v - prob.b).max() == 1.0  # row 0, by 1
+        v, lam = sa.qpsolve._equality_solve(prob, [2])
+        assert (prob.A @ v - prob.b).max() <= 0.0 and lam[0] < 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            sa.qpsolve._equality_solve(prob, [0, 3])
+
+    @pytest.mark.parametrize("c1, b1, cold_set", [(0.0, -5e-9, (0, 1)), (-2.000000005, 1.0, ())],
+                             ids=["row-violated-by-5e-9", "multiplier-of-minus-5e-9"])
+    def test_start_within_kkt_tol_but_not_the_stopping_rule(self, c1, b1, cold_set):
+        # on start (0,) the point passes kkt_ok (tolerance 1e-8) but the
+        # loop would not stop there: row 1 is violated by more than
+        # SOLVE_TOL, or row 0's multiplier is -5e-9
+        prob = sa.QpProblem(H=np.eye(2), c_lin=np.array([c1, 0.0]),
+                            A=np.array([[-1.0, 0.0], [0.0, 1.0]]), b=np.array([-1.0, b1]))
+        v, lam = sa.qpsolve._equality_solve(prob, [0])
+        assert kkt_ok(prob, v, np.append(lam, 0.0))
+        cold = sa.solve_qp(prob)
+        assert cold.active_set == cold_set
+        _same_solution(sa.solve_qp(prob, start=(0,)), cold)
+
+    def test_infeasible_problem_with_a_start(self):
+        prob = sa.QpProblem(H=np.eye(1), c_lin=np.zeros(1),
+                            A=np.array([[1.0], [-1.0]]),
+                            b=np.array([-1.0, -1.0]))  # v <= -1 and v >= 1
+        for start in ((0,), (1,), (0, 1)):
+            assert sa.solve_qp(prob, start=start).status == "Infeasible"
+        rng = np.random.default_rng(36)
+        d, k = 3, 6
+        for _ in range(100):
+            prob = random_qp(rng, d=d, k=k)
+            y = rng.uniform(0.1, 1.0, size=d + 1)
+            prob.A[d] = -(y[:d] @ prob.A[:d]) / y[d]
+            prob.b[d] = -(y[:d] @ prob.b[:d] + rng.uniform(0.01, 1.0)) / y[d]
+            start = tuple(rng.choice(k, size=rng.integers(1, d + 1), replace=False))
+            assert enumerate_qp(prob) is None
+            assert sa.solve_qp(prob, start=start).status == "Infeasible"
+
+    def test_random_starts_equal_the_cold_solve(self, sys_, safeset, cost_spec, params):
+        rng = np.random.default_rng(37)
+        probs = [random_qp(rng, d=rng.integers(2, 5), k=rng.integers(3, 9)) for _ in range(200)]
+        for _ in range(200):
+            x = rng.uniform(-4, 6, size=2)
+            if np.linalg.norm(x - safeset.center) > safeset.radius + 0.02:
+                probs.append(sa.build_qp(sys_, safeset, cost_spec, params, x))
+        hits = 0
+        for prob in probs:
+            cold = sa.solve_qp(prob)
+            starts = [tuple(rng.choice(prob.k, size=rng.integers(0, min(prob.d + 2, prob.k) + 1),
+                                         replace=False))
+                      for _ in range(3)]
+            starts.append(tuple(rng.permutation(cold.active_set)))  # the right set, any order
+            for start in starts:
+                warm = sa.solve_qp(prob, start=start)
+                _same_solution(warm, cold)
+                hits += warm.iterations == 0
+        assert hits >= len(probs)

@@ -241,6 +241,36 @@ class TestQpEpisode:
         assert rec.t[-1] == pytest.approx(good_solves * scn.qp.dt, abs=1e-12)
         np.testing.assert_array_equal(rec.x[0], scn.sim.x0)
 
+    @pytest.mark.parametrize("x0", [[3.0, 3.5], [3.0, 3.0]])
+    def test_warm_solves_equal_cold_solves(self, monkeypatch, x0):
+        # every hold's warm-started solve against a cold solve of its QP
+        solve_qp, starts = sa.qpsolve.solve_qp, []
+
+        def both(prob, *args, **kwargs):
+            warm, cold = solve_qp(prob, *args, **kwargs), solve_qp(prob)
+            assert warm.active_set == cold.active_set
+            np.testing.assert_array_equal(warm.v_star, cold.v_star)
+            np.testing.assert_array_equal(warm.multipliers, cold.multipliers)
+            assert warm.objective == cold.objective
+            starts.append((kwargs["start"], warm.iterations))
+            return warm
+
+        monkeypatch.setattr(sa.qpsolve, "solve_qp", both)
+        scn = sa.build_scenario(sim__controller="qp", sim__t_final=2.0, sim__x0=x0)
+        rec = sa.run_qp_episode(scn)
+        assert rec.status == "OK" and len(starts) == 200
+        assert starts[0][0] == () and starts[0][1] > 0  # the first hold is cold
+        assert rec.qp_iterations == sum(it for _, it in starts)
+        assert rec.qp_cold_solves == sum(it > 0 for _, it in starts) < 10
+
+    def test_solver_work_is_recorded(self, qp_record, qp_stall_record, adp_record):
+        # the first hold is solved cold, and the default episode's active
+        # set changes 4 times in its 2,500 holds
+        assert 1 <= qp_record.qp_cold_solves <= 5
+        assert qp_record.qp_iterations >= qp_record.qp_cold_solves
+        assert qp_stall_record.qp_cold_solves == 1
+        assert adp_record.qp_iterations == adp_record.qp_cold_solves == 0
+
     def test_deterministic(self, qp_record):
         scn = sa.build_scenario(sim__controller="qp")
         again = sa.run_qp_episode(scn)
