@@ -11,9 +11,9 @@ from .critic import (BellmanSample, LearnerGains, actor_rhs, bellman_at,
 from .errors import (BoundaryViolation, ConfigError, InputOutOfBox,
                      QpInfeasible, QpSolverFailed, RunEnded, SafeAdpError,
                      SingularGradient)
-from .model import (CircularSafeSet, SystemModel, cbf_margin, clf_margin,
-                    linear_system, single_integrator)
-from .qpsolve import (QpParams, QpProblem, QpSolution, build_qp,
+from .model import (CircularSafeSet, SystemModel, cbf_condition, cbf_margin,
+                    clf_condition, clf_margin, linear_system, single_integrator)
+from .qpsolve import (ControllerQp, QpParams, QpProblem, QpSolution, build_qp,
                       kkt_residuals, qp_controller, solve_qp)
 from .sim import (SimConfig, SummaryReport, TrajectoryRecord,
                   prop1_diagnostics, run_adp_episode, run_episode,

@@ -5,7 +5,9 @@ JSON summaries for offline inspection."""
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -79,13 +81,30 @@ def _load_values(args):
     return values
 
 
+def _check_outputs(*paths):
+    """Raise OSError for an output path that cannot be written: its
+    directory is missing or read-only, or the path is a directory. Called
+    before the first episode, so that a bad path costs no run and leaves
+    no partial output."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), parent)
+        if not os.access(parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), parent)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _run_one(scn):
     record = run_episode(scn)
     return record, summarize(record)
 
 
 def cmd_run(args):
-    record, summary = _run_one(build_scenario(_load_values(args)))
+    scn = build_scenario(_load_values(args))
+    _check_outputs(args.out, args.summary)
+    record, summary = _run_one(scn)
     write_csv(record, args.out)
     if args.summary:
         write_summary(summary.as_dict(), args.summary)
@@ -97,9 +116,13 @@ def cmd_run(args):
 def cmd_compare(args):
     values = _load_values(args)
     stem = str(Path(args.out).with_suffix("")) if args.out else "compare"
+    scenarios = {ctrl: build_scenario(values, sim__controller=ctrl) for ctrl in ("adp", "qp")}
+    summary_path = args.summary or f"{stem}_summary.json"
+    # the panel files sit next to the CSVs
+    _check_outputs(f"{stem}_adp.csv", f"{stem}_qp.csv", summary_path)
     summaries = {}
-    for ctrl in ("adp", "qp"):
-        record, summary = _run_one(build_scenario(values, sim__controller=ctrl))
+    for ctrl, scn in scenarios.items():
+        record, summary = _run_one(scn)
         summaries[ctrl] = summary
         write_csv(record, f"{stem}_{ctrl}.csv")
         write_panels(record, f"{stem}_{ctrl}")
@@ -110,7 +133,7 @@ def cmd_compare(args):
         "terminal_x_norm_qp": summaries["qp"].terminal_x_norm,
         "adp_converges_better": summaries["adp"].terminal_x_norm < summaries["qp"].terminal_x_norm,
     }
-    write_summary(joint, args.summary or f"{stem}_summary.json")
+    write_summary(joint, summary_path)
     for ctrl in ("adp", "qp"):
         s = summaries[ctrl]
         print(f"{ctrl}: status={s.status} min_h={s.min_h:.6g} "
@@ -133,6 +156,8 @@ def cmd_sweep(args):
         except ConfigError as exc:
             raise ConfigError(f"--sweep-values:{i}: {exc}") from None
     stem = str(Path(args.out).with_suffix("")) if args.out else "sweep"
+    _check_outputs(*(f"{stem}_{idx:03d}{end}" for idx in range(len(scenarios))
+                     for end in (".csv", "_summary.json")))
 
     results = []
     for idx, (val, scn) in enumerate(zip(sweep_values, scenarios)):

@@ -4,6 +4,8 @@ rhs reports a boundary violation."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BoundaryViolation, RunEnded
@@ -38,13 +40,31 @@ def dp54_step(rhs, t, y, h, f0=None):
     return y_new, h * (_E @ ks), ks
 
 
+def _rms(z):
+    """The root mean square of z, bit for bit np.sqrt(np.mean(z ** 2)):
+    np.mean is the same sum followed by one division."""
+    q = z ** 2
+    return math.sqrt(float(q.sum()) / q.size)
+
+
 class StepRecord:
-    """Accepted steps: times, states, and derivatives for dense output."""
+    """Accepted steps: times, states, and derivatives for dense output,
+    and the integrator's work."""
 
     def __init__(self):
         self.ts = []
         self.ys = []
         self.fs = []
+        self.rhs_evals = 0
+        self.rejected_steps = 0
+
+    def work(self):
+        """rhs evaluations, accepted steps (distinct times after the
+        first, since a replaced state is recorded twice) and rejected
+        steps."""
+        accepted = sum(a != b for a, b in zip(self.ts, self.ts[1:]))
+        return {"rhs_evals": self.rhs_evals, "accepted_steps": accepted,
+                "rejected_steps": self.rejected_steps}
 
     def append(self, t, y, f):
         self.ts.append(t)
@@ -92,10 +112,15 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
     with the step's own derivative, closing the segment that ends there,
     then with rhs(t, y), opening the next.
     """
+    record = StepRecord()
+
+    def counted(t, y):
+        record.rhs_evals += 1
+        return rhs(t, y)
+
     t = float(t0)
     y = np.array(y0, dtype=float)
-    f = np.asarray(rhs(t, y), float)
-    record = StepRecord()
+    f = np.asarray(counted(t, y), float)
     record.append(t, y, f)
     stops = [float(s) for s in stops if t0 < s < t_final] + [float(t_final)]
     i_stop = 0
@@ -116,8 +141,9 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
             # the rejection, not the error control, drove h to zero
             return ("SAFETY_BREACH" if safety_halvings > 0 else "STEP_UNDERFLOW"), record
         try:
-            y_new, err_vec, ks = dp54_step(rhs, t, y, h, f0=f)
+            y_new, err_vec, ks = dp54_step(counted, t, y, h, f0=f)
         except BoundaryViolation:
+            record.rejected_steps += 1
             safety_halvings += 1
             if safety_halvings > MAX_SAFETY_HALVINGS:
                 return "SAFETY_BREACH", record
@@ -126,7 +152,7 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
         safety_halvings = 0
 
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        err = _rms(err_vec / scale)
         if err <= 1.0:
             t = t_stop if land else t + h
             i_stop += land
@@ -140,12 +166,13 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
             if replaced is not None:
                 y = np.asarray(replaced, float)
                 record.append(t, y, f)
-                f = np.asarray(rhs(t, y), float)
+                f = np.asarray(counted(t, y), float)
             record.append(t, y, f)
             # PI controller (Gustafsson)
             fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0) if err > 0 else 5.0
             h *= min(5.0, max(0.2, fac))
             err_prev = max(err, 1e-10)
         else:
+            record.rejected_steps += 1
             h *= min(1.0, max(0.2, 0.9 * err ** (-0.2)))
     return "OK", record

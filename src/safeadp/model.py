@@ -106,18 +106,31 @@ class CircularSafeSet:
         return d / nd
 
 
+def cbf_condition(safeset, alpha_scale, x, f, g):
+    """The CBF condition at x as an affine function of the input: (a, b)
+    with L_f h + L_g h u + alpha_scale h = a + b u, per row of x, given the
+    drift f and the input map g at x."""
+    gh = safeset.grad(x)
+    return np.vecdot(gh, f) + alpha_scale * safeset.h(x), np.vecmat(gh, g)
+
+
+def clf_condition(Q, gamma_scale, x, f, g):
+    """The CLF condition for V(x) = x^T Q x at x as an affine function of
+    the input: (a, b) with L_f V + L_g V u + gamma_scale V = a + b u, per row
+    of x, given the drift f and the input map g at x."""
+    gV = 2.0 * np.matvec(Q, x)
+    return np.vecdot(gV, f) + gamma_scale * np.vecdot(np.vecmat(x, Q), x), np.vecmat(gV, g)
+
+
 def cbf_margin(sys, safeset, alpha_scale, x, u):
     """L_f h + L_g h u + alpha_scale h per row of x and u; nonnegative for
     barrier-admissible u."""
-    gh = safeset.grad(x)
-    return (np.vecdot(gh, sys.drift(x)) + np.vecdot(gh, np.matvec(sys.input_map(x), u))
-            + alpha_scale * safeset.h(x))
+    a, b = cbf_condition(safeset, alpha_scale, x, sys.drift(x), sys.input_map(x))
+    return a + np.vecdot(b, u)
 
 
 def clf_margin(sys, Q, gamma_scale, x, u):
     """L_f V + L_g V u + gamma_scale V per row of x and u, for V(x) = x^T Q x;
     nonpositive when stabilizing."""
-    Q = np.asarray(Q, float)
-    gV = 2.0 * np.matvec(Q, x)
-    return (np.vecdot(gV, sys.drift(x)) + np.vecdot(gV, np.matvec(sys.input_map(x), u))
-            + gamma_scale * np.vecdot(np.vecmat(x, Q), x))
+    a, b = clf_condition(np.asarray(Q, float), gamma_scale, x, sys.drift(x), sys.input_map(x))
+    return a + np.vecdot(b, u)

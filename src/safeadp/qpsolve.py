@@ -9,18 +9,26 @@ minimum and needs no feasible start point. A solve may be warm-started
 from a guess of the active set (the previous hold's, in the controller):
 one equality-constrained solve on that set, kept only when it passes
 every check the dual loop stops on, in the manner of the online active
-set strategy of Ferreau, Bock and Diehl (IJRNC 18, 2008). The controller
-instance has decision variables v = [u; phi] with H = blkdiag(R, p): the
-CLF row is relaxed by phi, the CBF and box rows are hard.
+set strategy of Ferreau, Bock and Diehl (IJRNC 18, 2008). The slack
+A v - b of that point is formed once and serves both the violation test
+and the KKT check.
+
+The controller instance has decision variables v = [u; phi] with
+H = blkdiag(R, p): the CLF row is relaxed by phi, the CBF and box rows
+are hard. Only the CBF and CLF rows depend on the state, so a
+`ControllerQp` builds (and checks) H, c_lin and the box rows once, and
+each state writes just those two rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QpInfeasible, QpSolverFailed
+from .model import cbf_condition, clf_condition
 
 KKT_TOL = 1e-8
 SOLVE_TOL = 1e-9
@@ -63,6 +71,13 @@ class QpProblem:
     def k(self):
         return self.A.shape[0]
 
+    def with_rows(self, A, b):
+        """This problem with the constraints A v <= b in place of its own.
+        H and c_lin are shared with this problem and not checked again."""
+        prob = object.__new__(QpProblem)
+        prob.H, prob.c_lin, prob.A, prob.b = self.H, self.c_lin, A, b
+        return prob
+
     def objective(self, v):
         v = np.asarray(v, float)
         return float(v @ self.H @ v + self.c_lin @ v)
@@ -78,24 +93,27 @@ class QpSolution:
     iterations: int = 0
 
 
-def kkt_residuals(prob: QpProblem, v, multipliers):
+def kkt_residuals(prob: QpProblem, v, multipliers, slack=None):
     """KKT residuals for  min v^T H v + c^T v  s.t.  A v <= b.
 
-    Stationarity uses 2 H v + c + A^T lam = 0.
+    Stationarity uses 2 H v + c + A^T lam = 0. `slack` is A v - b when the
+    caller has it already.
     """
     v = np.asarray(v, float)
     lam = np.asarray(multipliers, float)
-    slack = prob.A @ v - prob.b
+    if slack is None:
+        slack = prob.A @ v - prob.b
+    r = 2.0 * prob.H @ v + prob.c_lin + prob.A.T @ lam
     return {
-        "stationarity": float(np.linalg.norm(2.0 * prob.H @ v + prob.c_lin + prob.A.T @ lam)),
+        "stationarity": math.sqrt(float(r.dot(r))),  # np.linalg.norm(r), without its overhead
         "primal": float(max(0.0, slack.max())) if slack.size else 0.0,
         "dual": float(max(0.0, -(lam.min()))) if lam.size else 0.0,
-        "complementarity": float(np.max(np.abs(lam * slack))) if lam.size else 0.0,
+        "complementarity": float(np.abs(lam * slack).max()) if lam.size else 0.0,
     }
 
 
-def kkt_ok(prob, v, multipliers, tol=KKT_TOL):
-    res = kkt_residuals(prob, v, multipliers)
+def kkt_ok(prob, v, multipliers, tol=KKT_TOL, slack=None):
+    res = kkt_residuals(prob, v, multipliers, slack)
     return all(r <= tol for r in res.values())
 
 
@@ -104,17 +122,17 @@ def _equality_solve(prob: QpProblem, W):
     for a sorted list W of at most d independent rows (LinAlgError when
     they are dependent)."""
     d = prob.d
-    A, b = prob.A, prob.b
+    A_W, b_W = prob.A[W], prob.b[W]
     if len(W) == d:
         # a vertex: solving A_W v = b_W keeps the active rows exact even when
         # the multipliers are large; these then follow from stationarity
-        v = np.linalg.solve(A[W], b[W])
-        return v, np.linalg.solve(A[W].T, -(2.0 * prob.H @ v + prob.c_lin))
+        v = np.linalg.solve(A_W, b_W)
+        return v, np.linalg.solve(A_W.T, -(2.0 * prob.H @ v + prob.c_lin))
     KKT = np.zeros((d + len(W), d + len(W)))
     KKT[:d, :d] = 2.0 * prob.H
-    KKT[:d, d:] = A[W].T
-    KKT[d:, :d] = A[W]
-    sol = np.linalg.solve(KKT, np.concatenate([-prob.c_lin, b[W]]))
+    KKT[:d, d:] = A_W.T
+    KKT[d:, :d] = A_W
+    sol = np.linalg.solve(KKT, np.concatenate([-prob.c_lin, b_W]))
     return sol[:d], sol[d:]
 
 
@@ -130,16 +148,17 @@ def _warm_solve(prob: QpProblem, start, tol):
     unless it meets every condition the dual loop stops on: each row
     violated by at most tol, no negative multiplier, and the KKT check."""
     W = sorted(start)
-    if len(W) > prob.d or len(set(W)) < len(W) or not all(0 <= i < prob.k for i in W):
+    if len(W) > prob.d or len(set(W)) < len(W) or W[0] < 0 or W[-1] >= prob.k:
         return None
     try:
         v, lam = _equality_solve(prob, W)
     except np.linalg.LinAlgError:  # dependent rows
         return None
-    if (prob.A @ v - prob.b).max() > tol or (lam < 0.0).any():
+    slack = prob.A @ v - prob.b
+    if slack.max() > tol or (lam < 0.0).any():
         return None
     sol = _solution(prob, W, v, lam, 0)
-    return sol if kkt_ok(prob, v, sol.multipliers) else None
+    return sol if kkt_ok(prob, v, sol.multipliers, slack=slack) else None
 
 
 def solve_qp(prob: QpProblem, tol=SOLVE_TOL, max_iter=200, start=()):
@@ -149,9 +168,10 @@ def solve_qp(prob: QpProblem, tol=SOLVE_TOL, max_iter=200, start=()):
     A non-empty `start` (row indices, for instance the active set of the
     previous, nearby problem) is tried first: one equality-constrained
     solve on sorted(start), accepted only when every row is violated by at
-    most tol, every multiplier is >= 0 and the KKT check passes. Anything
-    else (a stale or invalid start, dependent rows, an infeasible problem)
-    runs the dual loop from scratch, as does an empty start.
+    most tol, every multiplier is >= 0 and the KKT check passes; the slack
+    A v - b is formed once for both tests. Anything else (a stale or
+    invalid start, dependent rows, an infeasible problem) runs the dual
+    loop from scratch, as does an empty start.
 
     The dual loop starts at the unconstrained minimum and adds the most
     violated row (smallest index on ties); an active row is dropped when
@@ -226,49 +246,67 @@ def solve_qp(prob: QpProblem, tol=SOLVE_TOL, max_iter=200, start=()):
     return sol
 
 
-def build_qp(sys, safeset, cost, params: QpParams, x):
-    """Assemble the relaxed CLF-CBF QP at state x.
+class ControllerQp:
+    """The relaxed CLF-CBF QP of one system, safe set, cost and QpParams,
+    for any state.
 
     Rows: CBF (hard), CLF with V = x^T cost.Q x relaxed by phi, then the 2m
-    rows of the input box |u_i| <= cost.u_max.
+    rows of the input box |u_i| <= cost.u_max. H = blkdiag(R, p), c_lin = 0
+    and the box rows are built, and H checked, once here; `at(x)` writes
+    the CBF and CLF rows at x into fresh copies of A and b, so a problem
+    returned for one state is not changed by the next.
     """
-    x = np.asarray(x, float)
-    Q = cost.Q
-    gh = safeset.grad(x)
-    f = np.asarray(sys.drift(x), float)
-    g = np.asarray(sys.input_map(x), float)
-    h = safeset.h(x)
-    Lfh = float(gh @ f)
-    Lgh = gh @ g
-    gV = 2.0 * (Q @ x)
-    V = float(x @ Q @ x)
-    LfV = float(gV @ f)
-    LgV = gV @ g
 
-    m = sys.m
-    d = m + 1
-    H = np.zeros((d, d))
-    H[:m, :m] = np.diag(cost.r_diag)
-    H[m, m] = params.p
-    A = np.zeros((2 + 2 * m, d))
-    b = np.zeros(2 + 2 * m)
-    A[0, :m] = -Lgh
-    b[0] = Lfh + params.alpha_scale * h
-    A[1, :m] = LgV
-    A[1, m] = -1.0
-    b[1] = -LfV - params.gamma_scale * V
-    for i in range(m):
-        A[2 + 2 * i, i] = 1.0
-        b[2 + 2 * i] = cost.u_max
-        A[3 + 2 * i, i] = -1.0
-        b[3 + 2 * i] = cost.u_max
-    return QpProblem(H=H, c_lin=np.zeros(d), A=A, b=b)
+    def __init__(self, sys, safeset, cost, params: QpParams):
+        self.sys, self.safeset, self.cost, self.params = sys, safeset, cost, params
+        m = sys.m
+        d = m + 1
+        H = np.zeros((d, d))
+        H[:m, :m] = np.diag(cost.r_diag)
+        H[m, m] = params.p
+        A = np.zeros((2 + 2 * m, d))
+        b = np.zeros(2 + 2 * m)
+        A[1, m] = -1.0
+        for i in range(m):
+            A[2 + 2 * i, i] = 1.0
+            b[2 + 2 * i] = cost.u_max
+            A[3 + 2 * i, i] = -1.0
+            b[3 + 2 * i] = cost.u_max
+        # rows 0 and 1 are written at each state
+        self.problem = QpProblem(H=H, c_lin=np.zeros(d), A=A, b=b)
+
+    def at(self, x):
+        """The QP at state x: the CBF row reads a_h + b_h u >= 0 and the CLF
+        row b_V u - phi <= -a_V, with drift, input map, h and grad of h
+        evaluated once each."""
+        x = np.asarray(x, float)
+        f = np.asarray(self.sys.drift(x), float)
+        g = np.asarray(self.sys.input_map(x), float)
+        a_h, b_h = cbf_condition(self.safeset, self.params.alpha_scale, x, f, g)
+        a_V, b_V = clf_condition(self.cost.Q, self.params.gamma_scale, x, f, g)
+        m = self.sys.m
+        A, b = self.problem.A.copy(), self.problem.b.copy()
+        A[0, :m] = -b_h
+        b[0] = a_h
+        A[1, :m] = b_V
+        b[1] = -a_V
+        return self.problem.with_rows(A, b)
 
 
-def qp_controller(sys, safeset, cost, params: QpParams, x, start=()):
-    """Solve the QP at x, warm-started from the rows in `start`, and return
-    the input block (applied zero-order hold) and the solution."""
-    prob = build_qp(sys, safeset, cost, params, x)
+def build_qp(sys, safeset, cost, params: QpParams, x, template=None):
+    """The relaxed CLF-CBF QP at state x (see `ControllerQp`). A caller that
+    builds many passes the `ControllerQp` of the same arguments as
+    `template`, which then does only the work that depends on x."""
+    if template is None:
+        template = ControllerQp(sys, safeset, cost, params)
+    return template.at(x)
+
+
+def qp_controller(sys, safeset, cost, params: QpParams, x, start=(), template=None):
+    """Solve the QP at x, warm-started from the rows in `start` and built
+    from `template` when given, and return the input block (applied
+    zero-order hold) and the solution."""
+    prob = build_qp(sys, safeset, cost, params, x, template)
     sol = solve_qp(prob, start=start)
     if sol.status != "Optimal":
         raise QpInfeasible(f"CLF-CBF QP infeasible at x={np.asarray(x, float)}")

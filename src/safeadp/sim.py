@@ -15,7 +15,7 @@ from .critic import (actor_rhs, bellman_at, critic_rhs, excitation_metrics,
 from .errors import QpInfeasible, QpSolverFailed, RunEnded
 from .integrate import StepRecord, integrate_adaptive
 from .model import cbf_margin
-from .qpsolve import qp_controller
+from .qpsolve import ControllerQp, qp_controller
 from .staf import policy_hat, value_hat
 
 
@@ -62,6 +62,9 @@ class TrajectoryRecord:
     gamma_eig_max: float = np.nan
     qp_iterations: int = 0  # passes of the QP solver's dual loop, summed over holds
     qp_cold_solves: int = 0  # holds whose QP the warm start did not settle
+    rhs_evals: int = 0  # the integrator's right-hand-side evaluations
+    accepted_steps: int = 0  # distinct times the integrator stepped to
+    rejected_steps: int = 0  # step attempts it threw away
 
 
 @dataclass
@@ -273,7 +276,7 @@ def run_adp_episode(scn):
         status=status, controller="adp",
         j_native_total=float(Jns[-1]), weak_excitation_flag=flag,
         gamma_eig_min=float(np.min(ge[:, 0])), gamma_eig_max=float(np.max(ge[:, 1])),
-        wall_clock=time.perf_counter() - t_start,
+        **rec.work(), wall_clock=time.perf_counter() - t_start,
     )
 
 
@@ -296,11 +299,12 @@ def run_qp_episode(scn):
     # the last solve's active set (each solve is warm-started from it), the
     # input cost of the held input, and the solver's work so far
     held = {"active": (), "input_cost": 0.0, "iterations": 0, "cold": 0}
+    template = ControllerQp(sys_, safeset, cost, qp)  # the rows no state changes
     y0 = np.append(sim.x0, 0.0)  # [x, J]
 
     def solve(x):
         try:
-            u, sol = qp_controller(sys_, safeset, cost, qp, x, held["active"])
+            u, sol = qp_controller(sys_, safeset, cost, qp, x, held["active"], template)
         except QpInfeasible:
             raise RunEnded("QP_INFEASIBLE") from None
         except QpSolverFailed:
@@ -312,10 +316,11 @@ def run_qp_episode(scn):
         held["cold"] += sol.iterations > 0
 
     def rhs(_t, s):
+        x = s[:n]
         ds = np.empty(n + 1)
-        ds[:n] = np.asarray(sys_.drift(s[:n]), float) + \
-            np.asarray(sys_.input_map(s[:n]), float) @ hold_us[-1]
-        ds[n] = cost.state_cost(s[:n]) + held["input_cost"]
+        ds[:n] = np.asarray(sys_.drift(x), float) + \
+            np.asarray(sys_.input_map(x), float) @ hold_us[-1]
+        ds[n] = cost.state_cost(x) + held["input_cost"]
         return ds
 
     def on_accept(t, s):
@@ -348,7 +353,7 @@ def run_qp_episode(scn):
         min_eig_gamma=nanv.copy(), c1=nanv.copy(), J=states[:, n], status=status,
         controller="qp", infeasible_events=int(status == "QP_INFEASIBLE"),
         qp_iterations=held["iterations"], qp_cold_solves=held["cold"],
-        wall_clock=time.perf_counter() - t_start,
+        **rec.work(), wall_clock=time.perf_counter() - t_start,
     )
 
 

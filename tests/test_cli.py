@@ -175,6 +175,29 @@ class TestOutputErrors:
         assert err.startswith("output error: ") and len(err.splitlines()) == 1
         assert str(tmp_path / "no" / "such") in err
 
+    @pytest.mark.parametrize("args", [
+        ["run", "--controller", "qp", "--out", "{bad}/x.csv"],
+        ["run", "--summary", "{bad}/s.json"],
+        ["compare", "--out", "{bad}/c.csv"],
+        ["compare", "--summary", "{bad}/s.json"],
+        ["sweep", "--out", "{bad}/sw.csv", "--sweep-key", "gains.seed", "--sweep-values", "0;1"],
+        ["run", "--out", "{dir}"],
+    ], ids=["run-out", "run-summary", "compare-out", "compare-summary", "sweep-out",
+            "out-is-a-directory"])
+    def test_bad_path_ends_before_any_episode(self, tmp_path, monkeypatch, capsys, args):
+        # the default outputs would land in the working directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        episodes = []
+        monkeypatch.setattr(sa.cli, "run_episode", episodes.append)
+        bad, dir_ = tmp_path / "no" / "such", tmp_path / "d"
+        assert main([a.format(bad=bad, dir=dir_) for a in args]) == 4
+        assert episodes == []
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and len(err.splitlines()) == 1
+        assert str(dir_ if "{dir}" in args else bad) in err
+        assert list(tmp_path.iterdir()) == [dir_] and list(dir_.iterdir()) == []
+
     def test_unreadable_config_is_a_config_error(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 4
         err = capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from safeadp.errors import BoundaryViolation, RunEnded
+import safeadp.integrate as integrate
 from safeadp.integrate import StepRecord, dp54_step, integrate_adaptive
 
 
@@ -65,6 +66,53 @@ def test_rhs_boundary_violation_treated_as_unsafe():
     status, rec = integrate_adaptive(rhs, 0.0, np.array([1.0]), 10.0)
     assert status == "SAFETY_BREACH"
     assert rec.ys[-1][0] > 0.0
+
+
+@pytest.mark.parametrize("size", [3, 19])  # the QP state [x, J]; the ADP state at n = 2, L = 3
+def test_error_norm_is_numpys_rms_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    for _ in range(2000):
+        z = rng.normal(size=size) * 10.0 ** rng.uniform(-12, 4, size=size)
+        assert integrate._rms(z) == float(np.sqrt(np.mean(z ** 2)))
+
+
+def test_work_is_counted(monkeypatch):
+    # a decay that the error test rejects at the first, too-large step
+    evals, attempts = [], []
+    dp54 = integrate.dp54_step
+
+    def rhs(t, y):
+        evals.append(t)
+        return -50.0 * y
+
+    def counted_step(*args, **kwargs):
+        attempts.append(None)
+        return dp54(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "dp54_step", counted_step)
+    status, rec = integrate_adaptive(rhs, 0.0, np.array([1.0]), 1.0, first_step=0.5)
+    assert status == "OK"
+    work = rec.work()
+    assert work["rhs_evals"] == len(evals) == 1 + 6 * len(attempts)
+    assert work["accepted_steps"] == len(rec.ts) - 1
+    assert work["rejected_steps"] == len(attempts) - work["accepted_steps"] > 0
+
+
+def test_work_counts_replaced_states_once_and_halvings_as_rejections():
+    # a replaced state is recorded twice but is one step; a step into the
+    # boundary is a rejected attempt
+    def rhs(t, y):
+        if y[0] >= 1.0:
+            raise BoundaryViolation("past the wall")
+        return np.array([1.0])
+
+    status, rec = integrate_adaptive(rhs, 0.0, np.array([0.0]), 2.0, first_step=0.3,
+                                     on_accept=lambda t, y: y)
+    work = rec.work()
+    assert status == "SAFETY_BREACH"
+    assert len(rec.ts) == 2 * work["accepted_steps"] + 1
+    assert work["accepted_steps"] == len(set(rec.ts)) - 1
+    assert work["rejected_steps"] > integrate.MAX_SAFETY_HALVINGS
 
 
 def test_on_accept_replacement():

@@ -39,6 +39,38 @@ class TestBuild:
         assert np.all(prob.A[[0, 2, 3, 4, 5], 2] == 0.0)
 
 
+    def test_state_rows_are_the_lie_derivatives(self, safeset, cost_spec, params):
+        # rows 0 and 1 against L_f h, L_g h, L_f V and L_g V written out,
+        # on a system with drift and a state-independent input map
+        lin = sa.linear_system(A=np.array([[0.0, 1.0], [-1.0, -0.5]]),
+                               B=np.array([[0.0, 0.3], [1.0, 0.2]]))
+        Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+        cost = sa.CostSpec(Q=Q, r_diag=cost_spec.r_diag, u_max=cost_spec.u_max)
+        template = sa.qpsolve.ControllerQp(lin, safeset, cost, params)
+        rng = np.random.default_rng(38)
+        for x in rng.uniform(-4, 6, size=(50, 2)):
+            if np.linalg.norm(x - safeset.center) < 0.1:
+                continue
+            f, g, gh = lin.drift(x), lin.input_map(x), safeset.grad(x)
+            gV = 2.0 * Q @ x
+            prob = sa.build_qp(lin, safeset, cost, params, x, template)
+            tol = dict(rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(prob.A[0, :2], -(gh @ g), **tol)
+            np.testing.assert_allclose(prob.b[0], gh @ f + params.alpha_scale * safeset.h(x), **tol)
+            np.testing.assert_allclose(prob.A[1, :2], gV @ g, **tol)
+            np.testing.assert_allclose(prob.b[1], -(gV @ f) - params.gamma_scale * (x @ Q @ x),
+                                       **tol)
+            assert prob.A[0, 2] == 0.0 and prob.A[1, 2] == -1.0
+
+    def test_template_checks_h_once(self, sys_, safeset, cost_spec, params, monkeypatch):
+        template = sa.qpsolve.ControllerQp(sys_, safeset, cost_spec, params)
+        checks = []
+        monkeypatch.setattr(sa.QpProblem, "__post_init__", lambda prob: checks.append(prob))
+        probs = [template.at(x) for x in ([3.0, 3.5], [1.0, 0.0])]
+        assert checks == []
+        assert probs[0].H is probs[1].H is template.problem.H
+
+
 class TestController:
     def test_origin_gives_zero(self, sys_, safeset, cost_spec, params):
         # CLF row at x = 0 is 0 <= 0, so the unconstrained minimum v = 0 wins
@@ -274,6 +306,38 @@ class TestWarmStart:
         cold = sa.solve_qp(prob)
         assert cold.active_set == cold_set
         _same_solution(sa.solve_qp(prob, start=(0,)), cold)
+
+    @pytest.mark.parametrize("b1, lam0, dc, verdict", [
+        (1.0, 2.0, 0.0, True),
+        (-5e-9, 2.0, 0.0, True),  # row 1 violated by 5e-9
+        (-5e-8, 2.0, 0.0, False),  # ... and by 5e-8
+        (1.0, -5e-9, 0.0, True),  # a multiplier of -5e-9
+        (1.0, -5e-8, 0.0, False),
+        (1.0, 2.0, 1e-6, False),  # a bad stationarity residual
+    ], ids=["optimum", "row-violated-by-5e-9", "row-violated-by-5e-8", "multiplier-of-minus-5e-9",
+            "multiplier-of-minus-5e-8", "stationarity"])
+    def test_kkt_verdict_with_a_given_slack(self, b1, lam0, dc, verdict):
+        # v = (1, 0) with multiplier lam0 on row 0 (v1 >= 1) and row 1
+        # v2 <= b1; c_lin makes 2 H v + c_lin + A^T lam vanish, up to dc
+        prob = sa.QpProblem(H=np.eye(2), c_lin=np.array([lam0 - 2.0 + dc, 0.0]),
+                            A=np.array([[-1.0, 0.0], [0.0, 1.0]]), b=np.array([-1.0, b1]))
+        v, lam = np.array([1.0, 0.0]), np.array([lam0, 0.0])
+        slack = prob.A @ v - prob.b
+        assert sa.kkt_residuals(prob, v, lam, slack) == sa.kkt_residuals(prob, v, lam)
+        assert kkt_ok(prob, v, lam, slack=slack) is kkt_ok(prob, v, lam) is verdict
+
+    def test_warm_check_reuses_its_slack(self, monkeypatch):
+        given = []
+        real = sa.qpsolve.kkt_ok
+
+        def record(prob, v, lam, *args, **kwargs):
+            given.append((prob.A @ v - prob.b, kwargs.get("slack")))
+            return real(prob, v, lam, *args, **kwargs)
+
+        monkeypatch.setattr(sa.qpsolve, "kkt_ok", record)
+        assert sa.solve_qp(sa.QpProblem(**self.PROB), start=(0,)).iterations == 0
+        (want, slack), = given
+        np.testing.assert_array_equal(slack, want)
 
     def test_infeasible_problem_with_a_start(self):
         prob = sa.QpProblem(H=np.eye(1), c_lin=np.zeros(1),

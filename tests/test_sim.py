@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import time
 
@@ -118,6 +119,30 @@ class TestAdpEpisode:
         assert rec.status == "OK"
         assert counts["rhs"] > 0
         assert counts["bellman"] == counts["rhs"] + 2
+
+    def test_integrator_work_is_recorded(self, monkeypatch):
+        # accepted steps are the distinct recorded times after the first;
+        # every attempt is accepted or rejected
+        integrate, dp54 = sa.sim.integrate_adaptive, sa.integrate.dp54_step
+        records, attempts = [], []
+
+        def keep(*args, **kwargs):
+            records.append(integrate(*args, **kwargs)[1])
+            return "OK", records[-1]
+
+        def counted_step(*args, **kwargs):
+            attempts.append(None)
+            return dp54(*args, **kwargs)
+
+        monkeypatch.setattr(sa.sim, "integrate_adaptive", keep)
+        monkeypatch.setattr(sa.integrate, "dp54_step", counted_step)
+        rec = sa.run_adp_episode(sa.build_scenario(sim__t_final=5.0))
+        ts = records[0].ts
+        assert len(ts) > len(set(ts))  # the junction rule records states twice
+        assert rec.accepted_steps == len(set(ts)) - 1
+        assert rec.accepted_steps + rec.rejected_steps == len(attempts)
+        # the start, 6 per attempt and 1 after each accepted step's hook
+        assert rec.rhs_evals == 1 + 6 * len(attempts) + rec.accepted_steps
 
     def test_rejects_unsafe_start(self):
         # build_scenario refuses this start; a scenario assembled by hand
@@ -262,6 +287,55 @@ class TestQpEpisode:
         assert starts[0][0] == () and starts[0][1] > 0  # the first hold is cold
         assert rec.qp_iterations == sum(it for _, it in starts)
         assert rec.qp_cold_solves == sum(it > 0 for _, it in starts) < 10
+
+    @pytest.mark.parametrize("x0", [[3.0, 3.5], [3.0, 3.0]])
+    def test_every_hold_builds_the_one_shot_problem(self, monkeypatch, x0):
+        # each hold's problem, built from the episode's template, against a
+        # fresh build_qp at that state, bit for bit
+        build_qp, holds = sa.qpsolve.build_qp, []
+
+        def both(*args):
+            assert isinstance(args[5], sa.qpsolve.ControllerQp)  # the episode's template
+            prob, fresh = build_qp(*args), build_qp(*args[:5])
+            for name in ("H", "c_lin", "A", "b"):
+                np.testing.assert_array_equal(getattr(prob, name), getattr(fresh, name))
+            holds.append(args[4])
+            return prob
+
+        monkeypatch.setattr(sa.qpsolve, "build_qp", both)
+        scn = sa.build_scenario(sim__controller="qp", sim__t_final=2.0, sim__x0=x0)
+        assert sa.run_qp_episode(scn).status == "OK"
+        assert len(holds) == 200
+
+    def test_a_solution_outlives_the_next_hold(self, monkeypatch):
+        # every hold's problem and solution, compared after the episode
+        # with copies taken when they were returned
+        solve_qp, kept = sa.qpsolve.solve_qp, []
+
+        def keep(prob, *args, **kwargs):
+            sol = solve_qp(prob, *args, **kwargs)
+            kept.append((prob, sol, copy.deepcopy((prob, sol))))
+            return sol
+
+        monkeypatch.setattr(sa.qpsolve, "solve_qp", keep)
+        scn = sa.build_scenario(sim__controller="qp", sim__t_final=2.0)
+        assert sa.run_qp_episode(scn).status == "OK"
+        for (prob, sol, (prob0, sol0)), (later, _, _) in zip(kept, kept[1:]):
+            assert not np.shares_memory(prob.A, later.A)
+            assert not np.shares_memory(prob.b, later.b)
+            for name in ("A", "b"):
+                np.testing.assert_array_equal(getattr(prob, name), getattr(prob0, name))
+            for name in ("v_star", "multipliers"):
+                np.testing.assert_array_equal(getattr(sol, name), getattr(sol0, name))
+            assert sol.active_set == sol0.active_set
+
+    def test_integrator_work_is_recorded(self, qp_record, qp_stall_record):
+        # one DP5 step per hold: 1 evaluation at the start, 6 per step and
+        # 1 at each of the 2,499 holds after the first
+        for rec in (qp_record, qp_stall_record):
+            assert rec.accepted_steps == 2500
+            assert rec.rhs_evals == 1 + 6 * 2500 + 2499 == 17500
+            assert rec.rejected_steps == 0
 
     def test_solver_work_is_recorded(self, qp_record, qp_stall_record, adp_record):
         # the first hold is solved cold, and the default episode's active
