@@ -3,16 +3,15 @@ CLF-CBF quadratic-program baseline and a simulation harness."""
 
 from .config import DEFAULTS, Scenario, build_scenario, parse_config
 from .cost import (BarrierSpec, CostSpec, barrier_B, barrier_Bbar, grad_Bbar,
-                   input_penalty_Ru, instantaneous_cost, scheduling_s)
+                   input_penalty_Ru, instantaneous_cost)
 from .critic import (BellmanSample, LearnerGains, actor_rhs, bellman_at,
                      critic_rhs, excitation_metrics, gamma_rhs,
-                     regressor_sum, sample_extrapolation_points,
-                     weak_excitation)
+                     sample_extrapolation_points, weak_excitation)
 from .errors import (BoundaryViolation, ConfigError, InputOutOfBox,
                      QpInfeasible, QpSolverFailed, RunEnded, SafeAdpError,
                      SingularGradient)
 from .model import (CircularSafeSet, SystemModel, cbf_condition, cbf_margin,
-                    clf_condition, clf_margin, linear_system, single_integrator)
+                    clf_condition, linear_system, single_integrator)
 from .qpsolve import (ControllerQp, QpParams, QpProblem, QpSolution, build_qp,
                       kkt_residuals, qp_controller, solve_qp)
 from .sim import (SimConfig, SummaryReport, TrajectoryRecord,

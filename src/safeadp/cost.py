@@ -100,11 +100,6 @@ def _grad_Bbar(spec: BarrierSpec, x, h, s):
     return (spec.k_p * (_ds_dh(spec, h) * ha - s) / (ha * ha))[..., None] * spec.safeset.grad(x)
 
 
-def scheduling_s(spec: BarrierSpec, x):
-    """Scheduling weight in [0, 1]: 1 near the boundary, 0 far from it."""
-    return _s_of_h(spec, spec.safeset.h(x))
-
-
 def barrier_B(spec: BarrierSpec, x):
     """Reciprocal barrier k_p s/h per row; blows up as h -> 0+. Raises
     BoundaryViolation if any row has h <= H_MIN."""

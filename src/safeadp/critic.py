@@ -36,6 +36,8 @@ class LearnerGains:
                 raise ValueError(f"{name} must be nonnegative")
         if self.N < 1:
             raise ValueError("N must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -113,15 +115,12 @@ def critic_rhs(gains: LearnerGains, Gamma, rows: BellmanSample):
     return -np.asarray(Gamma, float) @ acc
 
 
-def regressor_sum(gains: LearnerGains, rows: BellmanSample):
-    """kc1 Lambda_0 + (kc2/N) sum_k Lambda_k, the curvature of the update."""
-    return (_row_weights(gains, rows)[:, None, None] * rows.Lambda).sum(axis=0)
-
-
 def gamma_rhs(gains: LearnerGains, Gamma, rows: BellmanSample):
-    """Gain-matrix dynamics: forgetting growth minus regressor contraction."""
+    """Gain-matrix dynamics, symmetrized: forgetting growth beta Gamma minus
+    the contraction Gamma S Gamma, where S = kc1 Lambda_0 + (kc2/N) sum_k
+    Lambda_k is the curvature of the critic update."""
     Gamma = np.asarray(Gamma, float)
-    S = regressor_sum(gains, rows)
+    S = (_row_weights(gains, rows)[:, None, None] * rows.Lambda).sum(axis=0)
     M = gains.beta * Gamma - Gamma @ S @ Gamma
     return 0.5 * (M + M.T)
 

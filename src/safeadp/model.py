@@ -128,9 +128,3 @@ def cbf_margin(sys, safeset, alpha_scale, x, u):
     a, b = cbf_condition(safeset, alpha_scale, x, sys.drift(x), sys.input_map(x))
     return a + np.vecdot(b, u)
 
-
-def clf_margin(sys, Q, gamma_scale, x, u):
-    """L_f V + L_g V u + gamma_scale V per row of x and u, for V(x) = x^T Q x;
-    nonpositive when stabilizing."""
-    a, b = clf_condition(np.asarray(Q, float), gamma_scale, x, sys.drift(x), sys.input_map(x))
-    return a + np.vecdot(b, u)

@@ -13,11 +13,15 @@ set strategy of Ferreau, Bock and Diehl (IJRNC 18, 2008). The slack
 A v - b of that point is formed once and serves both the violation test
 and the KKT check.
 
+`solve_qp` returns only verified optima: an infeasible problem raises
+QpInfeasible, and a loop that does not converge, or ends on a point that
+fails the KKT check, raises QpSolverFailed.
+
 The controller instance has decision variables v = [u; phi] with
 H = blkdiag(R, p): the CLF row is relaxed by phi, the CBF and box rows
 are hard. Only the CBF and CLF rows depend on the state, so a
 `ControllerQp` builds (and checks) H, c_lin and the box rows once, and
-each state writes just those two rows.
+`build_qp(ctrl, x)` writes just those two rows at each state.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from .errors import QpInfeasible, QpSolverFailed
 from .model import cbf_condition, clf_condition
 
 KKT_TOL = 1e-8
-SOLVE_TOL = 1e-9
+SOLVE_TOL = 1e-9  # row violation the dual loop and the warm check accept
+MAX_ITER = 200  # passes of the dual loop before QpSolverFailed
 
 
 @dataclass
@@ -88,8 +93,6 @@ class QpSolution:
     v_star: np.ndarray
     active_set: tuple
     multipliers: np.ndarray
-    status: str  # "Optimal" or "Infeasible"
-    objective: float = np.nan
     iterations: int = 0
 
 
@@ -112,9 +115,9 @@ def kkt_residuals(prob: QpProblem, v, multipliers, slack=None):
     }
 
 
-def kkt_ok(prob, v, multipliers, tol=KKT_TOL, slack=None):
+def kkt_ok(prob, v, multipliers, slack=None):
     res = kkt_residuals(prob, v, multipliers, slack)
-    return all(r <= tol for r in res.values())
+    return all(r <= KKT_TOL for r in res.values())
 
 
 def _equality_solve(prob: QpProblem, W):
@@ -139,14 +142,14 @@ def _equality_solve(prob: QpProblem, W):
 def _solution(prob: QpProblem, W, v, lam, iterations):
     lam_full = np.zeros(prob.k)
     lam_full[W] = lam
-    return QpSolution(v_star=v, active_set=tuple(W), multipliers=lam_full, status="Optimal",
-                      objective=prob.objective(v), iterations=iterations)
+    return QpSolution(v_star=v, active_set=tuple(W), multipliers=lam_full, iterations=iterations)
 
 
-def _warm_solve(prob: QpProblem, start, tol):
+def _warm_solve(prob: QpProblem, start):
     """The solution on the rows of `start` taken as equalities, or None
     unless it meets every condition the dual loop stops on: each row
-    violated by at most tol, no negative multiplier, and the KKT check."""
+    violated by at most SOLVE_TOL, no negative multiplier, and the KKT
+    check."""
     W = sorted(start)
     if len(W) > prob.d or len(set(W)) < len(W) or W[0] < 0 or W[-1] >= prob.k:
         return None
@@ -155,40 +158,40 @@ def _warm_solve(prob: QpProblem, start, tol):
     except np.linalg.LinAlgError:  # dependent rows
         return None
     slack = prob.A @ v - prob.b
-    if slack.max() > tol or (lam < 0.0).any():
+    if slack.max() > SOLVE_TOL or (lam < 0.0).any():
         return None
     sol = _solution(prob, W, v, lam, 0)
     return sol if kkt_ok(prob, v, sol.multipliers, slack=slack) else None
 
 
-def solve_qp(prob: QpProblem, tol=SOLVE_TOL, max_iter=200, start=()):
+def solve_qp(prob: QpProblem, start=()):
     """Goldfarb-Idnani dual active-set method (Math. Programming 27, 1983)
     with an optional warm start.
 
     A non-empty `start` (row indices, for instance the active set of the
     previous, nearby problem) is tried first: one equality-constrained
     solve on sorted(start), accepted only when every row is violated by at
-    most tol, every multiplier is >= 0 and the KKT check passes; the slack
-    A v - b is formed once for both tests. Anything else (a stale or
+    most SOLVE_TOL, every multiplier is >= 0 and the KKT check passes; the
+    slack A v - b is formed once for both tests. Anything else (a stale or
     invalid start, dependent rows, an infeasible problem) runs the dual
     loop from scratch, as does an empty start.
 
     The dual loop starts at the unconstrained minimum and adds the most
     violated row (smallest index on ties); an active row is dropped when
     its multiplier would turn negative first (a partial step). No finite
-    step means the problem is infeasible. Both paths return the point that
-    solves the sorted final active set as equalities, so the result depends
-    only on the problem and that set, and a warm hit equals the cold solve
-    ending on the same set bit for bit. `iterations` counts passes of the
-    dual loop (0 on a warm hit). Every Optimal result satisfies the KKT
-    conditions at KKT_TOL (verified before returning; QpSolverFailed
-    otherwise, as when max_iter runs out).
+    step means the problem is infeasible, and QpInfeasible is raised. Both
+    paths return the point that solves the sorted final active set as
+    equalities, so the result depends only on the problem and that set,
+    and a warm hit equals the cold solve ending on the same set bit for
+    bit. `iterations` counts passes of the dual loop (0 on a warm hit).
+    Every returned solution satisfies the KKT conditions at KKT_TOL
+    (verified before returning); QpSolverFailed is raised otherwise, and
+    when MAX_ITER passes do not converge.
     """
     if len(start):
-        warm = _warm_solve(prob, start, tol)
+        warm = _warm_solve(prob, start)
         if warm is not None:
             return warm
-    d, k = prob.d, prob.k
     A, b = prob.A, prob.b
     # in w = L^T v, with 2H = L L^T, the Hessian is I and the rows are A L^-T
     L_T_inv = np.linalg.inv(np.linalg.cholesky(2.0 * prob.H)).T
@@ -197,15 +200,15 @@ def solve_qp(prob: QpProblem, tol=SOLVE_TOL, max_iter=200, start=()):
     W: list[int] = []
     lam = np.zeros(0)  # multipliers of the rows in W, in order
     it = 0
-    while it < max_iter:
+    while it < MAX_ITER:
         it += 1
         viol = A @ v - b
         viol[W] = -np.inf
-        p = int(np.argmax(viol)) if k else -1
-        if p < 0 or viol[p] <= tol:
+        p = int(np.argmax(viol)) if b.size else -1
+        if p < 0 or viol[p] <= SOLVE_TOL:
             break
         a, lam_p = Aw[p], 0.0
-        while it < max_iter:
+        while it < MAX_ITER:
             # z is the part of a orthogonal to the rows of W (exactly 0 when
             # |W| = d): it keeps W active and lowers row p, while the
             # multipliers of W move by -r per unit step
@@ -222,8 +225,7 @@ def solve_qp(prob: QpProblem, tol=SOLVE_TOL, max_iter=200, start=()):
             t_part = lam[drop] / r[drop] if pos.size else np.inf
             t = min(t_full, t_part)
             if not np.isfinite(t):
-                return QpSolution(v_star=np.full(d, np.nan), active_set=(), iterations=it,
-                                  multipliers=np.zeros(k), status="Infeasible")
+                raise QpInfeasible(f"QP infeasible: no step of the dual loop satisfies row {p}")
             if np.isfinite(t_full):
                 v = v + t * (L_T_inv @ z)
             lam = lam - t * r
@@ -247,14 +249,13 @@ def solve_qp(prob: QpProblem, tol=SOLVE_TOL, max_iter=200, start=()):
 
 
 class ControllerQp:
-    """The relaxed CLF-CBF QP of one system, safe set, cost and QpParams,
-    for any state.
+    """The parts of the relaxed CLF-CBF QP that no state changes, for one
+    system, safe set, cost and QpParams.
 
     Rows: CBF (hard), CLF with V = x^T cost.Q x relaxed by phi, then the 2m
     rows of the input box |u_i| <= cost.u_max. H = blkdiag(R, p), c_lin = 0
-    and the box rows are built, and H checked, once here; `at(x)` writes
-    the CBF and CLF rows at x into fresh copies of A and b, so a problem
-    returned for one state is not changed by the next.
+    and the box rows are built, and H checked, once here; `build_qp` writes
+    the CBF and CLF rows at each state.
     """
 
     def __init__(self, sys, safeset, cost, params: QpParams):
@@ -275,39 +276,31 @@ class ControllerQp:
         # rows 0 and 1 are written at each state
         self.problem = QpProblem(H=H, c_lin=np.zeros(d), A=A, b=b)
 
-    def at(self, x):
-        """The QP at state x: the CBF row reads a_h + b_h u >= 0 and the CLF
-        row b_V u - phi <= -a_V, with drift, input map, h and grad of h
-        evaluated once each."""
-        x = np.asarray(x, float)
-        f = np.asarray(self.sys.drift(x), float)
-        g = np.asarray(self.sys.input_map(x), float)
-        a_h, b_h = cbf_condition(self.safeset, self.params.alpha_scale, x, f, g)
-        a_V, b_V = clf_condition(self.cost.Q, self.params.gamma_scale, x, f, g)
-        m = self.sys.m
-        A, b = self.problem.A.copy(), self.problem.b.copy()
-        A[0, :m] = -b_h
-        b[0] = a_h
-        A[1, :m] = b_V
-        b[1] = -a_V
-        return self.problem.with_rows(A, b)
+
+def build_qp(ctrl: ControllerQp, x):
+    """The QP of `ctrl` at state x: the CBF row reads a_h + b_h u >= 0 and
+    the CLF row b_V u - phi <= -a_V, with drift, input map, h and grad of h
+    evaluated once each. The rows are written into fresh copies of A and
+    b, so a problem returned for one state is not changed by the next."""
+    x = np.asarray(x, float)
+    sys = ctrl.sys
+    f = np.asarray(sys.drift(x), float)
+    g = np.asarray(sys.input_map(x), float)
+    a_h, b_h = cbf_condition(ctrl.safeset, ctrl.params.alpha_scale, x, f, g)
+    a_V, b_V = clf_condition(ctrl.cost.Q, ctrl.params.gamma_scale, x, f, g)
+    m = sys.m
+    A, b = ctrl.problem.A.copy(), ctrl.problem.b.copy()
+    A[0, :m] = -b_h
+    b[0] = a_h
+    A[1, :m] = b_V
+    b[1] = -a_V
+    return ctrl.problem.with_rows(A, b)
 
 
-def build_qp(sys, safeset, cost, params: QpParams, x, template=None):
-    """The relaxed CLF-CBF QP at state x (see `ControllerQp`). A caller that
-    builds many passes the `ControllerQp` of the same arguments as
-    `template`, which then does only the work that depends on x."""
-    if template is None:
-        template = ControllerQp(sys, safeset, cost, params)
-    return template.at(x)
-
-
-def qp_controller(sys, safeset, cost, params: QpParams, x, start=(), template=None):
-    """Solve the QP at x, warm-started from the rows in `start` and built
-    from `template` when given, and return the input block (applied
-    zero-order hold) and the solution."""
-    prob = build_qp(sys, safeset, cost, params, x, template)
+def qp_controller(ctrl: ControllerQp, x, start=()):
+    """Solve the QP of `ctrl` at x, warm-started from the rows in `start`,
+    and return the input block (applied zero-order hold) and the solution.
+    Raises what `solve_qp` raises: QpInfeasible or QpSolverFailed."""
+    prob = build_qp(ctrl, x)
     sol = solve_qp(prob, start=start)
-    if sol.status != "Optimal":
-        raise QpInfeasible(f"CLF-CBF QP infeasible at x={np.asarray(x, float)}")
-    return sol.v_star[: sys.m], sol
+    return sol.v_star[: ctrl.sys.m], sol

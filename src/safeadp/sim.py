@@ -299,12 +299,12 @@ def run_qp_episode(scn):
     # the last solve's active set (each solve is warm-started from it), the
     # input cost of the held input, and the solver's work so far
     held = {"active": (), "input_cost": 0.0, "iterations": 0, "cold": 0}
-    template = ControllerQp(sys_, safeset, cost, qp)  # the rows no state changes
+    ctrl = ControllerQp(sys_, safeset, cost, qp)  # the rows no state changes
     y0 = np.append(sim.x0, 0.0)  # [x, J]
 
     def solve(x):
         try:
-            u, sol = qp_controller(sys_, safeset, cost, qp, x, held["active"], template)
+            u, sol = qp_controller(ctrl, x, held["active"])
         except QpInfeasible:
             raise RunEnded("QP_INFEASIBLE") from None
         except QpSolverFailed:

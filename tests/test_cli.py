@@ -221,6 +221,7 @@ class TestConfig:
         ("gains.nu = 0", "gains: nu must be positive"),
         ("qp.alpha_scale = 0", "qp: alpha_scale must be positive"),
         ("gains.N = 1.5", "gains.N: expected an integer"),
+        ("gains.seed = -1", "gains: seed must be nonnegative"),
         ("sim.x0 = [2.0, 2.5]", "sim: x0 must lie in the interior of the safe set"),
         # arrays sized for another system than the one built
         ("cost.r_diag = [10.0, 10.0, 10.0]", "cost.r_diag: shape (3,) does not fit"),
@@ -333,13 +334,15 @@ class TestSweep:
         assert not (tmp_path / "sw_000.csv").exists()
 
     def test_rejected_value_ends_the_sweep_before_any_episode(self, tmp_path, capsys):
-        code = main(["sweep", "--t-final", "0.3", "--out", str(tmp_path / "sw.csv"),
-                     "--sweep-key", "sim.controller", "--sweep-values", "adp;xyz"])
-        assert code == 4
-        err = capsys.readouterr().err
-        assert err.startswith("config error: --sweep-values:2: sim: controller must be")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "sw_000.csv").exists()
+        for key, values, message in (("sim.controller", "adp;xyz", "sim: controller must be"),
+                                     ("gains.seed", "0;-1", "gains: seed must be nonnegative")):
+            code = main(["sweep", "--t-final", "0.3", "--out", str(tmp_path / "sw.csv"),
+                         "--sweep-key", key, "--sweep-values", values])
+            assert code == 4
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: --sweep-values:2: {message}")
+            assert err.count("\n") == 1
+            assert not (tmp_path / "sw_000.csv").exists()
 
     def test_unknown_sweep_key(self, tmp_path):
         code = main(["sweep", "--sweep-key", "nope.nope", "--sweep-values", "1",

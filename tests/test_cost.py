@@ -11,17 +11,24 @@ def _h_point(safeset, h):
     return safeset.center + np.array([0.0, safeset.radius + h])
 
 
+def _bbar_with_s(barrier, x, s):
+    """k_p s/(h+a) at x: the bounded barrier for the scheduling weight s."""
+    return barrier.k_p * s / (barrier.safeset.h(x) + barrier.a)
+
+
 class TestScheduling:
+    # the scheduling weight s(h) is read through barrier_Bbar = k_p s/(h+a)
     def test_fully_on_and_off(self, safeset, barrier):
-        assert sa.scheduling_s(barrier, _h_point(safeset, 0.1)) == 1.0
-        assert sa.scheduling_s(barrier, _h_point(safeset, 1.1)) == 0.0
+        on, off = _h_point(safeset, 0.1), _h_point(safeset, 1.1)
+        assert sa.barrier_Bbar(barrier, on) == _bbar_with_s(barrier, on, 1.0)
+        assert sa.barrier_Bbar(barrier, off) == 0.0
 
     def test_midpoint(self, safeset, barrier):
-        mid = 0.5 * (barrier.d_on + barrier.d_off)
-        assert sa.scheduling_s(barrier, _h_point(safeset, mid)) == pytest.approx(0.5)
+        x = _h_point(safeset, 0.5 * (barrier.d_on + barrier.d_off))
+        assert sa.barrier_Bbar(barrier, x) == pytest.approx(_bbar_with_s(barrier, x, 0.5))
 
     def test_vanishes_at_origin(self, barrier):
-        assert sa.scheduling_s(barrier, np.zeros(2)) == 0.0
+        assert sa.barrier_Bbar(barrier, np.zeros(2)) == 0.0
 
     def test_c1_across_thresholds(self, safeset, barrier):
         # finite-difference slope of s(h) continuous at d_on and d_off

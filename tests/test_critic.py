@@ -155,7 +155,8 @@ class TestCriticUpdate:
                 acc = acc + w * rows.omega[k] * rows.delta[k] / (rows.rho[k] * rows.rho[k])
                 S = S + w * rows.Lambda[k]
             np.testing.assert_array_equal(sa.critic_rhs(gains, Gamma, rows), -Gamma @ acc)
-            np.testing.assert_array_equal(sa.regressor_sum(gains, rows), S)
+            M = gains.beta * Gamma - Gamma @ S @ Gamma
+            np.testing.assert_array_equal(sa.gamma_rhs(gains, Gamma, rows), 0.5 * (M + M.T))
 
 
 class TestGammaDynamics:
@@ -172,7 +173,7 @@ class TestGammaDynamics:
         s = _bell(setup, np.array([x, x]), x, np.ones(3), np.ones(3))
         G = 10.0 * np.eye(3)
         dG = sa.gamma_rhs(gains, G, s)
-        S = sa.regressor_sum(gains, s)
+        S = gains.kc1 * s.Lambda[0] + gains.kc2 / gains.N * s.Lambda[1]
         np.testing.assert_allclose(dG, 0.5 * ((gains.beta * G - G @ S @ G)
                                               + (gains.beta * G - G @ S @ G).T), atol=1e-12)
         assert np.all(np.linalg.eigvalsh(dG - gains.beta * G) <= 1e-12)

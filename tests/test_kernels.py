@@ -71,8 +71,12 @@ def test_geometry_and_system_kernels(scn, rows):
     assert_within_ulps(sa.cbf_margin(sys_, safe, 2.0, y, u),
                        row_by_row(lambda a, b: sa.cbf_margin(sys_, safe, 2.0, a, b), y, u))
     Q = np.array([[2.0, 0.5], [0.5, 1.0]])
-    assert_within_ulps(sa.clf_margin(sys_, Q, 10.0, y, u),
-                       row_by_row(lambda a, b: sa.clf_margin(sys_, Q, 10.0, a, b), y, u))
+
+    def clf_margin(x, v):  # clf_condition's a + b u
+        a, b = sa.clf_condition(Q, 10.0, x, sys_.drift(x), sys_.input_map(x))
+        return a + np.vecdot(b, v)
+
+    assert_within_ulps(clf_margin(y, u), row_by_row(clf_margin, y, u))
     lin = sa.linear_system(A=np.array([[0.0, 1.0], [-1.0, -0.5]]),
                            B=np.array([[0.0, 0.3], [1.0, 0.2]]))
     assert_within_ulps(lin.xdot(y, u), row_by_row(lin.xdot, y, u))
@@ -86,7 +90,6 @@ def test_cost_kernels(scn, rows):
                      (lambda a: sa.input_penalty_Ru(cost, a), u),
                      (lambda a: sa_cost._s_of_h(bar, a), h),
                      (lambda a: sa_cost._ds_dh(bar, a), h),
-                     (lambda a: sa.scheduling_s(bar, a), y),
                      (lambda a: sa.barrier_B(bar, a), y),
                      (lambda a: sa.barrier_Bbar(bar, a), y),
                      (lambda a: sa.grad_Bbar(bar, a), y)):

@@ -63,13 +63,20 @@ def test_cbf_margin_examples(safeset):
     assert sa.cbf_margin(sys_, safeset, alpha, x, [0.0, 0.5]) == pytest.approx(1.5)
 
 
+def _clf_margin(sys_, Q, gamma_scale, x, u):
+    """L_f V + L_g V u + gamma_scale V, as clf_condition's a + b u."""
+    x = np.asarray(x, float)
+    a, b = sa.clf_condition(Q, gamma_scale, x, sys_.drift(x), sys_.input_map(x))
+    return a + np.vecdot(b, u)
+
+
 def test_clf_margin_examples():
     sys_ = sa.build_scenario().system
     gamma = 10.0
     Q = np.eye(2)
-    assert sa.clf_margin(sys_, Q, gamma, [1.0, 0.0], [0.0, 0.0]) == pytest.approx(10.0)
-    assert sa.clf_margin(sys_, Q, gamma, [1.0, 0.0], [-5.0, 0.0]) == pytest.approx(0.0)
-    assert sa.clf_margin(sys_, Q, gamma, [0.0, 0.0], [0.3, -0.2]) == pytest.approx(0.0)
+    assert _clf_margin(sys_, Q, gamma, [1.0, 0.0], [0.0, 0.0]) == pytest.approx(10.0)
+    assert _clf_margin(sys_, Q, gamma, [1.0, 0.0], [-5.0, 0.0]) == pytest.approx(0.0)
+    assert _clf_margin(sys_, Q, gamma, [0.0, 0.0], [0.3, -0.2]) == pytest.approx(0.0)
 
 
 def test_margins_affine_in_u(safeset):
@@ -85,7 +92,7 @@ def test_margins_affine_in_u(safeset):
         u1, u2 = rng.uniform(-0.5, 0.5, size=(2, 2))
         for margin in (
             lambda u: sa.cbf_margin(sys_, safeset, alpha, x, u),
-            lambda u: sa.clf_margin(sys_, Q, gamma, x, u),
+            lambda u: _clf_margin(sys_, Q, gamma, x, u),
         ):
             base = margin(np.zeros(2))
             lhs = margin(u1 + u2) - base

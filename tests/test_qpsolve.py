@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import safeadp as sa
-from safeadp.errors import QpInfeasible
+from safeadp.errors import QpInfeasible, QpSolverFailed
 from safeadp.oracles import enumerate_qp, random_qp
-from safeadp.qpsolve import KKT_TOL, kkt_ok
+from safeadp.qpsolve import kkt_ok
 
 
 @pytest.fixture()
@@ -17,24 +17,26 @@ def params():
     return sa.build_scenario().qp
 
 
+@pytest.fixture()
+def ctrl(sys_, safeset, cost_spec, params):
+    return sa.ControllerQp(sys_, safeset, cost_spec, params)
+
+
 class TestBuild:
-    def test_shapes(self, sys_, safeset, cost_spec, params):
-        prob = sa.build_qp(sys_, safeset, cost_spec, params,
-                           np.array([3.0, 3.5]))
+    def test_shapes(self, ctrl):
+        prob = sa.build_qp(ctrl, np.array([3.0, 3.5]))
         assert prob.d == 3
         assert prob.k == 6
         np.testing.assert_allclose(prob.H, np.diag([10.0, 10.0, 2.0]))
         np.testing.assert_allclose(prob.c_lin, np.zeros(3))
 
-    def test_box_rows(self, sys_, safeset, cost_spec, params):
-        prob = sa.build_qp(sys_, safeset, cost_spec, params,
-                           np.array([-1.0, -1.0]))
+    def test_box_rows(self, ctrl):
+        prob = sa.build_qp(ctrl, np.array([-1.0, -1.0]))
         np.testing.assert_allclose(prob.b[2:], 0.5)
         np.testing.assert_allclose(prob.A[2:, 2], 0.0)
 
-    def test_phi_column_only_in_clf_row(self, sys_, safeset, cost_spec, params):
-        prob = sa.build_qp(sys_, safeset, cost_spec, params,
-                           np.array([1.0, -1.0]))
+    def test_phi_column_only_in_clf_row(self, ctrl):
+        prob = sa.build_qp(ctrl, np.array([1.0, -1.0]))
         assert prob.A[1, 2] == -1.0
         assert np.all(prob.A[[0, 2, 3, 4, 5], 2] == 0.0)
 
@@ -46,14 +48,14 @@ class TestBuild:
                                B=np.array([[0.0, 0.3], [1.0, 0.2]]))
         Q = np.array([[2.0, 0.5], [0.5, 1.0]])
         cost = sa.CostSpec(Q=Q, r_diag=cost_spec.r_diag, u_max=cost_spec.u_max)
-        template = sa.qpsolve.ControllerQp(lin, safeset, cost, params)
+        lin_ctrl = sa.ControllerQp(lin, safeset, cost, params)
         rng = np.random.default_rng(38)
         for x in rng.uniform(-4, 6, size=(50, 2)):
             if np.linalg.norm(x - safeset.center) < 0.1:
                 continue
             f, g, gh = lin.drift(x), lin.input_map(x), safeset.grad(x)
             gV = 2.0 * Q @ x
-            prob = sa.build_qp(lin, safeset, cost, params, x, template)
+            prob = sa.build_qp(lin_ctrl, x)
             tol = dict(rtol=1e-14, atol=1e-14)
             np.testing.assert_allclose(prob.A[0, :2], -(gh @ g), **tol)
             np.testing.assert_allclose(prob.b[0], gh @ f + params.alpha_scale * safeset.h(x), **tol)
@@ -62,58 +64,57 @@ class TestBuild:
                                        **tol)
             assert prob.A[0, 2] == 0.0 and prob.A[1, 2] == -1.0
 
-    def test_template_checks_h_once(self, sys_, safeset, cost_spec, params, monkeypatch):
-        template = sa.qpsolve.ControllerQp(sys_, safeset, cost_spec, params)
+    def test_controller_checks_h_once(self, ctrl, monkeypatch):
         checks = []
         monkeypatch.setattr(sa.QpProblem, "__post_init__", lambda prob: checks.append(prob))
-        probs = [template.at(x) for x in ([3.0, 3.5], [1.0, 0.0])]
+        probs = [sa.build_qp(ctrl, x) for x in ([3.0, 3.5], [1.0, 0.0])]
         assert checks == []
-        assert probs[0].H is probs[1].H is template.problem.H
+        assert probs[0].H is probs[1].H is ctrl.problem.H
 
 
 class TestController:
-    def test_origin_gives_zero(self, sys_, safeset, cost_spec, params):
+    def test_origin_gives_zero(self, ctrl):
         # CLF row at x = 0 is 0 <= 0, so the unconstrained minimum v = 0 wins
-        u, sol = sa.qp_controller(sys_, safeset, cost_spec, params,
-                                  np.zeros(2))
+        u, sol = sa.qp_controller(ctrl, np.zeros(2))
         np.testing.assert_allclose(u, 0.0, atol=1e-9)
-        assert sol.status == "Optimal"
+        assert sol.active_set == ()
 
-    def test_known_point(self, sys_, safeset, cost_spec, params):
+    def test_known_point(self, ctrl):
         # x = (1, 0): h ~ 1.236 so the CBF row is slack; the CLF row
         # LgV u - phi <= -gamma V forces motion toward the origin
         x = np.array([1.0, 0.0])
-        u, sol = sa.qp_controller(sys_, safeset, cost_spec, params, x)
+        u, sol = sa.qp_controller(ctrl, x)
         assert u[0] < 0.0
         assert abs(u[1]) <= 1e-9
-        prob = sa.build_qp(sys_, safeset, cost_spec, params, x)
+        prob = sa.build_qp(ctrl, x)
         assert kkt_ok(prob, sol.v_star, sol.multipliers)
         # CLF row active: phi picks up whatever the box leaves uncovered
         assert 1 in sol.active_set
 
-    def test_kkt_invariant_random_states(self, sys_, safeset, cost_spec, params):
+    def test_kkt_invariant_random_states(self, ctrl, sys_, safeset, params):
         rng = np.random.default_rng(30)
         for _ in range(100):
             x = rng.uniform(-4, 6, size=2)
             if np.linalg.norm(x - safeset.center) < safeset.radius + 0.02:
                 continue
-            u, sol = sa.qp_controller(sys_, safeset, cost_spec, params, x)
+            u, sol = sa.qp_controller(ctrl, x)
             assert np.all(np.abs(u) <= 0.5 + 1e-9)
-            prob = sa.build_qp(sys_, safeset, cost_spec, params, x)
-            assert kkt_ok(prob, sol.v_star, sol.multipliers, tol=KKT_TOL)
+            prob = sa.build_qp(ctrl, x)
+            assert kkt_ok(prob, sol.v_star, sol.multipliers)
             gh = safeset.grad(x)
             assert float(gh @ (sys_.input_map(x) @ u)) + params.alpha_scale * safeset.h(x) >= -1e-8
 
-    def test_infeasible_without_relaxation(self, sys_, safeset, cost_spec, params):
+    def test_infeasible_without_relaxation(self, ctrl, safeset):
         # just outside the disk, heading constraints clash once phi is
         # pinned to zero: CLF demands a large descent the box cannot give
         x = safeset.center + np.array([0.0, safeset.radius + 0.01])
-        prob = sa.build_qp(sys_, safeset, cost_spec, params, x)
+        prob = sa.build_qp(ctrl, x)
         A = np.vstack([prob.A, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
         b = np.concatenate([prob.b, [0.0, 0.0]])  # force phi = 0
         rigid = sa.QpProblem(H=prob.H, c_lin=prob.c_lin, A=A, b=b)
-        assert sa.solve_qp(rigid).status == "Infeasible"
-        assert sa.solve_qp(prob).status == "Optimal"
+        with pytest.raises(QpInfeasible):
+            sa.solve_qp(rigid)
+        sa.solve_qp(prob)  # the relaxed problem has an optimum: no raise
 
     def test_raises_on_infeasible(self, safeset):
         # from inside the obstacle a small input box cannot restore the
@@ -124,7 +125,7 @@ class TestController:
         params = sa.build_scenario().qp
         x = safeset.center + np.array([0.0, 0.5])  # h = -0.5
         with pytest.raises(QpInfeasible):
-            sa.qp_controller(tiny, safeset, tiny_cost, params, x)
+            sa.qp_controller(sa.ControllerQp(tiny, safeset, tiny_cost, params), x)
 
 
 class TestSolver:
@@ -151,9 +152,9 @@ class TestSolver:
             prob = random_qp(rng)
             sol = sa.solve_qp(prob)
             ref = enumerate_qp(prob)
-            assert sol.status == "Optimal" and ref is not None
+            assert ref is not None
             assert np.linalg.norm(sol.v_star - ref[0], np.inf) <= 1e-6
-            assert abs(sol.objective - ref[2]) <= 1e-8
+            assert abs(prob.objective(sol.v_star) - ref[2]) <= 1e-8
 
     def test_optimal_beats_random_feasible_points(self):
         rng = np.random.default_rng(32)
@@ -164,14 +165,25 @@ class TestSolver:
             v = sol.v_star + rng.normal(scale=1.0, size=3)
             if np.any(prob.A @ v > prob.b):
                 continue
-            assert prob.objective(v) >= sol.objective - 1e-10
+            assert prob.objective(v) >= prob.objective(sol.v_star) - 1e-10
             count += 1
 
     def test_infeasible_detection(self):
         prob = sa.QpProblem(H=np.eye(1), c_lin=np.zeros(1),
                             A=np.array([[1.0], [-1.0]]),
                             b=np.array([-1.0, -1.0]))  # v <= -1 and v >= 1
-        assert sa.solve_qp(prob).status == "Infeasible"
+        with pytest.raises(QpInfeasible):
+            sa.solve_qp(prob)
+
+    def test_iteration_limit_raises(self, monkeypatch):
+        # a cold solve that needs two passes of the dual loop (add row 0,
+        # then find nothing violated) fails to converge in one
+        prob = sa.QpProblem(H=np.eye(2), c_lin=np.zeros(2),
+                            A=np.array([[-1.0, 0.0]]), b=np.array([-1.0]))
+        assert sa.solve_qp(prob).iterations == 2
+        monkeypatch.setattr(sa.qpsolve, "MAX_ITER", 1)
+        with pytest.raises(QpSolverFailed, match="failed to converge"):
+            sa.solve_qp(prob)
 
     def test_asymmetric_h_rejected(self):
         with pytest.raises(ValueError):
@@ -200,14 +212,17 @@ class TestSolver:
 
 
 def _check_against_oracle(prob):
-    """solve_qp and exhaustive enumeration agree on status; an Optimal
-    result is a KKT point at KKT_TOL with the oracle's objective."""
-    sol = sa.solve_qp(prob)
+    """solve_qp raises QpInfeasible exactly when exhaustive enumeration
+    finds no optimum; otherwise its result is a KKT point at KKT_TOL with
+    the oracle's objective."""
     ref = enumerate_qp(prob)
-    assert sol.status == ("Optimal" if ref is not None else "Infeasible")
-    if ref is not None:
-        assert kkt_ok(prob, sol.v_star, sol.multipliers, tol=KKT_TOL)
-        assert abs(sol.objective - ref[2]) <= 1e-8 * max(1.0, abs(ref[2]))
+    if ref is None:
+        with pytest.raises(QpInfeasible):
+            sa.solve_qp(prob)
+        return None
+    sol = sa.solve_qp(prob)
+    assert kkt_ok(prob, sol.v_star, sol.multipliers)
+    assert abs(prob.objective(sol.v_star) - ref[2]) <= 1e-8 * max(1.0, abs(ref[2]))
     return sol
 
 
@@ -235,24 +250,21 @@ class TestSolverProperties:
             prob.b[d] = -(y[:d] @ prob.b[:d] + rng.uniform(0.01, 1.0)) / y[d]
             _check_against_oracle(prob)
 
-    def test_controller_on_boundary_band(self, sys_, safeset, cost_spec, params):
+    def test_controller_on_boundary_band(self, ctrl, safeset):
         rng = np.random.default_rng(35)
         for _ in range(300):
             theta = rng.uniform(0.0, 2.0 * np.pi)
             h = 10.0 ** rng.uniform(-12.0, -6.0)
             x = safeset.center + (safeset.radius + h) * np.array([np.cos(theta),
                                                                   np.sin(theta)])
-            prob = sa.build_qp(sys_, safeset, cost_spec, params, x)
-            assert _check_against_oracle(prob).status == "Optimal"
+            assert _check_against_oracle(sa.build_qp(ctrl, x)) is not None
 
 
 def _same_solution(a, b):
     """Bit-for-bit equality of two solve_qp results."""
-    assert a.status == b.status
     assert a.active_set == b.active_set
     np.testing.assert_array_equal(a.v_star, b.v_star)
     np.testing.assert_array_equal(a.multipliers, b.multipliers)
-    assert a.objective == b.objective
 
 
 class TestWarmStart:
@@ -281,7 +293,7 @@ class TestWarmStart:
         _same_solution(sol, sa.solve_qp(prob))
         ref = enumerate_qp(prob)
         np.testing.assert_allclose(sol.v_star, ref[0], rtol=0, atol=1e-12)
-        assert abs(sol.objective - ref[2]) <= 1e-12
+        assert abs(prob.objective(sol.v_star) - ref[2]) <= 1e-12
 
     def test_stale_start_cases_fail_where_named(self):
         # each stale start above trips the check its id names
@@ -344,7 +356,8 @@ class TestWarmStart:
                             A=np.array([[1.0], [-1.0]]),
                             b=np.array([-1.0, -1.0]))  # v <= -1 and v >= 1
         for start in ((0,), (1,), (0, 1)):
-            assert sa.solve_qp(prob, start=start).status == "Infeasible"
+            with pytest.raises(QpInfeasible):
+                sa.solve_qp(prob, start=start)
         rng = np.random.default_rng(36)
         d, k = 3, 6
         for _ in range(100):
@@ -354,15 +367,16 @@ class TestWarmStart:
             prob.b[d] = -(y[:d] @ prob.b[:d] + rng.uniform(0.01, 1.0)) / y[d]
             start = tuple(rng.choice(k, size=rng.integers(1, d + 1), replace=False))
             assert enumerate_qp(prob) is None
-            assert sa.solve_qp(prob, start=start).status == "Infeasible"
+            with pytest.raises(QpInfeasible):
+                sa.solve_qp(prob, start=start)
 
-    def test_random_starts_equal_the_cold_solve(self, sys_, safeset, cost_spec, params):
+    def test_random_starts_equal_the_cold_solve(self, ctrl, safeset):
         rng = np.random.default_rng(37)
         probs = [random_qp(rng, d=rng.integers(2, 5), k=rng.integers(3, 9)) for _ in range(200)]
         for _ in range(200):
             x = rng.uniform(-4, 6, size=2)
             if np.linalg.norm(x - safeset.center) > safeset.radius + 0.02:
-                probs.append(sa.build_qp(sys_, safeset, cost_spec, params, x))
+                probs.append(sa.build_qp(ctrl, x))
         hits = 0
         for prob in probs:
             cold = sa.solve_qp(prob)

@@ -276,7 +276,6 @@ class TestQpEpisode:
             assert warm.active_set == cold.active_set
             np.testing.assert_array_equal(warm.v_star, cold.v_star)
             np.testing.assert_array_equal(warm.multipliers, cold.multipliers)
-            assert warm.objective == cold.objective
             starts.append((kwargs["start"], warm.iterations))
             return warm
 
@@ -290,22 +289,23 @@ class TestQpEpisode:
 
     @pytest.mark.parametrize("x0", [[3.0, 3.5], [3.0, 3.0]])
     def test_every_hold_builds_the_one_shot_problem(self, monkeypatch, x0):
-        # each hold's problem, built from the episode's template, against a
-        # fresh build_qp at that state, bit for bit
-        build_qp, holds = sa.qpsolve.build_qp, []
+        # each hold's problem, built from the episode's ControllerQp, against
+        # build_qp on a freshly built ControllerQp at that state, bit for bit
+        build_qp, ctrls = sa.qpsolve.build_qp, []
 
-        def both(*args):
-            assert isinstance(args[5], sa.qpsolve.ControllerQp)  # the episode's template
-            prob, fresh = build_qp(*args), build_qp(*args[:5])
+        def both(ctrl, x):
+            prob = build_qp(ctrl, x)
+            fresh = build_qp(sa.ControllerQp(scn.system, scn.safeset, scn.cost, scn.qp), x)
             for name in ("H", "c_lin", "A", "b"):
                 np.testing.assert_array_equal(getattr(prob, name), getattr(fresh, name))
-            holds.append(args[4])
+            ctrls.append(ctrl)
             return prob
 
         monkeypatch.setattr(sa.qpsolve, "build_qp", both)
         scn = sa.build_scenario(sim__controller="qp", sim__t_final=2.0, sim__x0=x0)
         assert sa.run_qp_episode(scn).status == "OK"
-        assert len(holds) == 200
+        assert len(ctrls) == 200
+        assert all(ctrl is ctrls[0] for ctrl in ctrls)  # one ControllerQp per episode
 
     def test_a_solution_outlives_the_next_hold(self, monkeypatch):
         # every hold's problem and solution, compared after the episode
