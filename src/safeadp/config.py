@@ -89,7 +89,9 @@ def _parse_value(val, key, path, lineno):
 
 def _coerce(key, val):
     """Convert val to the type of the key's default; lists become float
-    arrays and keys whose default is None take the value as given."""
+    arrays and keys whose default is None take the value as given. A
+    number that is not finite (nan, inf, or a literal such as 1e999) is
+    rejected."""
     default = DEFAULTS[key]
     if default is None:
         return val
@@ -100,6 +102,8 @@ def _coerce(key, val):
         raise ConfigError(f"{key}: expected {kind.__name__}, got {val!r}") from None
     if kind is int and out != val:
         raise ConfigError(f"{key}: expected an integer, got {val!r}")
+    if kind in (float, list) and not np.isfinite(out).all():
+        raise ConfigError(f"{key}: expected finite values, got {val!r}")
     return out
 
 

@@ -32,6 +32,8 @@ class CostSpec:
         self.Q = Q
         self.r_diag = r_diag
         self.u_max = float(u_max)
+        # the per-input scale of the saturating policy and the input penalty
+        self.two_umax_r = 2.0 * self.u_max * r_diag
 
     def state_cost(self, x):
         """x^T Q x per row of x (..., n)."""
@@ -79,70 +81,86 @@ def _ramp(spec: BarrierSpec, h):
     return np.minimum(np.maximum((spec.d_off - h) / (spec.d_off - spec.d_on), 0.0), 1.0)
 
 
+def _ds_dt(spec: BarrierSpec, t):
+    # ds/dh at the ramp value t
+    return -_smoothstep_slope(t) / (spec.d_off - spec.d_on)
+
+
 def _s_of_h(spec: BarrierSpec, h):
     return _smoothstep(_ramp(spec, h))
 
 
 def _ds_dh(spec: BarrierSpec, h):
-    return -_smoothstep_slope(_ramp(spec, h)) / (spec.d_off - spec.d_on)
+    return _ds_dt(spec, _ramp(spec, h))
 
 
 def _scheduled(spec: BarrierSpec, x, floor, what):
-    """h and s(h) per row of x; BoundaryViolation if any row has h <= floor."""
+    """h and the ramp t(h) per row of x; BoundaryViolation if any row has
+    h <= floor. The scheduling is s = _smoothstep(t)."""
     h = spec.safeset.h(x)
     if (h <= floor).any():
         raise BoundaryViolation(f"{what} at h={np.min(h):g} <= {floor:g}")
-    return h, _s_of_h(spec, h)
+    return h, _ramp(spec, h)
 
 
-def _grad_Bbar(spec: BarrierSpec, x, h, s):
+def _grad_Bbar(spec: BarrierSpec, x, h, t, s):
     ha = h + spec.a
-    return (spec.k_p * (_ds_dh(spec, h) * ha - s) / (ha * ha))[..., None] * spec.safeset.grad(x)
+    return (spec.k_p * (_ds_dt(spec, t) * ha - s) / (ha * ha))[..., None] * spec.safeset.grad(x)
 
 
 def barrier_B(spec: BarrierSpec, x):
     """Reciprocal barrier k_p s/h per row; blows up as h -> 0+. Raises
     BoundaryViolation if any row has h <= H_MIN."""
-    h, s = _scheduled(spec, x, H_MIN, "barrier requested")
-    return spec.k_p * s / h
+    h, t = _scheduled(spec, x, H_MIN, "barrier requested")
+    return spec.k_p * _smoothstep(t) / h
 
 
 def barrier_Bbar(spec: BarrierSpec, x):
     """Bounded barrier k_p s/(h+a) per row; finite on the boundary."""
-    h, s = _scheduled(spec, x, -spec.a, "bounded barrier undefined")
-    return spec.k_p * s / (h + spec.a)
+    h, t = _scheduled(spec, x, -spec.a, "bounded barrier undefined")
+    return spec.k_p * _smoothstep(t) / (h + spec.a)
 
 
 def grad_Bbar(spec: BarrierSpec, x):
     """Analytic gradient of the bounded barrier per row (..., n); zero where
     the scheduling is off (h >= d_off), since s and ds/dh both vanish there."""
-    return _grad_Bbar(spec, x, *_scheduled(spec, x, -spec.a, "bounded barrier undefined"))
+    h, t = _scheduled(spec, x, -spec.a, "bounded barrier undefined")
+    return _grad_Bbar(spec, x, h, t, _smoothstep(t))
 
 
 def barrier_B_grad_Bbar(spec: BarrierSpec, x):
-    """barrier_B and grad_Bbar per row from one evaluation of h and s: the
-    two barrier terms of the Bellman error. Raises as barrier_B does."""
-    h, s = _scheduled(spec, x, H_MIN, "barrier requested")
-    return spec.k_p * s / h, _grad_Bbar(spec, x, h, s)
+    """barrier_B and grad_Bbar per row from one evaluation of h, the ramp
+    and s: the two barrier terms of the Bellman error. Raises as barrier_B
+    does."""
+    h, t = _scheduled(spec, x, H_MIN, "barrier requested")
+    s = _smoothstep(t)
+    return spec.k_p * s / h, _grad_Bbar(spec, x, h, t, s)
 
 
 def input_penalty_Ru(spec: CostSpec, u):
     """Closed form of the saturating input penalty, per row of u (..., m).
 
     Per component: 2 u_max r_i [u atanh(u/u_max) + (u_max/2) log(1 - (u/u_max)^2)],
-    with the analytic limit 2 u_max^2 r_i log 2 at the box corner.
+    with the analytic limit 2 u_max^2 r_i log 2 at the box corner
+    (|u_i|/u_max >= 1 - 1e-12). The largest |u_i| decides both the box check
+    and whether any component sits at the corner; only then is the closed
+    form masked, since it is not finite where tanh saturated to exactly
+    +-u_max.
     """
     u = np.asarray(u, dtype=float)
     ub = spec.u_max
     z = np.abs(u)
-    if (z > ub * (1.0 + 1e-9)).any():
+    z_max = z.max(initial=0.0)
+    if z_max > ub * (1.0 + 1e-9):
         raise InputOutOfBox(f"|u| exceeds the input box u_max={ub:g}: u={u}")
     z /= ub
+    if z_max / ub < 1.0 - 1e-12:  # no corner component
+        return (spec.two_umax_r * (u * np.arctanh(u / ub) + 0.5 * ub * np.log1p(-z * z))).sum(-1)
     # corner components are zeroed in the closed form and take the limit
     inside = z < 1.0 - 1e-12
     ui = u * inside
     z *= inside
-    inner = 2.0 * ub * spec.r_diag * (ui * np.arctanh(ui / ub) + 0.5 * ub * np.log1p(-z * z))
+    inner = spec.two_umax_r * (ui * np.arctanh(ui / ub) + 0.5 * ub * np.log1p(-z * z))
     return (inner + ~inside * (2.0 * ub * ub * spec.r_diag * np.log(2.0))).sum(-1)
 
 

@@ -14,8 +14,13 @@ from .staf import StaFConfig, grad_sigma, policy_star
 PROJ_LAYER = 0.05  # boundary-layer fraction of the actor projection
 
 
-@dataclass
+@dataclass(frozen=True)
 class LearnerGains:
+    """The learner's gains, frozen so that row_weights, the critic's
+    weights over the rows of a learner sample, is built once from kc1, kc2
+    and N and stays true: (kc1, kc2/N, ..., kc2/N), for the on-trajectory
+    row and the N extrapolated ones."""
+
     kc1: float
     kc2: float
     ka1: float
@@ -26,6 +31,7 @@ class LearnerGains:
     wa_bound: float
     seed: int
     pe_window: float
+    row_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("nu", "gamma0", "wa_bound", "pe_window"):
@@ -38,17 +44,24 @@ class LearnerGains:
             raise ValueError("N must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        w = np.full(self.N + 1, self.kc2 / self.N)
+        w[0] = self.kc1
+        w.flags.writeable = False
+        object.__setattr__(self, "row_weights", w)
 
 
 @dataclass
 class BellmanSample:
     """Bellman error and its normalized regressor at evaluation points.
 
-    Every field carries the rows of the evaluation: u (..., m),
-    omega (..., L), omega_B, rho and delta (...), Lambda (..., L, L).
+    Every field carries the rows of the evaluation: u (..., m), the
+    state derivative ydot (..., n) under u, omega (..., L), the state cost
+    y^T Q y, omega_B, rho and delta (...), Lambda (..., L, L).
     """
 
     u: np.ndarray
+    ydot: np.ndarray
+    state_cost: np.ndarray
     omega: np.ndarray
     omega_B: np.ndarray
     rho: np.ndarray
@@ -73,12 +86,14 @@ def bellman_at(y, x, Wc, Wa, sys, cost: CostSpec, bar: BarrierSpec,
     ydot = sys.xdot(y, u)
     omega = np.matvec(C, ydot)
     omega_B = np.vecdot(gB, ydot)
-    r = cost.state_cost(y) + input_penalty_Ru(cost, u) + B  # instantaneous_cost
+    xQx = cost.state_cost(y)
+    r = xQx + input_penalty_Ru(cost, u) + B  # instantaneous_cost
     delta = np.vecdot(Wc, omega) + r + omega_B
     rho = 1.0 + gains.nu * np.vecdot(omega, omega)
     Lam = omega[..., :, None] * omega[..., None, :]
     Lam /= (rho * rho)[..., None, None]
-    return BellmanSample(u=u, omega=omega, omega_B=omega_B, rho=rho, delta=delta, Lambda=Lam)
+    return BellmanSample(u=u, ydot=ydot, state_cost=xQx, omega=omega, omega_B=omega_B,
+                         rho=rho, delta=delta, Lambda=Lam)
 
 
 def sample_extrapolation_points(rng, x, N, cfg: StaFConfig, safeset, h_min=H_MIN):
@@ -100,17 +115,11 @@ def sample_extrapolation_points(rng, x, N, cfg: StaFConfig, safeset, h_min=H_MIN
     return pts
 
 
-def _row_weights(gains: LearnerGains, rows: BellmanSample):
-    """(kc1, kc2/N, ..., kc2/N) over the rows of the learner's sample: row 0
-    is the on-trajectory sample, rows 1..N the extrapolated ones."""
-    w = np.full(rows.delta.shape, gains.kc2 / gains.N)
-    w[0] = gains.kc1
-    return w
-
-
 def critic_rhs(gains: LearnerGains, Gamma, rows: BellmanSample):
-    """Normalized-gradient critic update direction over the learner's rows."""
-    w = _row_weights(gains, rows)[:, None]
+    """Normalized-gradient critic update direction over the learner's rows
+    (row 0 on the trajectory, rows 1..N extrapolated), weighted by
+    gains.row_weights."""
+    w = gains.row_weights[:, None]
     acc = (w * rows.omega * rows.delta[:, None] / (rows.rho * rows.rho)[:, None]).sum(axis=0)
     return -np.asarray(Gamma, float) @ acc
 
@@ -120,7 +129,7 @@ def gamma_rhs(gains: LearnerGains, Gamma, rows: BellmanSample):
     the contraction Gamma S Gamma, where S = kc1 Lambda_0 + (kc2/N) sum_k
     Lambda_k is the curvature of the critic update."""
     Gamma = np.asarray(Gamma, float)
-    S = (_row_weights(gains, rows)[:, None, None] * rows.Lambda).sum(axis=0)
+    S = (gains.row_weights[:, None, None] * rows.Lambda).sum(axis=0)
     M = gains.beta * Gamma - Gamma @ S @ Gamma
     return 0.5 * (M + M.T)
 

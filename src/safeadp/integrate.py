@@ -35,7 +35,7 @@ def dp54_step(rhs, t, y, h, f0=None):
     ks[0] = rhs(t, y) if f0 is None else f0
     for i in range(1, 7):
         yi = y + h * (_A[i] @ ks[:i])
-        ks[i] = np.asarray(rhs(t + _C[i] * h, yi), float)
+        ks[i] = rhs(t + _C[i] * h, yi)
     y_new = y + h * (_B5 @ ks)
     return y_new, h * (_E @ ks), ks
 
@@ -67,6 +67,7 @@ class StepRecord:
                 "rejected_steps": self.rejected_steps}
 
     def append(self, t, y, f):
+        """Record copies of y and f, so that the caller may change its own."""
         self.ts.append(t)
         self.ys.append(np.array(y))
         self.fs.append(np.array(f))

@@ -70,6 +70,8 @@ def linear_system(A, B):
         raise ValueError("A must be square")
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
         raise ValueError("B must be n x m")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("A and B must be finite")
     return SystemModel(A.shape[0], B.shape[1], drift=lambda x: np.matvec(A, x),
                        input_map=lambda x: B)
 

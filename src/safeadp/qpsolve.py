@@ -35,6 +35,7 @@ from .errors import QpInfeasible, QpSolverFailed
 from .model import cbf_condition, clf_condition
 
 KKT_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
 SOLVE_TOL = 1e-9  # row violation the dual loop and the warm check accept
 MAX_ITER = 200  # passes of the dual loop before QpSolverFailed
 
@@ -115,9 +116,37 @@ def kkt_residuals(prob: QpProblem, v, multipliers, slack=None):
     }
 
 
+def rounding_bounds(prob: QpProblem, v, multipliers):
+    """What rounding alone may leave in each KKT residual at a point of
+    this size: (d + k) eps times the magnitudes the residual is formed
+    from, |2H||v| + |c| + |A|^T|lam| for stationarity, |A||v| + |b| per row
+    for the slack, |lam| for the sign of the multipliers, and their
+    product for complementarity."""
+    v = np.abs(np.asarray(v, float))
+    lam = np.abs(np.asarray(multipliers, float))
+    gamma = (prob.d + prob.k) * _EPS
+    absA = np.abs(prob.A)
+    row = absA @ v + np.abs(prob.b)
+    stat = 2.0 * np.abs(prob.H) @ v + np.abs(prob.c_lin) + absA.T @ lam
+    return {
+        "stationarity": gamma * math.sqrt(float(stat.dot(stat))),
+        "primal": gamma * float(row.max(initial=0.0)),
+        "dual": gamma * float(lam.max(initial=0.0)),
+        "complementarity": gamma * float((lam * row).max(initial=0.0)),
+    }
+
+
 def kkt_ok(prob, v, multipliers, slack=None):
+    """Whether every KKT residual is within KKT_TOL, or, failing that,
+    within the rounding bound of a point of its size (`rounding_bounds`),
+    so that a badly scaled problem's optimum, with multipliers near 1e7,
+    is not rejected for its rounding. The bounds are formed only when the
+    absolute test fails."""
     res = kkt_residuals(prob, v, multipliers, slack)
-    return all(r <= KKT_TOL for r in res.values())
+    if all(r <= KKT_TOL for r in res.values()):
+        return True
+    bounds = rounding_bounds(prob, v, multipliers)
+    return all(r <= max(KKT_TOL, bounds[name]) for name, r in res.items())
 
 
 def _equality_solve(prob: QpProblem, W):

@@ -223,15 +223,16 @@ def run_adp_episode(scn):
     def rhs(t, s):
         x, Wc, Wa, Gamma, _, _ = pack.unpack(s)
         rows = learner_rows(x, Wc, Wa, cell["pts"])
-        u = rows.u[0]
+        # row 0 is the on-trajectory sample: its ydot and state cost are the
+        # plant's at (x, u)
         ds = np.empty(pack.size)
-        ds[:n] = sys_.xdot(x, u)
+        ds[:n] = rows.ydot[0]
         ds[pack.i_wc: pack.i_wa] = critic_rhs(gains, Gamma, rows)
         ds[pack.i_wa: pack.i_g] = actor_rhs(gains, Wa, Wc)
         ds[pack.i_g: pack.i_jn] = gamma_rhs(gains, Gamma, rows).ravel()
         r_native = rows.delta[0] - float(Wc @ rows.omega[0]) - rows.omega_B[0]
         ds[pack.i_jn] = r_native
-        ds[pack.i_jn + 1] = cost.state_cost(x) + cost.quadratic_input_cost(u)
+        ds[pack.i_jn + 1] = rows.state_cost[0] + cost.quadratic_input_cost(rows.u[0])
         return ds
 
     def on_accept(t, s):

@@ -71,9 +71,8 @@ def value_hat(cfg: StaFConfig, bar: BarrierSpec, Wc, y, x):
 def policy_star(cost: CostSpec, sys, gradV, y):
     """Saturated optimal-policy form for a supplied value gradient, per row
     of gradV and y (..., n); (..., m) out."""
-    ub = cost.u_max
-    arg = np.vecmat(gradV, sys.input_map(y)) / (2.0 * ub * cost.r_diag)
-    return -ub * np.tanh(arg)
+    arg = np.vecmat(gradV, sys.input_map(y)) / cost.two_umax_r
+    return -cost.u_max * np.tanh(arg)
 
 
 def policy_hat(cfg: StaFConfig, bar: BarrierSpec, cost: CostSpec, sys, Wa, y, x):

@@ -10,6 +10,7 @@ import pytest
 import safeadp as sa
 from safeadp.cli import main, write_csv, write_panels
 from safeadp.config import DEFAULTS, parse_config
+from safeadp.errors import ConfigError
 
 # a double integrator; the tests append its input matrix system.B
 LINEAR = "system.kind = linear\nsystem.A = [[0.0, 1.0], [0.0, 0.0]]\n"
@@ -230,6 +231,12 @@ class TestConfig:
         ("safeset.center = [2.0, 2.0, 2.0]", "safeset.center: shape (3,) does not fit"),
         ("sim.x0 = [3.0, 3.5, 1.0]", "sim.x0: shape (3,) does not fit"),
         (LINEAR + "system.B = [[0.0], [1.0]]", "cost.r_diag: shape (2,) does not fit"),
+        # numbers that are not finite
+        ("sim.dt_out = 1e999", "sim.dt_out: expected finite values, got inf"),
+        ("sim.x0 = [1e999, 1.0]", "sim.x0: expected finite values, got [inf, 1.0]"),
+        ("qp.dt = 1e999", "qp.dt: expected finite values, got inf"),
+        (LINEAR.replace("1.0]", "1e999]") + "system.B = [[0.0], [1.0]]",
+         "system: A and B must be finite"),
     ])
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -238,6 +245,21 @@ class TestConfig:
         assert code == 4
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and message in err
+
+    def test_non_finite_t_final_exit_code(self, tmp_path, capsys):
+        assert main(["run", "--t-final", "nan", "--out", str(tmp_path / "t.csv")]) == 4
+        err = capsys.readouterr().err
+        assert err == "config error: sim.t_final: expected finite values, got nan\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("key, val", [("sim__t_final", float("inf")),
+                                          ("gains__kc1", float("nan")),
+                                          ("cost__Q", [1.0, 0.0, 0.0, float("inf")])])
+    def test_non_finite_value_is_a_config_error(self, key, val):
+        # an infinite t_final would never end; a nan gain would pass every
+        # sign check
+        with pytest.raises(ConfigError, match=f"^{key.replace('__', '.')}: expected finite"):
+            sa.build_scenario(**{key: val})
 
     @pytest.mark.parametrize("controller", ["adp", "qp"])
     def test_linear_system_runs(self, tmp_path, controller):
@@ -335,7 +357,8 @@ class TestSweep:
 
     def test_rejected_value_ends_the_sweep_before_any_episode(self, tmp_path, capsys):
         for key, values, message in (("sim.controller", "adp;xyz", "sim: controller must be"),
-                                     ("gains.seed", "0;-1", "gains: seed must be nonnegative")):
+                                     ("gains.seed", "0;-1", "gains: seed must be nonnegative"),
+                                     ("sim.dt_out", "0.01;1e999", "sim.dt_out: expected finite")):
             code = main(["sweep", "--t-final", "0.3", "--out", str(tmp_path / "sw.csv"),
                          "--sweep-key", key, "--sweep-values", values])
             assert code == 4

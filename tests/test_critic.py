@@ -254,6 +254,16 @@ class TestExcitation:
             sa.excitation_metrics([], [], [], window=1.0)
 
 
+def test_gains_are_frozen_with_their_row_weights():
+    gains = sa.build_scenario().gains
+    three = dataclasses.replace(gains, N=3)
+    np.testing.assert_array_equal(three.row_weights, [gains.kc1] + [gains.kc2 / 3] * 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gains.N = 3
+    with pytest.raises(ValueError):
+        three.row_weights[0] = 1.0
+
+
 def test_gains_validation():
     with pytest.raises(ValueError):
         dataclasses.replace(sa.build_scenario().gains, nu=0.0)

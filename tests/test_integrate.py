@@ -127,6 +127,41 @@ def test_on_accept_replacement():
     assert max(y[0] for y in rec.ys) <= 0.5
 
 
+def test_record_keeps_a_copy_of_each_replacement():
+    # the hook returns one buffer, rewritten at every accepted step; the
+    # record holds each replacement as it was when returned, twice
+    buf, returned = np.zeros(1), []
+
+    def clamp(t, y):
+        buf[:] = np.minimum(y, 0.5)
+        returned.append(buf.copy())
+        return buf
+
+    status, rec = integrate_adaptive(lambda t, y: np.array([1.0]),
+                                     0.0, np.array([0.0]), 2.0, on_accept=clamp)
+    assert status == "OK" and len(set(r[0] for r in returned)) > 3
+    np.testing.assert_array_equal(np.array(rec.ys[1:]), np.repeat(returned, 2, axis=0))
+
+
+
+def test_rhs_that_reuses_its_output_buffer():
+    # the record copies each derivative, so an rhs writing into one buffer
+    # gives the same record and dense output as one returning new arrays
+    buf = np.zeros(2)
+
+    def reused(t, y):
+        buf[0], buf[1] = y[1], -y[0]
+        return buf
+
+    def fresh(t, y):
+        return np.array([y[1], -y[0]])
+
+    _, a = integrate_adaptive(reused, 0.0, np.array([1.0, 0.0]), 3.0)
+    _, b = integrate_adaptive(fresh, 0.0, np.array([1.0, 0.0]), 3.0)
+    np.testing.assert_array_equal(np.array(a.fs), np.array(b.fs))
+    grid = np.linspace(0.0, 3.0, 31)
+    np.testing.assert_array_equal(a.sample(grid), b.sample(grid))
+
 def test_lands_on_every_stop():
     # stops closer than the step the controller would take, off any step
     # boundary, and one a hair past the previous step

@@ -96,17 +96,52 @@ def test_cost_kernels(scn, rows):
         assert_within_ulps(fun(arg), row_by_row(fun, arg))
     assert_within_ulps(sa.instantaneous_cost(cost, bar, y, u),
                        row_by_row(lambda a, b: sa.instantaneous_cost(cost, bar, a, b), y, u))
-    B, gB = sa_cost.barrier_B_grad_Bbar(bar, y)
-    assert_within_ulps(B, sa.barrier_B(bar, y))
-    assert_within_ulps(gB, sa.grad_Bbar(bar, y))
 
 
-def test_input_penalty_at_the_box_corner(scn):
-    # corner components take the analytic limit inside a batch too
-    u = np.array([[0.5, 0.0], [-0.5, 0.2], [0.1, 0.2]])
-    assert_within_ulps(sa.input_penalty_Ru(scn.cost, u),
-                       row_by_row(lambda a: sa.input_penalty_Ru(scn.cost, a), u))
-    assert np.all(np.isfinite(sa.input_penalty_Ru(scn.cost, u)))
+def test_barrier_pair_is_the_two_kernels_bit_for_bit(scn, rows):
+    # one pass over h, the ramp and s gives what barrier_B and grad_Bbar
+    # give apart, and what the schedule's own s(h) and ds/dh give, on rows
+    # below d_on, inside the band and above d_off; a second batch of the
+    # same shape gets its own ramp, not the first one's
+    bar = scn.barrier
+    for y in (rows["y"], rows["y"][::-1]):
+        h = scn.safeset.h(y)
+        B, gB = sa_cost.barrier_B_grad_Bbar(bar, y)
+        np.testing.assert_array_equal(B, sa.barrier_B(bar, y))
+        np.testing.assert_array_equal(gB, sa.grad_Bbar(bar, y))
+        ha = h + bar.a
+        np.testing.assert_array_equal(B, bar.k_p * sa_cost._s_of_h(bar, h) / h)
+        ds_dh, s = sa_cost._ds_dh(bar, h), sa_cost._s_of_h(bar, h)
+        np.testing.assert_array_equal(
+            gB, (bar.k_p * (ds_dh * ha - s) / (ha * ha))[:, None] * scn.safeset.grad(y))
+
+
+def _masked_Ru(cost, u):
+    """The input penalty with every component masked: corner components
+    (|u_i|/u_max >= 1 - 1e-12) take the limit, the others the closed form."""
+    ub = cost.u_max
+    z = np.abs(u) / ub
+    inside = z < 1.0 - 1e-12
+    ui, z = u * inside, z * inside
+    inner = 2.0 * ub * cost.r_diag * (ui * np.arctanh(ui / ub) + 0.5 * ub * np.log1p(-z * z))
+    return (inner + ~inside * (2.0 * ub * ub * cost.r_diag * np.log(2.0))).sum(-1)
+
+
+def test_input_penalty_at_the_box_corner(scn, rows):
+    # corner components (at u_max, and 5e-13 inside it) take the analytic
+    # limit inside a batch too; a batch that mixes them with interior rows
+    # (up to 2e-12 inside u_max) equals its rows one by one and the masked
+    # form bit for bit, so the unmasked interior form is the masked one
+    ub = scn.cost.u_max
+    edge = ub * np.array([[1.0, 0.0], [-1.0, 0.2], [1.0 - 5e-13, -0.1], [0.2, 5e-13 - 1.0],
+                          [1.0 - 2e-12, 0.0], [0.0, 2e-12 - 1.0], [0.0, 0.0]])
+    u = np.concatenate([rows["u"][:50], edge])
+    got = sa.input_penalty_Ru(scn.cost, u)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_array_equal(got, row_by_row(lambda a: sa.input_penalty_Ru(scn.cost, a), u))
+    np.testing.assert_array_equal(got, _masked_Ru(scn.cost, u))
+    np.testing.assert_array_equal(sa.input_penalty_Ru(scn.cost, rows["u"]),
+                                  _masked_Ru(scn.cost, rows["u"]))
 
 
 def test_staf_kernels(scn, rows):
@@ -139,7 +174,7 @@ def test_bellman_at(scn, rows, anchor):
     per_row = (np.broadcast_to(v, (R, v.shape[-1])) for v in (x, Wc, Wa))
     singles = [sa.bellman_at(*row, *args) for row in zip(y, *per_row)]
     assert batch.delta.shape == (R,)
-    for name in ("u", "omega", "omega_B", "rho", "delta", "Lambda"):
+    for name in ("u", "ydot", "state_cost", "omega", "omega_B", "rho", "delta", "Lambda"):
         assert_within_ulps(getattr(batch, name), [getattr(s, name) for s in singles])
 
 

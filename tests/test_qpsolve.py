@@ -202,6 +202,23 @@ class TestSolver:
             with pytest.raises(ValueError):
                 make()
 
+    def test_badly_scaled_optimum_is_accepted(self):
+        # a fuzz-found instance: |v| ~ 2.5e6 and a multiplier ~ 1.8e6, so
+        # the rounding in the active row's slack makes a complementarity
+        # residual of ~5e-4, far above KKT_TOL but within the rounding
+        # bound of a point of that size; enumeration confirms the optimum
+        prob = sa.QpProblem(H=np.diag([1.926, 0.876]), c_lin=np.array([-6944035.0, -3266853.0]),
+                            A=np.array([[-0.56, 0.008], [-0.375, -0.3],
+                                        [-1.379, -0.807], [1.654, -0.671]]),
+                            b=np.array([0.856, 0.201, 0.643, 0.531]))
+        sol = sa.solve_qp(prob)
+        v_ref, active_ref, _ = enumerate_qp(prob)
+        assert sol.active_set == active_ref == (3,)
+        np.testing.assert_allclose(sol.v_star, v_ref, rtol=1e-12)
+        res = sa.kkt_residuals(prob, sol.v_star, sol.multipliers)
+        bounds = sa.qpsolve.rounding_bounds(prob, sol.v_star, sol.multipliers)
+        assert sa.qpsolve.KKT_TOL < res["complementarity"] <= bounds["complementarity"]
+
     def test_kkt_residuals_report(self):
         prob = sa.QpProblem(H=np.eye(2), c_lin=np.zeros(2),
                             A=np.array([[-1.0, 0.0]]), b=np.array([-1.0]))

@@ -120,6 +120,34 @@ class TestAdpEpisode:
         assert counts["rhs"] > 0
         assert counts["bellman"] == counts["rhs"] + 2
 
+    @pytest.mark.parametrize("system", ["single_integrator", "linear"])
+    def test_rhs_plant_terms_are_the_model_s(self, monkeypatch, system):
+        # the rhs takes x' and the J_quad rate from the on-trajectory row of
+        # its Bellman sample: at each recorded state they equal sys.xdot and
+        # state_cost + quadratic_input_cost at (x, u) bit for bit
+        linear = {"system__kind": "linear", "system__A": [[0.0, 1.0], [-1.0, -0.5]],
+                  "system__B": [[0.0], [1.0]], "cost__r_diag": [10.0]}
+        scn = sa.build_scenario(sim__t_final=1.0, **(linear if system == "linear" else {}))
+        integrate, bellman, got = sa.sim.integrate_adaptive, sa.sim.bellman_at, {}
+
+        def keep(rhs, *args, **kwargs):
+            got["rhs"], got["run"] = rhs, integrate(rhs, *args, **kwargs)
+            return got["run"]
+
+        def last_sample(*args, **kwargs):
+            got["rows"] = bellman(*args, **kwargs)
+            return got["rows"]
+
+        monkeypatch.setattr(sa.sim, "integrate_adaptive", keep)
+        monkeypatch.setattr(sa.sim, "bellman_at", last_sample)
+        assert sa.run_adp_episode(scn).status == "OK"
+        sys_, cost, n = scn.system, scn.cost, scn.system.n
+        for s in got["run"][1].ys:
+            ds = got["rhs"](0.0, s)
+            x, u = s[:n], got["rows"].u[0]
+            np.testing.assert_array_equal(ds[:n], sys_.xdot(x, u))
+            assert ds[-1] == cost.state_cost(x) + cost.quadratic_input_cost(u)
+
     def test_integrator_work_is_recorded(self, monkeypatch):
         # accepted steps are the distinct recorded times after the first;
         # every attempt is accepted or rejected
@@ -268,11 +296,16 @@ class TestQpEpisode:
 
     @pytest.mark.parametrize("x0", [[3.0, 3.5], [3.0, 3.0]])
     def test_warm_solves_equal_cold_solves(self, monkeypatch, x0):
-        # every hold's warm-started solve against a cold solve of its QP
+        # every hold's warm-started solve against a cold solve of its QP,
+        # and the rounding bounds of its KKT check
         solve_qp, starts = sa.qpsolve.solve_qp, []
 
         def both(prob, *args, **kwargs):
             warm, cold = solve_qp(prob, *args, **kwargs), solve_qp(prob)
+            # at the controller's scale the KKT check's rounding allowance
+            # never exceeds its absolute tolerance
+            bounds = sa.qpsolve.rounding_bounds(prob, warm.v_star, warm.multipliers)
+            assert max(bounds.values()) < sa.qpsolve.KKT_TOL
             assert warm.active_set == cold.active_set
             np.testing.assert_array_equal(warm.v_star, cold.v_star)
             np.testing.assert_array_equal(warm.multipliers, cold.multipliers)
