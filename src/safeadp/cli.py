@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -64,9 +65,17 @@ def write_panels(record: TrajectoryRecord, stem):
             fh.writelines("%.17g %.17g\n" % (row[0], row[k]) for row in table)
 
 
+def _finite_or_null(obj):
+    """obj, and each value of its nested dicts, with a non-finite float as None."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(val) for key, val in obj.items()}
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def write_summary(summary_dict, path):
+    """Strict JSON: a non-finite number (the QP's j_native_total) is null."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary_dict, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(summary_dict), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

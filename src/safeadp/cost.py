@@ -65,76 +65,57 @@ class BarrierSpec:
                 f"scheduling must vanish at the origin: h(0)={h0:g} < d_off={d_off:g}"
             )
 
-
-def _smoothstep(t):
-    # quintic smoothstep, C^2 on [0, 1]
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-def _smoothstep_slope(t):
-    return 30.0 * t * t * (1.0 + t * (t - 2.0))
-
-
-def _ramp(spec: BarrierSpec, h):
-    # (d_off - h)/(d_off - d_on) clipped to [0, 1]: 1 at and below d_on,
-    # 0 at and above d_off
-    return np.minimum(np.maximum((spec.d_off - h) / (spec.d_off - spec.d_on), 0.0), 1.0)
+    def schedule(self, h):
+        """The scheduling s(h) and its slope ds/dh per row of h: the quintic
+        smoothstep s = t^3 (10 - 15 t + 6 t^2), C^2, of the ramp
+        t = (d_off - h)/(d_off - d_on) clipped to [0, 1]. So s is 1 at and
+        below d_on and 0 at and above d_off, and ds/dh is 0 at both."""
+        width = self.d_off - self.d_on
+        t = np.minimum(np.maximum((self.d_off - h) / width, 0.0), 1.0)
+        return (t * t * t * (10.0 + t * (-15.0 + 6.0 * t)),
+                -30.0 * t * t * (1.0 + t * (t - 2.0)) / width)
 
 
-def _ds_dt(spec: BarrierSpec, t):
-    # ds/dh at the ramp value t
-    return -_smoothstep_slope(t) / (spec.d_off - spec.d_on)
-
-
-def _s_of_h(spec: BarrierSpec, h):
-    return _smoothstep(_ramp(spec, h))
-
-
-def _ds_dh(spec: BarrierSpec, h):
-    return _ds_dt(spec, _ramp(spec, h))
-
-
-def _scheduled(spec: BarrierSpec, x, floor, what):
-    """h and the ramp t(h) per row of x; BoundaryViolation if any row has
-    h <= floor. The scheduling is s = _smoothstep(t)."""
+def _checked_h(spec: BarrierSpec, x, floor, what):
+    """h per row of x; BoundaryViolation if any row has h <= floor."""
     h = spec.safeset.h(x)
     if (h <= floor).any():
         raise BoundaryViolation(f"{what} at h={np.min(h):g} <= {floor:g}")
-    return h, _ramp(spec, h)
+    return h
 
 
-def _grad_Bbar(spec: BarrierSpec, x, h, t, s):
+def _grad_Bbar(spec: BarrierSpec, x, h, s, ds):
     ha = h + spec.a
-    return (spec.k_p * (_ds_dt(spec, t) * ha - s) / (ha * ha))[..., None] * spec.safeset.grad(x)
+    return (spec.k_p * (ds * ha - s) / (ha * ha))[..., None] * spec.safeset.grad(x)
 
 
 def barrier_B(spec: BarrierSpec, x):
     """Reciprocal barrier k_p s/h per row; blows up as h -> 0+. Raises
     BoundaryViolation if any row has h <= H_MIN."""
-    h, t = _scheduled(spec, x, H_MIN, "barrier requested")
-    return spec.k_p * _smoothstep(t) / h
+    h = _checked_h(spec, x, H_MIN, "barrier requested")
+    return spec.k_p * spec.schedule(h)[0] / h
 
 
 def barrier_Bbar(spec: BarrierSpec, x):
     """Bounded barrier k_p s/(h+a) per row; finite on the boundary."""
-    h, t = _scheduled(spec, x, -spec.a, "bounded barrier undefined")
-    return spec.k_p * _smoothstep(t) / (h + spec.a)
+    h = _checked_h(spec, x, -spec.a, "bounded barrier undefined")
+    return spec.k_p * spec.schedule(h)[0] / (h + spec.a)
 
 
 def grad_Bbar(spec: BarrierSpec, x):
     """Analytic gradient of the bounded barrier per row (..., n); zero where
     the scheduling is off (h >= d_off), since s and ds/dh both vanish there."""
-    h, t = _scheduled(spec, x, -spec.a, "bounded barrier undefined")
-    return _grad_Bbar(spec, x, h, t, _smoothstep(t))
+    h = _checked_h(spec, x, -spec.a, "bounded barrier undefined")
+    return _grad_Bbar(spec, x, h, *spec.schedule(h))
 
 
 def barrier_B_grad_Bbar(spec: BarrierSpec, x):
-    """barrier_B and grad_Bbar per row from one evaluation of h, the ramp
-    and s: the two barrier terms of the Bellman error. Raises as barrier_B
-    does."""
-    h, t = _scheduled(spec, x, H_MIN, "barrier requested")
-    s = _smoothstep(t)
-    return spec.k_p * s / h, _grad_Bbar(spec, x, h, t, s)
+    """barrier_B and grad_Bbar per row from one evaluation of h and the
+    schedule: the two barrier terms of the Bellman error. Raises as
+    barrier_B does."""
+    h = _checked_h(spec, x, H_MIN, "barrier requested")
+    s, ds = spec.schedule(h)
+    return spec.k_p * s / h, _grad_Bbar(spec, x, h, s, ds)
 
 
 def input_penalty_Ru(spec: CostSpec, u):

@@ -12,6 +12,7 @@ from .cost import H_MIN, BarrierSpec, CostSpec, barrier_B_grad_Bbar, input_penal
 from .staf import StaFConfig, grad_sigma, policy_star
 
 PROJ_LAYER = 0.05  # boundary-layer fraction of the actor projection
+WEAK_EXCITATION_TOL = 1e-8  # every excitation surrogate below it flags weak excitation
 
 
 @dataclass(frozen=True)
@@ -96,11 +97,11 @@ def bellman_at(y, x, Wc, Wa, sys, cost: CostSpec, bar: BarrierSpec,
                          rho=rho, delta=delta, Lambda=Lam)
 
 
-def sample_extrapolation_points(rng, x, N, cfg: StaFConfig, safeset, h_min=H_MIN):
+def sample_extrapolation_points(rng, x, N, cfg: StaFConfig, safeset):
     """N x n array of points uniform on the 0.1 theta(x) square centered at x.
 
-    Points landing outside the interior of the safe set are resampled up
-    to 16 times, then collapse to x.
+    Points with h <= H_MIN are resampled up to 16 times, then collapse
+    to x.
     """
     x = np.asarray(x, float)
     half = 0.05 * cfg.theta(x)
@@ -108,7 +109,7 @@ def sample_extrapolation_points(rng, x, N, cfg: StaFConfig, safeset, h_min=H_MIN
     for k in range(N):
         for _attempt in range(16):
             pts[k] = x + rng.uniform(-half, half, size=x.shape)
-            if safeset.h(pts[k]) > h_min:
+            if safeset.h(pts[k]) > H_MIN:
                 break
         else:
             pts[k] = x
@@ -177,5 +178,5 @@ def excitation_metrics(times, mean_Lambda_hist, Lambda_hist, window):
     return {"c1_now": c1, "c2_window": c2, "c3_window": c3}
 
 
-def weak_excitation(metrics, tol=1e-8):
-    return all(v < tol for v in metrics.values())
+def weak_excitation(metrics):
+    return all(v < WEAK_EXCITATION_TOL for v in metrics.values())

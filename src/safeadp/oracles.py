@@ -121,8 +121,8 @@ def selftest_gradients(seed=0, count=100, tol=1e-5):
         fd = central_difference(lambda y: barrier_B(bar, y), x)
         gh = safeset.grad(x)
         h = safeset.h(x)
-        from .cost import _ds_dh, _s_of_h  # analytic B gradient for the check
-        exact = bar.k_p * (_ds_dh(bar, h) * h - _s_of_h(bar, h)) / (h * h) * gh
+        s, ds = bar.schedule(h)  # analytic B gradient for the check
+        exact = bar.k_p * (ds * h - s) / (h * h) * gh
         worst = max(worst, _rel_err(fd, exact))
     results.append(("grad_B vs central differences", worst <= tol, f"max rel err {worst:.3e}"))
     return results

@@ -7,15 +7,13 @@ Problems are stated as  min v^T H v + c_lin^T v  s.t.  A v <= b  with H
 symmetric positive definite. The dual method starts at the unconstrained
 minimum and needs no feasible start point. A solve may be warm-started
 from a guess of the active set (the previous hold's, in the controller):
-one equality-constrained solve on that set, kept only when it passes
-every check the dual loop stops on, in the manner of the online active
-set strategy of Ferreau, Bock and Diehl (IJRNC 18, 2008). The slack
-A v - b of that point is formed once and serves both the violation test
-and the KKT check.
+one equality-constrained solve on that set, in the manner of the online
+active set strategy of Ferreau, Bock and Diehl (IJRNC 18, 2008).
 
-`solve_qp` returns only verified optima: an infeasible problem raises
-QpInfeasible, and a loop that does not converge, or ends on a point that
-fails the KKT check, raises QpSolverFailed.
+`solve_qp` returns only verified optima: the warm hit and the dual
+loop's result pass one acceptance rule (`_accepted`). An infeasible
+problem raises QpInfeasible, and a loop that does not converge, or ends
+on a point that fails the rule, raises QpSolverFailed.
 
 The controller instance has decision variables v = [u; phi] with
 H = blkdiag(R, p): the CLF row is relaxed by phi, the CBF and box rows
@@ -174,11 +172,20 @@ def _solution(prob: QpProblem, W, v, lam, iterations):
     return QpSolution(v_star=v, active_set=tuple(W), multipliers=lam_full, iterations=iterations)
 
 
+def _accepted(prob: QpProblem, W, v, lam, iterations):
+    """The solution (W, v, lam) if it meets the acceptance rule: every row
+    violated by at most SOLVE_TOL, no negative multiplier, and the KKT
+    check, given the slack A v - b formed once; otherwise None."""
+    slack = prob.A @ v - prob.b
+    if (slack > SOLVE_TOL).any() or (lam < 0.0).any():
+        return None
+    sol = _solution(prob, W, v, lam, iterations)
+    return sol if kkt_ok(prob, v, sol.multipliers, slack=slack) else None
+
+
 def _warm_solve(prob: QpProblem, start):
     """The solution on the rows of `start` taken as equalities, or None
-    unless it meets every condition the dual loop stops on: each row
-    violated by at most SOLVE_TOL, no negative multiplier, and the KKT
-    check."""
+    when they do not give an accepted point (`_accepted`)."""
     W = sorted(start)
     if len(W) > prob.d or len(set(W)) < len(W) or W[0] < 0 or W[-1] >= prob.k:
         return None
@@ -186,11 +193,7 @@ def _warm_solve(prob: QpProblem, start):
         v, lam = _equality_solve(prob, W)
     except np.linalg.LinAlgError:  # dependent rows
         return None
-    slack = prob.A @ v - prob.b
-    if slack.max() > SOLVE_TOL or (lam < 0.0).any():
-        return None
-    sol = _solution(prob, W, v, lam, 0)
-    return sol if kkt_ok(prob, v, sol.multipliers, slack=slack) else None
+    return _accepted(prob, W, v, lam, 0)
 
 
 def solve_qp(prob: QpProblem, start=()):
@@ -199,11 +202,11 @@ def solve_qp(prob: QpProblem, start=()):
 
     A non-empty `start` (row indices, for instance the active set of the
     previous, nearby problem) is tried first: one equality-constrained
-    solve on sorted(start), accepted only when every row is violated by at
-    most SOLVE_TOL, every multiplier is >= 0 and the KKT check passes; the
-    slack A v - b is formed once for both tests. Anything else (a stale or
-    invalid start, dependent rows, an infeasible problem) runs the dual
-    loop from scratch, as does an empty start.
+    solve on sorted(start), kept when it meets the acceptance rule: every
+    row violated by at most SOLVE_TOL, every multiplier >= 0 and the KKT
+    check passed. Anything else (a stale or invalid start, dependent rows,
+    an infeasible problem) runs the dual loop from scratch, as does an
+    empty start.
 
     The dual loop starts at the unconstrained minimum and adds the most
     violated row (smallest index on ties); an active row is dropped when
@@ -213,9 +216,8 @@ def solve_qp(prob: QpProblem, start=()):
     equalities, so the result depends only on the problem and that set,
     and a warm hit equals the cold solve ending on the same set bit for
     bit. `iterations` counts passes of the dual loop (0 on a warm hit).
-    Every returned solution satisfies the KKT conditions at KKT_TOL
-    (verified before returning); QpSolverFailed is raised otherwise, and
-    when MAX_ITER passes do not converge.
+    QpSolverFailed is raised when the loop's point fails the same rule,
+    and when MAX_ITER passes do not converge.
     """
     if len(start):
         warm = _warm_solve(prob, start)
@@ -271,9 +273,9 @@ def solve_qp(prob: QpProblem, start=()):
     W.sort()
     if W:
         v, lam = _equality_solve(prob, W)
-    sol = _solution(prob, W, v, lam, it)
-    if not kkt_ok(prob, v, sol.multipliers):
-        raise QpSolverFailed("active-set solver produced a non-KKT point")
+    sol = _accepted(prob, W, v, lam, it)
+    if sol is None:
+        raise QpSolverFailed("active-set solver produced a point that fails the rule")
     return sol
 
 

@@ -18,6 +18,8 @@ from .model import cbf_margin
 from .qpsolve import ControllerQp, qp_controller
 from .staf import policy_hat, value_hat
 
+SUMMARY_WINDOW = 5.0  # s: the early and late spans of the summary's mean |delta|
+
 
 @dataclass
 class SimConfig:
@@ -99,11 +101,11 @@ class SummaryReport:
         }
 
 
-def summarize(record: TrajectoryRecord, window=5.0):
+def summarize(record: TrajectoryRecord):
     """Recompute the summary from the recorded rows."""
     t = record.t
-    early = t <= t[0] + window
-    late = t >= t[-1] - window
+    early = t <= t[0] + SUMMARY_WINDOW
+    late = t >= t[-1] - SUMMARY_WINDOW
     def _nanmean(vals):
         vals = vals[np.isfinite(vals)]
         return float(np.mean(vals)) if vals.size else np.nan
@@ -319,8 +321,7 @@ def run_qp_episode(scn):
     def rhs(_t, s):
         x = s[:n]
         ds = np.empty(n + 1)
-        ds[:n] = np.asarray(sys_.drift(x), float) + \
-            np.asarray(sys_.input_map(x), float) @ hold_us[-1]
+        ds[:n] = sys_.xdot(x, hold_us[-1])
         ds[n] = cost.state_cost(x) + held["input_cost"]
         return ds
 

@@ -56,7 +56,7 @@ def test_criterion_3_input_bounds(adp_record, qp_record):
 
 
 def test_criterion_4_bellman_error_decreases(adp_record):
-    rep = sa.summarize(adp_record, window=5.0)
+    rep = sa.summarize(adp_record)
     ok = rep.mean_abs_delta_late <= 0.5 * rep.mean_abs_delta_early
     _report(4, "Bellman error decay", ok,
             f"late mean|delta|={rep.mean_abs_delta_late:.4g} <= "

@@ -323,6 +323,22 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "adp:" in out and "qp:" in out
 
+    def test_summaries_are_strict_json(self, tmp_path):
+        # a QP summary has no native J and no Bellman error: those are
+        # null, not the NaN that strict parsers (JSON.parse, jq) reject
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        code, _, summary = _run(tmp_path, "--controller", "qp")
+        assert code == 0
+        d = json.loads(summary.read_text(), parse_constant=reject)
+        assert d["j_native_total"] is None and d["mean_abs_delta_late"] is None
+        assert main(["compare", "--t-final", "0.3", "--out", str(tmp_path / "cmp.csv"),
+                     "--summary", str(tmp_path / "cmp.json")]) == 0
+        joint = json.loads((tmp_path / "cmp.json").read_text(), parse_constant=reject)
+        assert joint["qp"]["j_native_total"] is None
+        assert isinstance(joint["adp"]["j_native_total"], float)
+
 
 class TestSweep:
     def test_sweep_runs_each_value(self, tmp_path):

@@ -32,12 +32,27 @@ class TestScheduling:
 
     def test_c1_across_thresholds(self, safeset, barrier):
         # finite-difference slope of s(h) continuous at d_on and d_off
-        from safeadp.cost import _s_of_h
+        def s_of(h):
+            return barrier.schedule(h)[0]
+
         eps = 1e-5
         for h0 in (barrier.d_on, barrier.d_off):
-            left = (_s_of_h(barrier, h0) - _s_of_h(barrier, h0 - eps)) / eps
-            right = (_s_of_h(barrier, h0 + eps) - _s_of_h(barrier, h0)) / eps
+            left = (s_of(h0) - s_of(h0 - eps)) / eps
+            right = (s_of(h0 + eps) - s_of(h0)) / eps
             assert left == pytest.approx(right, abs=1e-4)
+
+    def test_schedule_ends_and_slope(self, barrier):
+        # exactly (1, 0) at and below d_on, (0, 0) at and above d_off
+        lo, hi = barrier.d_on, barrier.d_off
+        s, ds = barrier.schedule(np.array([lo - 0.5, lo - 1e-3, lo, hi, hi + 1e-3, hi + 5.0]))
+        np.testing.assert_array_equal(s, [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(ds, 0.0)
+        # inside the band ds/dh is the central difference of s
+        h = np.linspace(lo, hi, 23)[1:-1]
+        eps = 1e-6
+        fd = (barrier.schedule(h + eps)[0] - barrier.schedule(h - eps)[0]) / (2.0 * eps)
+        np.testing.assert_allclose(barrier.schedule(h)[1], fd, rtol=1e-6, atol=1e-9)
+        assert (barrier.schedule(h)[1] < 0.0).all()
 
     def test_construction_rejects_nonvanishing_origin_weight(self):
         near = sa.CircularSafeSet(center=np.array([1.2, 0.0]), radius=1.0)

@@ -88,8 +88,8 @@ def test_cost_kernels(scn, rows):
     h = scn.safeset.h(y)
     for fun, arg in ((cost.state_cost, y), (cost.quadratic_input_cost, u),
                      (lambda a: sa.input_penalty_Ru(cost, a), u),
-                     (lambda a: sa_cost._s_of_h(bar, a), h),
-                     (lambda a: sa_cost._ds_dh(bar, a), h),
+                     (lambda a: bar.schedule(a)[0], h),
+                     (lambda a: bar.schedule(a)[1], h),
                      (lambda a: sa.barrier_B(bar, a), y),
                      (lambda a: sa.barrier_Bbar(bar, a), y),
                      (lambda a: sa.grad_Bbar(bar, a), y)):
@@ -99,8 +99,8 @@ def test_cost_kernels(scn, rows):
 
 
 def test_barrier_pair_is_the_two_kernels_bit_for_bit(scn, rows):
-    # one pass over h, the ramp and s gives what barrier_B and grad_Bbar
-    # give apart, and what the schedule's own s(h) and ds/dh give, on rows
+    # one pass over h and the schedule gives what barrier_B and grad_Bbar
+    # give apart, and what BarrierSpec.schedule's s(h) and ds/dh give, on rows
     # below d_on, inside the band and above d_off; a second batch of the
     # same shape gets its own ramp, not the first one's
     bar = scn.barrier
@@ -110,8 +110,8 @@ def test_barrier_pair_is_the_two_kernels_bit_for_bit(scn, rows):
         np.testing.assert_array_equal(B, sa.barrier_B(bar, y))
         np.testing.assert_array_equal(gB, sa.grad_Bbar(bar, y))
         ha = h + bar.a
-        np.testing.assert_array_equal(B, bar.k_p * sa_cost._s_of_h(bar, h) / h)
-        ds_dh, s = sa_cost._ds_dh(bar, h), sa_cost._s_of_h(bar, h)
+        s, ds_dh = bar.schedule(h)
+        np.testing.assert_array_equal(B, bar.k_p * s / h)
         np.testing.assert_array_equal(
             gB, (bar.k_p * (ds_dh * ha - s) / (ha * ha))[:, None] * scn.safeset.grad(y))
 

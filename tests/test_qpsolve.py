@@ -116,6 +116,20 @@ class TestController:
             sa.solve_qp(rigid)
         sa.solve_qp(prob)  # the relaxed problem has an optimum: no raise
 
+    def test_cold_point_breaking_a_box_row_fails(self):
+        # the unstable plant xdot = 5 x + u runs away from the default start;
+        # at the hold t = 2.38 (|x| ~ 6.6e5) the dual loop's final solve
+        # breaks a box row by ~1.3e-9 > SOLVE_TOL, which the KKT check's
+        # rounding bound, scaled by the CLF row, would let through: the run
+        # ends there rather than hold an input outside the box
+        scn = sa.build_scenario(system__kind="linear", system__A=[[5.0, 0.0], [0.0, 5.0]],
+                                system__B=[[1.0, 0.0], [0.0, 1.0]], sim__controller="qp",
+                                sim__t_final=2.5)
+        rec = sa.run_episode(scn)
+        assert rec.status == "QP_SOLVER_FAILED"
+        assert rec.t[-1] == pytest.approx(2.38)
+        assert np.abs(rec.u).max() <= scn.cost.u_max + sa.qpsolve.SOLVE_TOL
+
     def test_raises_on_infeasible(self, safeset):
         # from inside the obstacle a small input box cannot restore the
         # hard CBF row, so the controller must raise
