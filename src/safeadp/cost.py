@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundaryViolation, InputOutOfBox
+from .errors import BoundaryViolation, InputOutOfBox, SingularGradient
 
 H_MIN = 1e-9
 
@@ -76,17 +76,38 @@ class BarrierSpec:
                 -30.0 * t * t * (1.0 + t * (t - 2.0)) / width)
 
 
+def _floor_checked(h, floor, what):
+    """The smallest h over the rows of h (inf for none); BoundaryViolation
+    if it is at or below floor."""
+    h_min = h.min(initial=np.inf)
+    if h_min <= floor:
+        raise BoundaryViolation(f"{what} at h={h_min:g} <= {floor:g}")
+    return h_min
+
+
 def _checked_h(spec: BarrierSpec, x, floor, what):
     """h per row of x; BoundaryViolation if any row has h <= floor."""
     h = spec.safeset.h(x)
-    if (h <= floor).any():
-        raise BoundaryViolation(f"{what} at h={np.min(h):g} <= {floor:g}")
+    _floor_checked(h, floor, what)
     return h
 
 
-def _grad_Bbar(spec: BarrierSpec, x, h, s, ds):
+def _checked_h_grad(spec: BarrierSpec, x, floor, what):
+    """h, its gradient and the smallest h over the rows of x, from one
+    safeset.h_grad; BoundaryViolation if any row has h <= floor. A row at
+    the set center raises BoundaryViolation, as h alone would, when it is
+    also at or below the floor, and SingularGradient otherwise."""
+    try:
+        h, gh = spec.safeset.h_grad(x)
+    except SingularGradient:
+        _checked_h(spec, x, floor, what)
+        raise
+    return h, gh, _floor_checked(h, floor, what)
+
+
+def _grad_Bbar(spec: BarrierSpec, h, gh, s, ds):
     ha = h + spec.a
-    return (spec.k_p * (ds * ha - s) / (ha * ha))[..., None] * spec.safeset.grad(x)
+    return (spec.k_p * (ds * ha - s) / (ha * ha))[..., None] * gh
 
 
 def barrier_B(spec: BarrierSpec, x):
@@ -105,17 +126,20 @@ def barrier_Bbar(spec: BarrierSpec, x):
 def grad_Bbar(spec: BarrierSpec, x):
     """Analytic gradient of the bounded barrier per row (..., n); zero where
     the scheduling is off (h >= d_off), since s and ds/dh both vanish there."""
-    h = _checked_h(spec, x, -spec.a, "bounded barrier undefined")
-    return _grad_Bbar(spec, x, h, *spec.schedule(h))
+    h, gh, _ = _checked_h_grad(spec, x, -spec.a, "bounded barrier undefined")
+    return _grad_Bbar(spec, h, gh, *spec.schedule(h))
 
 
 def barrier_B_grad_Bbar(spec: BarrierSpec, x):
-    """barrier_B and grad_Bbar per row from one evaluation of h and the
-    schedule: the two barrier terms of the Bellman error. Raises as
-    barrier_B does."""
-    h = _checked_h(spec, x, H_MIN, "barrier requested")
+    """barrier_B and grad_Bbar per row from one evaluation of h, grad h and
+    the schedule: the two barrier terms of the Bellman error. Raises as
+    barrier_B does. When every row lies at or beyond d_off, where s and
+    ds/dh vanish, both are exact zeros and the schedule is not evaluated."""
+    h, gh, h_min = _checked_h_grad(spec, x, H_MIN, "barrier requested")
+    if h_min >= spec.d_off:
+        return np.zeros(h.shape), np.zeros(gh.shape)
     s, ds = spec.schedule(h)
-    return spec.k_p * s / h, _grad_Bbar(spec, x, h, s, ds)
+    return spec.k_p * s / h, _grad_Bbar(spec, h, gh, s, ds)
 
 
 def input_penalty_Ru(spec: CostSpec, u):

@@ -57,7 +57,8 @@ class BellmanSample:
 
     Every field carries the rows of the evaluation: u (..., m), the
     state derivative ydot (..., n) under u, omega (..., L), the state cost
-    y^T Q y, omega_B, rho and delta (...), Lambda (..., L, L).
+    y^T Q y, omega_B, rho, its square rho_sq and delta (...), Lambda
+    (..., L, L).
     """
 
     u: np.ndarray
@@ -66,6 +67,7 @@ class BellmanSample:
     omega: np.ndarray
     omega_B: np.ndarray
     rho: np.ndarray
+    rho_sq: np.ndarray
     delta: np.ndarray
     Lambda: np.ndarray = field(repr=False)
 
@@ -91,10 +93,11 @@ def bellman_at(y, x, Wc, Wa, sys, cost: CostSpec, bar: BarrierSpec,
     r = xQx + input_penalty_Ru(cost, u) + B  # instantaneous_cost
     delta = np.vecdot(Wc, omega) + r + omega_B
     rho = 1.0 + gains.nu * np.vecdot(omega, omega)
+    rho_sq = rho * rho
     Lam = omega[..., :, None] * omega[..., None, :]
-    Lam /= (rho * rho)[..., None, None]
+    Lam /= rho_sq[..., None, None]
     return BellmanSample(u=u, ydot=ydot, state_cost=xQx, omega=omega, omega_B=omega_B,
-                         rho=rho, delta=delta, Lambda=Lam)
+                         rho=rho, rho_sq=rho_sq, delta=delta, Lambda=Lam)
 
 
 def sample_extrapolation_points(rng, x, N, cfg: StaFConfig, safeset):
@@ -121,7 +124,7 @@ def critic_rhs(gains: LearnerGains, Gamma, rows: BellmanSample):
     (row 0 on the trajectory, rows 1..N extrapolated), weighted by
     gains.row_weights."""
     w = gains.row_weights[:, None]
-    acc = (w * rows.omega * rows.delta[:, None] / (rows.rho * rows.rho)[:, None]).sum(axis=0)
+    acc = (w * rows.omega * rows.delta[:, None] / rows.rho_sq[:, None]).sum(axis=0)
     return -np.asarray(Gamma, float) @ acc
 
 

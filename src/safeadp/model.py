@@ -1,6 +1,6 @@
 """Control-affine system models and safe-set geometry.
 
-The safe set is any object with ``h(x)`` and ``grad(x)``; the circular set
+The safe set is any object with ``h(x)`` and ``h_grad(x)``; the circular set
 below is the shipped instance. Systems expose their dimensions ``n`` and
 ``m`` and the ``drift`` and ``input_map`` callables; the input box and the
 cost belong to ``CostSpec``.
@@ -83,7 +83,8 @@ class CircularSafeSet:
     The disk (obstacle) has center ``center`` and radius ``radius``; the
     safe set is its exterior, so the origin must lie strictly outside.
     A custom safe set follows the same row contract: ``h`` maps states
-    (..., n) to (...) and ``grad`` maps them to (..., n).
+    (..., n) to (...) and ``h_grad`` maps them to the pair of h (...) and
+    its gradient (..., n).
     """
 
     center: np.ndarray
@@ -100,20 +101,22 @@ class CircularSafeSet:
         d = np.asarray(x, float) - self.center
         return np.sqrt(np.vecdot(d, d)) - self.radius
 
-    def grad(self, x):
+    def h_grad(self, x):
+        """h and its gradient (x - center)/|x - center| per row, from one
+        difference and one norm; SingularGradient at the set center."""
         d = np.asarray(x, float) - self.center
-        nd = np.sqrt(np.vecdot(d, d))[..., None]
+        nd = np.sqrt(np.vecdot(d, d))
         if (nd < GRAD_TOL).any():
             raise SingularGradient(f"gradient of h undefined at the set center {self.center}")
-        return d / nd
+        return nd - self.radius, d / nd[..., None]
 
 
 def cbf_condition(safeset, alpha_scale, x, f, g):
     """The CBF condition at x as an affine function of the input: (a, b)
     with L_f h + L_g h u + alpha_scale h = a + b u, per row of x, given the
     drift f and the input map g at x."""
-    gh = safeset.grad(x)
-    return np.vecdot(gh, f) + alpha_scale * safeset.h(x), np.vecmat(gh, g)
+    h, gh = safeset.h_grad(x)
+    return np.vecdot(gh, f) + alpha_scale * h, np.vecmat(gh, g)
 
 
 def clf_condition(Q, gamma_scale, x, f, g):

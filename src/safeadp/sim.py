@@ -135,8 +135,13 @@ def check_start(safeset, x0):
 
 
 def _output_grid(t_final, dt_out, t_reached):
+    """The multiples of dt_out up to the time the integration reached
+    (within 1e-9), and that time as the last row when none lands on it."""
     grid = np.arange(0.0, t_final + 0.5 * dt_out, dt_out)
-    return grid[grid <= t_reached + 1e-9]
+    grid = grid[grid <= t_reached + 1e-9]
+    if t_reached > grid[-1] + 1e-9:
+        grid = np.append(grid, t_reached)
+    return grid
 
 
 def _held(times, values, grid, empty):

@@ -8,7 +8,7 @@ import pytest
 import safeadp as sa
 from safeadp import cost as sa_cost
 from safeadp import sim as sa_sim
-from safeadp.errors import BoundaryViolation
+from safeadp.errors import BoundaryViolation, SingularGradient
 
 R = 200
 
@@ -66,7 +66,8 @@ def test_geometry_and_system_kernels(scn, rows):
     sys_, safe = scn.system, scn.safeset
     y, u = rows["y"], rows["u"]
     assert_within_ulps(safe.h(y), row_by_row(safe.h, y))
-    assert_within_ulps(safe.grad(y), row_by_row(safe.grad, y))
+    for part in (0, 1):  # h and grad h
+        assert_within_ulps(safe.h_grad(y)[part], row_by_row(lambda a: safe.h_grad(a)[part], y))
     assert_within_ulps(sys_.xdot(y, u), row_by_row(sys_.xdot, y, u))
     assert_within_ulps(sa.cbf_margin(sys_, safe, 2.0, y, u),
                        row_by_row(lambda a, b: sa.cbf_margin(sys_, safe, 2.0, a, b), y, u))
@@ -98,22 +99,85 @@ def test_cost_kernels(scn, rows):
                        row_by_row(lambda a, b: sa.instantaneous_cost(cost, bar, a, b), y, u))
 
 
-def test_barrier_pair_is_the_two_kernels_bit_for_bit(scn, rows):
-    # one pass over h and the schedule gives what barrier_B and grad_Bbar
-    # give apart, and what BarrierSpec.schedule's s(h) and ds/dh give, on rows
-    # below d_on, inside the band and above d_off; a second batch of the
-    # same shape gets its own ramp, not the first one's
-    bar = scn.barrier
-    for y in (rows["y"], rows["y"][::-1]):
-        h = scn.safeset.h(y)
-        B, gB = sa_cost.barrier_B_grad_Bbar(bar, y)
-        np.testing.assert_array_equal(B, sa.barrier_B(bar, y))
-        np.testing.assert_array_equal(gB, sa.grad_Bbar(bar, y))
-        ha = h + bar.a
-        s, ds_dh = bar.schedule(h)
-        np.testing.assert_array_equal(B, bar.k_p * s / h)
-        np.testing.assert_array_equal(
-            gB, (bar.k_p * (ds_dh * ha - s) / (ha * ha))[:, None] * scn.safeset.grad(y))
+def test_h_grad_is_h_and_the_gradient_bit_for_bit(scn, rows):
+    # one x - c and one norm give what h and the gradient written out
+    # apart, (x - c)/|x - c|, give; a row at the center, alone or in a
+    # batch, raises SingularGradient
+    safe = scn.safeset
+    y = rows["y"]
+    h, gh = safe.h_grad(y)
+    d = y - safe.center
+    np.testing.assert_array_equal(h, safe.h(y))
+    np.testing.assert_array_equal(gh, d / np.sqrt(np.vecdot(d, d))[:, None])
+    y_bad = y.copy()
+    y_bad[7] = safe.center
+    for x in (safe.center, y_bad):
+        with pytest.raises(SingularGradient):
+            safe.h_grad(x)
+
+
+def _pair_written_out(bar, y):
+    h, gh = bar.safeset.h_grad(y)
+    ha = h + bar.a
+    s, ds_dh = bar.schedule(h)
+    return bar.k_p * s / h, (bar.k_p * (ds_dh * ha - s) / (ha * ha))[..., None] * gh
+
+
+def test_barrier_pair_is_the_two_kernels_bit_for_bit(scn, rows, monkeypatch):
+    # one pass over h, grad h and the schedule gives what barrier_B and
+    # grad_Bbar give apart, and the written-out formula, on rows below d_on,
+    # inside the band and above d_off; a second batch of the same shape gets
+    # its own ramp, not the first one's. A batch wholly at or beyond d_off,
+    # one row or many, gets exact zeros (+0.0) without the schedule.
+    bar, safe = scn.barrier, scn.safeset
+    y = rows["y"]
+    h = safe.h(y)
+    axes = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]])
+    at_off = safe.center + (safe.radius + bar.d_off) * axes
+    assert np.all(safe.h(at_off) == bar.d_off)
+    beyond = np.concatenate([at_off, y[h > bar.d_off]])
+    in_band = y[(h > bar.d_on) & (h < bar.d_off)][:1]
+    batches = {"mixed": y, "reversed": y[::-1], "one in the band": np.concatenate([beyond, in_band]),
+               "at d_off": at_off, "beyond d_off": beyond, "one row beyond": beyond[-1]}
+    for name, yb in batches.items():
+        B, gB = sa_cost.barrier_B_grad_Bbar(bar, yb)
+        np.testing.assert_array_equal(B, sa.barrier_B(bar, yb), err_msg=name)
+        np.testing.assert_array_equal(gB, sa.grad_Bbar(bar, yb), err_msg=name)
+        B_ref, gB_ref = _pair_written_out(bar, yb)
+        np.testing.assert_array_equal(B, B_ref, err_msg=name)
+        np.testing.assert_array_equal(gB, gB_ref, err_msg=name)
+        assert np.shape(gB) == np.shape(yb)
+
+    def no_schedule(_h):
+        raise AssertionError("schedule evaluated beyond d_off")
+
+    monkeypatch.setattr(bar, "schedule", no_schedule)
+    for yb in (at_off, beyond, beyond[-1]):
+        B, gB = sa_cost.barrier_B_grad_Bbar(bar, yb)
+        assert np.all(B == 0.0) and np.all(gB == 0.0)
+        assert not np.signbit(B).any() and not np.signbit(gB).any()
+    with pytest.raises(AssertionError, match="schedule"):
+        sa_cost.barrier_B_grad_Bbar(bar, np.concatenate([beyond, in_band]))
+
+
+def test_barrier_pair_checks_the_floor_before_the_band(scn):
+    # a row at or below H_MIN fails the batch even when every other row is
+    # beyond d_off; a row at the set center is a BoundaryViolation too, as
+    # for barrier_B, and a SingularGradient only where the floor admits it
+    bar, safe = scn.barrier, scn.safeset
+    far = safe.center + np.array([0.0, safe.radius + 2.0 * bar.d_off])
+    for bad in (safe.center + np.array([safe.radius, 0.0]),  # h = 0
+                safe.center + np.array([0.0, -safe.radius - 0.5e-9]),  # h = 5e-10
+                safe.center):  # h = -radius, grad h undefined
+        for fun in (sa_cost.barrier_B_grad_Bbar, sa.barrier_B):
+            with pytest.raises(BoundaryViolation):
+                fun(bar, np.array([far, bad]))
+    with pytest.raises(BoundaryViolation):
+        sa.grad_Bbar(bar, np.array([far, safe.center]))  # -radius <= -a
+    small = sa.CircularSafeSet(center=np.array([2.0, 2.0]), radius=0.3)
+    wide = sa.BarrierSpec(small, k_p=1.0, a=0.5, d_on=0.2, d_off=1.0)
+    with pytest.raises(SingularGradient):
+        sa.grad_Bbar(wide, np.array([far, small.center]))  # -radius > -a
 
 
 def _masked_Ru(cost, u):

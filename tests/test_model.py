@@ -12,9 +12,13 @@ def test_h_examples(safeset):
 
 
 def test_grad_examples(safeset):
-    np.testing.assert_allclose(safeset.grad([2.0, 4.0]), [0.0, 1.0])
+    h, g = safeset.h_grad([2.0, 4.0])
+    assert h == pytest.approx(1.0)
+    np.testing.assert_allclose(g, [0.0, 1.0])
     origin_set = sa.CircularSafeSet(center=np.array([-1.0, -1.0]), radius=0.5)
-    np.testing.assert_allclose(origin_set.grad([-1.0 + 3.0, -1.0 + 4.0]), [0.6, 0.8])
+    h, g = origin_set.h_grad([-1.0 + 3.0, -1.0 + 4.0])
+    assert h == pytest.approx(4.5)
+    np.testing.assert_allclose(g, [0.6, 0.8])
 
 
 def test_grad_unit_norm(safeset):
@@ -23,12 +27,13 @@ def test_grad_unit_norm(safeset):
         x = rng.uniform(-2, 6, size=2)
         if np.linalg.norm(x - safeset.center) < 0.1:
             continue
-        assert np.linalg.norm(safeset.grad(x)) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(safeset.h_grad(x)[1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grad_singular_at_center(safeset):
-    with pytest.raises(SingularGradient):
-        safeset.grad([2.0, 2.0])
+    for x in ([2.0, 2.0], [[3.0, 3.5], [2.0, 2.0]]):  # one row, or one row of a batch
+        with pytest.raises(SingularGradient):
+            safeset.h_grad(x)
 
 
 def test_grad_matches_finite_differences(safeset):
@@ -40,7 +45,7 @@ def test_grad_matches_finite_differences(safeset):
         if np.linalg.norm(x - safeset.center) < 0.1:
             continue
         fd = central_difference(safeset.h, x)
-        g = safeset.grad(x)
+        g = safeset.h_grad(x)[1]
         assert np.linalg.norm(fd - g) / np.linalg.norm(g) <= 1e-6
         count += 1
 

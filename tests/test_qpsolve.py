@@ -53,7 +53,7 @@ class TestBuild:
         for x in rng.uniform(-4, 6, size=(50, 2)):
             if np.linalg.norm(x - safeset.center) < 0.1:
                 continue
-            f, g, gh = lin.drift(x), lin.input_map(x), safeset.grad(x)
+            f, g, gh = lin.drift(x), lin.input_map(x), safeset.h_grad(x)[1]
             gV = 2.0 * Q @ x
             prob = sa.build_qp(lin_ctrl, x)
             tol = dict(rtol=1e-14, atol=1e-14)
@@ -101,7 +101,7 @@ class TestController:
             assert np.all(np.abs(u) <= 0.5 + 1e-9)
             prob = sa.build_qp(ctrl, x)
             assert kkt_ok(prob, sol.v_star, sol.multipliers)
-            gh = safeset.grad(x)
+            gh = safeset.h_grad(x)[1]
             assert float(gh @ (sys_.input_map(x) @ u)) + params.alpha_scale * safeset.h(x) >= -1e-8
 
     def test_infeasible_without_relaxation(self, ctrl, safeset):

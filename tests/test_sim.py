@@ -408,6 +408,52 @@ class TestDispatchAndSummary:
         assert np.isnan(rep.mean_abs_delta_late)
 
 
+class TestOutputRows:
+    @pytest.mark.parametrize("controller", ["adp", "qp"])
+    @pytest.mark.parametrize("t_final, dt_out", [(1.0, 0.03), (0.005, 0.01)])
+    def test_last_row_is_t_final(self, controller, t_final, dt_out):
+        # dt_out does not divide t_final: the rows are the multiples of
+        # dt_out below it and then t_final, where J and the summary are read
+        scn = sa.build_scenario(sim__controller=controller, sim__t_final=t_final,
+                                sim__dt_out=dt_out)
+        rec = sa.run_episode(scn)
+        assert rec.status == "OK"
+        k = int(t_final / dt_out)
+        np.testing.assert_array_equal(rec.t, np.append(np.arange(k + 1) * dt_out, t_final))
+        assert rec.J[-1] > rec.J[-2]
+        rep = sa.summarize(rec)
+        assert rep.total_J == rec.J[-1]
+        assert rep.terminal_x_norm == np.linalg.norm(rec.x[-1]) < np.linalg.norm(scn.sim.x0)
+
+    def test_early_end_is_the_last_row(self, monkeypatch):
+        # a run that ends between two multiples of dt_out reports the time
+        # and state it stopped at as its last row
+        integrate, runs = sa.sim.integrate_adaptive, []
+
+        def kept(*args, **kwargs):
+            status, record = integrate(*args, **kwargs)
+            runs.append(record)
+            return status, record
+
+        monkeypatch.setattr(sa.sim, "integrate_adaptive", kept)
+        # ADP: a gain law that drains Gamma through zero near t = 0.05 s
+        monkeypatch.setattr(sa.sim, "gamma_rhs",
+                            lambda gains, Gamma, rows: -20.0 * np.eye(len(Gamma)))
+        adp = sa.run_adp_episode(sa.build_scenario(sim__t_final=1.0))
+        assert adp.status == "GAIN_INDEFINITE"
+        assert adp.min_eig_gamma[-1] <= 0.0  # the state that left PD is reported
+        # QP: a 2 s hold carries the state through the obstacle
+        qp = sa.run_qp_episode(sa.build_scenario(sim__controller="qp", qp__dt=2.0))
+        assert qp.status == "SAFETY_BREACH"
+        assert qp.h[-1] < 0.0
+        for rec, run in zip((adp, qp), runs):
+            t_end, n = run.ts[-1], rec.x.shape[1]
+            assert rec.t[-2] + 1e-9 < t_end == rec.t[-1] < 25.0
+            np.testing.assert_array_equal(rec.t[:-1], np.arange(len(rec.t) - 1) * 0.01)
+            np.testing.assert_array_equal(rec.x[-1], run.ys[-1][:n])
+            assert sa.summarize(rec).total_J == rec.J[-1]
+
+
 class TestDiagnostics:
     def test_prop1_on_adp_run(self, adp_record, default_scenario):
         diag = sa.prop1_diagnostics(adp_record, default_scenario)
