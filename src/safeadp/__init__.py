@@ -10,13 +10,12 @@ from .critic import (BellmanSample, LearnerGains, actor_rhs, bellman_at,
 from .errors import (BoundaryViolation, ConfigError, InputOutOfBox,
                      QpInfeasible, QpSolverFailed, RunEnded, SafeAdpError,
                      SingularGradient)
-from .model import (CircularSafeSet, SystemModel, cbf_condition, cbf_margin,
-                    clf_condition, linear_system, single_integrator)
+from .model import (CircularSafeSet, SystemModel, cbf_condition, clf_condition,
+                    linear_system, single_integrator)
 from .qpsolve import (ControllerQp, QpParams, QpProblem, QpSolution, build_qp,
                       kkt_residuals, qp_controller, solve_qp)
-from .sim import (SimConfig, SummaryReport, TrajectoryRecord,
-                  prop1_diagnostics, run_adp_episode, run_episode,
-                  run_qp_episode, summarize)
+from .sim import (SimConfig, SummaryReport, TrajectoryRecord, run_adp_episode,
+                  run_episode, run_qp_episode, summarize)
 from .staf import (StaFConfig, centers, grad_sigma, kernel_sigma, policy_hat,
                    policy_star, value_hat)
 

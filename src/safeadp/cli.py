@@ -56,12 +56,17 @@ def write_csv(record: TrajectoryRecord, path):
         fh.writelines(row_fmt % (*row, st) for row, st in zip(table, statuses))
 
 
+def panel_paths(stem):
+    """The panel files of `write_panels`: state norm, barrier value, input magnitude."""
+    return [f"{stem}_panel_{name}.dat" for name in ("xnorm", "h", "uinf")]
+
+
 def write_panels(record: TrajectoryRecord, stem):
-    """Two-column plot-ready files: state norm, barrier value, input magnitude."""
+    """Two-column plot-ready files at `panel_paths(stem)`."""
     table = np.column_stack((record.t, np.linalg.norm(record.x, axis=1), record.h,
                              np.max(np.abs(record.u), axis=1))).tolist()
-    for k, name in enumerate(("xnorm", "h", "uinf"), start=1):
-        with open(f"{stem}_panel_{name}.dat", "w", encoding="utf-8", newline="\n") as fh:
+    for k, path in enumerate(panel_paths(stem), start=1):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines("%.17g %.17g\n" % (row[0], row[k]) for row in table)
 
 
@@ -105,15 +110,11 @@ def _check_outputs(*paths):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
-def _run_one(scn):
-    record = run_episode(scn)
-    return record, summarize(record)
-
-
 def cmd_run(args):
     scn = build_scenario(_load_values(args))
     _check_outputs(args.out, args.summary)
-    record, summary = _run_one(scn)
+    record = run_episode(scn)
+    summary = summarize(record)
     write_csv(record, args.out)
     if args.summary:
         write_summary(summary.as_dict(), args.summary)
@@ -127,12 +128,13 @@ def cmd_compare(args):
     stem = str(Path(args.out).with_suffix("")) if args.out else "compare"
     scenarios = {ctrl: build_scenario(values, sim__controller=ctrl) for ctrl in ("adp", "qp")}
     summary_path = args.summary or f"{stem}_summary.json"
-    # the panel files sit next to the CSVs
-    _check_outputs(f"{stem}_adp.csv", f"{stem}_qp.csv", summary_path)
+    _check_outputs(*(path for ctrl in scenarios
+                     for path in (f"{stem}_{ctrl}.csv", *panel_paths(f"{stem}_{ctrl}"))),
+                   summary_path)
     summaries = {}
     for ctrl, scn in scenarios.items():
-        record, summary = _run_one(scn)
-        summaries[ctrl] = summary
+        record = run_episode(scn)
+        summaries[ctrl] = summarize(record)
         write_csv(record, f"{stem}_{ctrl}.csv")
         write_panels(record, f"{stem}_{ctrl}")
     joint = {
@@ -170,9 +172,9 @@ def cmd_sweep(args):
 
     results = []
     for idx, (val, scn) in enumerate(zip(sweep_values, scenarios)):
-        record, summary = _run_one(scn)
+        record = run_episode(scn)
         write_csv(record, f"{stem}_{idx:03d}.csv")
-        d = summary.as_dict()
+        d = summarize(record).as_dict()
         d["sweep_key"] = args.sweep_key
         d["sweep_value"] = val
         write_summary(d, f"{stem}_{idx:03d}_summary.json")

@@ -122,13 +122,15 @@ class Scenario:
 
 
 def _system(kind, A, B):
-    if kind == "single_integrator":
-        return single_integrator()
     if kind == "linear":
         if A is None or B is None:
             raise ConfigError("system.kind = linear requires system.A and system.B")
         return linear_system(A, B)
-    raise ConfigError(f"unknown system.kind {kind!r}")
+    if kind != "single_integrator":
+        raise ConfigError(f"unknown system.kind {kind!r}")
+    if A is not None or B is not None:
+        raise ConfigError(f"system.A and system.B need system.kind = linear, not {kind!r}")
+    return single_integrator()
 
 
 def _fit_to_system(sections, n, m):

@@ -125,11 +125,3 @@ def clf_condition(Q, gamma_scale, x, f, g):
     of x, given the drift f and the input map g at x."""
     gV = 2.0 * np.matvec(Q, x)
     return np.vecdot(gV, f) + gamma_scale * np.vecdot(np.vecmat(x, Q), x), np.vecmat(gV, g)
-
-
-def cbf_margin(sys, safeset, alpha_scale, x, u):
-    """L_f h + L_g h u + alpha_scale h per row of x and u; nonnegative for
-    barrier-admissible u."""
-    a, b = cbf_condition(safeset, alpha_scale, x, sys.drift(x), sys.input_map(x))
-    return a + np.vecdot(b, u)
-

@@ -1,11 +1,11 @@
 """Episode runners: coupled plant + learner integration for the ADP
 controller, zero-order holds on a fixed grid for the QP baseline, trajectory
-records, summaries, and invariance diagnostics."""
+records, and the summary computed from a record's rows."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from .critic import (actor_rhs, bellman_at, critic_rhs, excitation_metrics,
                      gamma_rhs, sample_extrapolation_points, weak_excitation)
 from .errors import QpInfeasible, QpSolverFailed, RunEnded
 from .integrate import StepRecord, integrate_adaptive
-from .model import cbf_margin
 from .qpsolve import ControllerQp, qp_controller
 from .staf import policy_hat, value_hat
 
@@ -58,10 +57,7 @@ class TrajectoryRecord:
     controller: str
     j_native_total: float = np.nan
     weak_excitation_flag: bool = False
-    infeasible_events: int = 0
     wall_clock: float = 0.0
-    gamma_eig_min: float = np.nan
-    gamma_eig_max: float = np.nan
     qp_iterations: int = 0  # passes of the QP solver's dual loop, summed over holds
     qp_cold_solves: int = 0  # holds whose QP the warm start did not settle
     rhs_evals: int = 0  # the integrator's right-hand-side evaluations
@@ -71,34 +67,23 @@ class TrajectoryRecord:
 
 @dataclass
 class SummaryReport:
+    """The run's summary; its field names are the summary JSON's keys."""
+
+    controller: str
+    status: str
     min_h: float
     terminal_x_norm: float
     max_u_inf: float
     total_J: float
+    j_native_total: float
     mean_abs_delta_early: float
     mean_abs_delta_late: float
     infeasible_events: int
-    weak_excitation_flag: bool
-    wall_clock: float
-    status: str
-    controller: str
-    j_native_total: float = np.nan
+    weak_excitation: bool
+    wall_clock_s: float
 
     def as_dict(self):
-        return {
-            "controller": self.controller,
-            "status": self.status,
-            "min_h": self.min_h,
-            "terminal_x_norm": self.terminal_x_norm,
-            "max_u_inf": self.max_u_inf,
-            "total_J": self.total_J,
-            "j_native_total": self.j_native_total,
-            "mean_abs_delta_early": self.mean_abs_delta_early,
-            "mean_abs_delta_late": self.mean_abs_delta_late,
-            "infeasible_events": self.infeasible_events,
-            "weak_excitation": self.weak_excitation_flag,
-            "wall_clock_s": self.wall_clock,
-        }
+        return asdict(self)
 
 
 def summarize(record: TrajectoryRecord):
@@ -113,18 +98,18 @@ def summarize(record: TrajectoryRecord):
     d_early = _nanmean(np.abs(record.delta[early]))
     d_late = _nanmean(np.abs(record.delta[late]))
     return SummaryReport(
+        controller=record.controller,
+        status=record.status,
         min_h=float(np.min(record.h)),
         terminal_x_norm=float(np.linalg.norm(record.x[-1])),
         max_u_inf=float(np.max(np.abs(record.u))),
         total_J=float(record.J[-1]),
+        j_native_total=record.j_native_total,
         mean_abs_delta_early=d_early,
         mean_abs_delta_late=d_late,
-        infeasible_events=record.infeasible_events,
-        weak_excitation_flag=record.weak_excitation_flag,
-        wall_clock=record.wall_clock,
-        status=record.status,
-        controller=record.controller,
-        j_native_total=record.j_native_total,
+        infeasible_events=int(record.status == "QP_INFEASIBLE"),
+        weak_excitation=record.weak_excitation_flag,
+        wall_clock_s=record.wall_clock,
     )
 
 
@@ -220,7 +205,6 @@ def run_adp_episode(scn):
 
     cell = {"pts": sample_extrapolation_points(rng, sim.x0, gains.N, cfg, safeset)}
     accepted = []  # (t, s, points) after each accepted step's hook
-    gamma_eigs = []
 
     def learner_rows(x, Wc, Wa, pts):
         # rows [x, p_1..p_N] per anchor x
@@ -247,10 +231,8 @@ def run_adp_episode(scn):
         x, _, _, Gamma, _, _ = pack.unpack(s)
         G = 0.5 * (Gamma + Gamma.T)
         s[pack.i_g: pack.i_jn] = G.ravel()
-        eigs = np.linalg.eigvalsh(G)
-        if eigs[0] <= 0:
+        if np.linalg.eigvalsh(G)[0] <= 0:
             raise RunEnded("GAIN_INDEFINITE")
-        gamma_eigs.append((eigs[0], eigs[-1]))
         cell["pts"] = sample_extrapolation_points(rng, x, gains.N, cfg, safeset)
         accepted.append((t, s, cell["pts"]))
         return s
@@ -276,14 +258,12 @@ def run_adp_episode(scn):
         lam_mean = lam[:, 1:].sum(axis=1) / gains.N
         hist_c1 = np.linalg.eigvalsh(lam_mean)[:, 0]
         flag = weak_excitation(excitation_metrics(hist_t, lam_mean, lam[:, 0], gains.pe_window))
-    ge = np.asarray(gamma_eigs) if gamma_eigs else np.full((1, 2), np.nan)
     return TrajectoryRecord(
         t=grid, x=xs, u=us, h=hs, B=Bs, Vhat=value_hat(cfg, bar, Wcs, xs, xs),
         delta=deltas, Wc=Wcs, Wa=Was, min_eig_gamma=mineig,
         c1=_held(hist_t, hist_c1, grid, 0.0), J=Js,
         status=status, controller="adp",
         j_native_total=float(Jns[-1]), weak_excitation_flag=flag,
-        gamma_eig_min=float(np.min(ge[:, 0])), gamma_eig_max=float(np.max(ge[:, 1])),
         **rec.work(), wall_clock=time.perf_counter() - t_start,
     )
 
@@ -358,8 +338,7 @@ def run_qp_episode(scn):
         t=grid, x=xs, u=_held(hold_ts[:len(hold_us)], hold_us, grid, np.zeros(sys_.m)),
         h=hs, B=Bs, Vhat=nanv.copy(), delta=nanv.copy(), Wc=nanL.copy(), Wa=nanL.copy(),
         min_eig_gamma=nanv.copy(), c1=nanv.copy(), J=states[:, n], status=status,
-        controller="qp", infeasible_events=int(status == "QP_INFEASIBLE"),
-        qp_iterations=held["iterations"], qp_cold_solves=held["cold"],
+        controller="qp", qp_iterations=held["iterations"], qp_cold_solves=held["cold"],
         **rec.work(), wall_clock=time.perf_counter() - t_start,
     )
 
@@ -368,26 +347,3 @@ def run_episode(scn):
     if scn.sim.controller == "adp":
         return run_adp_episode(scn)
     return run_qp_episode(scn)
-
-
-# ---------------------------------------------------------------------------
-# Diagnostics
-# ---------------------------------------------------------------------------
-
-def prop1_diagnostics(record: TrajectoryRecord, scn):
-    """Per-row invariance diagnostics: h, B, CBF margin at the applied
-    input (with the scenario's qp.alpha_scale), and a value-decrease flag;
-    plus the row-wise minima."""
-    margins = cbf_margin(scn.system, scn.safeset, scn.qp.alpha_scale, record.x, record.u)
-    vhat_decreasing = np.ones(len(record.t), dtype=bool)
-    if np.all(np.isfinite(record.Vhat)):
-        vhat_decreasing[1:] = np.diff(record.Vhat) <= 1e-9
-    return {
-        "h": record.h,
-        "B": record.B,
-        "cbf_margin": margins,
-        "vhat_decreasing": vhat_decreasing,
-        "min_h": float(np.min(record.h)),
-        "min_B": float(np.min(record.B)),
-        "min_cbf_margin": float(np.min(margins)),
-    }

@@ -27,11 +27,11 @@ def test_criterion_1_adp_safety_and_convergence(adp_record, default_scenario):
     ok = (adp_record.status == "OK"
           and rep.min_h > 0.0
           and rep.terminal_x_norm <= 0.1 * x0_norm
-          and rep.wall_clock < 10.0)
+          and rep.wall_clock_s < 10.0)
     _report(1, "ADP safety + convergence", ok,
             f"status={adp_record.status} min_h={rep.min_h:.4g} "
             f"terminal={rep.terminal_x_norm:.4g} (limit {0.1 * x0_norm:.4g}) "
-            f"wall={rep.wall_clock:.2f}s")
+            f"wall={rep.wall_clock_s:.2f}s")
 
 
 def test_criterion_2_qp_baseline(adp_record, qp_record, qp_stall_record):
@@ -106,15 +106,17 @@ def test_criterion_7_gradient_oracles():
 
 
 def test_criterion_8_gamma_contract(adp_record):
-    spd_ok = bool(np.all(adp_record.min_eig_gamma > 0.0)
-                  and adp_record.gamma_eig_min > 0.0)
+    # the run ends GAIN_INDEFINITE at the first accepted step whose Gamma
+    # is not positive definite, so an OK run kept it SPD at every step
+    spd_ok = bool(np.all(adp_record.min_eig_gamma > 0.0) and adp_record.status == "OK")
     scn = sa.build_scenario(sim__t_final=1.0, gains__kc1=0.0, gains__kc2=0.0)
     rec = sa.run_adp_episode(scn)
     expected = scn.gains.gamma0 * np.exp(scn.gains.beta * 1.0)
     rel = abs(rec.min_eig_gamma[-1] - expected) / expected
     ok = spd_ok and rel <= 1e-6
     _report(8, "gain matrix contract", ok,
-            f"SPD along run (min eig {adp_record.gamma_eig_min:.4g}); "
+            f"SPD along run (status {adp_record.status}, "
+            f"min sampled eig {adp_record.min_eig_gamma.min():.4g}); "
             f"closed-form growth rel err={rel:.3e}")
 
 

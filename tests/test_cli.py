@@ -14,6 +14,11 @@ from safeadp.errors import ConfigError
 
 # a double integrator; the tests append its input matrix system.B
 LINEAR = "system.kind = linear\nsystem.A = [[0.0, 1.0], [0.0, 0.0]]\n"
+# the keys of every summary JSON: of `run`, of a `sweep` value (which adds
+# sweep_key and sweep_value) and of each controller in `compare`
+SUMMARY_KEYS = {"controller", "status", "min_h", "terminal_x_norm", "max_u_inf", "total_J",
+                "j_native_total", "mean_abs_delta_early", "mean_abs_delta_late",
+                "infeasible_events", "weak_excitation", "wall_clock_s"}
 
 
 def _run(tmp_path, *extra):
@@ -120,6 +125,7 @@ class TestRun:
         assert d["min_h"] == pytest.approx(h_col.min(), abs=1e-15)
         assert d["status"] == "OK"
         assert d["controller"] == "adp"
+        assert set(d) == SUMMARY_KEYS
 
     def test_qp_breach_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "breach.cfg"
@@ -199,6 +205,21 @@ class TestOutputErrors:
         assert str(dir_ if "{dir}" in args else bad) in err
         assert list(tmp_path.iterdir()) == [dir_] and list(dir_.iterdir()) == []
 
+    def test_compare_checks_its_panel_paths(self, tmp_path, monkeypatch, capsys):
+        # a directory where a panel file goes ends compare before its first
+        # episode, with nothing written
+        monkeypatch.chdir(tmp_path)
+        panel = tmp_path / "cmp_qp_panel_h.dat"
+        panel.mkdir()
+        episodes = []
+        monkeypatch.setattr(sa.cli, "run_episode", episodes.append)
+        assert main(["compare", "--t-final", "0.2", "--out", "cmp.csv"]) == 4
+        assert episodes == []
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and len(err.splitlines()) == 1
+        assert "cmp_qp_panel_h.dat" in err
+        assert list(tmp_path.iterdir()) == [panel] and list(panel.iterdir()) == []
+
     def test_unreadable_config_is_a_config_error(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 4
         err = capsys.readouterr().err
@@ -237,6 +258,10 @@ class TestConfig:
         ("qp.dt = 1e999", "qp.dt: expected finite values, got inf"),
         (LINEAR.replace("1.0]", "1e999]") + "system.B = [[0.0], [1.0]]",
          "system: A and B must be finite"),
+        # matrices the single integrator would ignore
+        ("system.A = [[0.2, 0.0], [0.0, 0.2]]",
+         "system.A and system.B need system.kind = linear, not 'single_integrator'"),
+        ("system.B = [[1.0, 0.0], [0.0, 1.0]]", "system.A and system.B need system.kind"),
     ])
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -319,7 +344,9 @@ class TestCompare:
             for panel in ("xnorm", "h", "uinf"):
                 assert (tmp_path / f"cmp_{ctrl}_panel_{panel}.dat").exists()
         joint = json.loads((tmp_path / "cmp.json").read_text())
-        assert set(joint) >= {"adp", "qp", "adp_converges_better"}
+        assert set(joint) == {"adp", "qp", "terminal_x_norm_adp", "terminal_x_norm_qp",
+                              "adp_converges_better"}
+        assert set(joint["adp"]) == set(joint["qp"]) == SUMMARY_KEYS
         out = capsys.readouterr().out
         assert "adp:" in out and "qp:" in out
 
@@ -332,6 +359,7 @@ class TestCompare:
         code, _, summary = _run(tmp_path, "--controller", "qp")
         assert code == 0
         d = json.loads(summary.read_text(), parse_constant=reject)
+        assert set(d) == SUMMARY_KEYS
         assert d["j_native_total"] is None and d["mean_abs_delta_late"] is None
         assert main(["compare", "--t-final", "0.3", "--out", str(tmp_path / "cmp.csv"),
                      "--summary", str(tmp_path / "cmp.json")]) == 0
@@ -350,6 +378,7 @@ class TestSweep:
             assert (tmp_path / f"sw_{i:03d}.csv").exists()
             d = json.loads((tmp_path / f"sw_{i:03d}_summary.json").read_text())
             assert d["sweep_value"] == i
+            assert set(d) == SUMMARY_KEYS | {"sweep_key", "sweep_value"}
 
     def test_bare_words_for_a_string_key(self, tmp_path, capsys):
         stem = tmp_path / "sw.csv"
@@ -374,7 +403,9 @@ class TestSweep:
     def test_rejected_value_ends_the_sweep_before_any_episode(self, tmp_path, capsys):
         for key, values, message in (("sim.controller", "adp;xyz", "sim: controller must be"),
                                      ("gains.seed", "0;-1", "gains: seed must be nonnegative"),
-                                     ("sim.dt_out", "0.01;1e999", "sim.dt_out: expected finite")):
+                                     ("sim.dt_out", "0.01;1e999", "sim.dt_out: expected finite"),
+                                     ("system.A", "None;[[0.2, 0.0], [0.0, 0.2]]",
+                                      "system.A and system.B need system.kind = linear")):
             code = main(["sweep", "--t-final", "0.3", "--out", str(tmp_path / "sw.csv"),
                          "--sweep-key", key, "--sweep-values", values])
             assert code == 4

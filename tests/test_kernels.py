@@ -69,8 +69,12 @@ def test_geometry_and_system_kernels(scn, rows):
     for part in (0, 1):  # h and grad h
         assert_within_ulps(safe.h_grad(y)[part], row_by_row(lambda a: safe.h_grad(a)[part], y))
     assert_within_ulps(sys_.xdot(y, u), row_by_row(sys_.xdot, y, u))
-    assert_within_ulps(sa.cbf_margin(sys_, safe, 2.0, y, u),
-                       row_by_row(lambda a, b: sa.cbf_margin(sys_, safe, 2.0, a, b), y, u))
+
+    def cbf_margin(x, v):  # cbf_condition's a + b u
+        a, b = sa.cbf_condition(safe, 2.0, x, sys_.drift(x), sys_.input_map(x))
+        return a + np.vecdot(b, v)
+
+    assert_within_ulps(cbf_margin(y, u), row_by_row(cbf_margin, y, u))
     Q = np.array([[2.0, 0.5], [0.5, 1.0]])
 
     def clf_margin(x, v):  # clf_condition's a + b u

@@ -59,13 +59,20 @@ def test_boundary_iff_radius(safeset):
         assert abs(safeset.h(x)) <= 1e-12
 
 
+def _cbf_margin(sys_, safeset, alpha_scale, x, u):
+    """L_f h + L_g h u + alpha_scale h, as cbf_condition's a + b u."""
+    x = np.asarray(x, float)
+    a, b = sa.cbf_condition(safeset, alpha_scale, x, sys_.drift(x), sys_.input_map(x))
+    return a + np.vecdot(b, u)
+
+
 def test_cbf_margin_examples(safeset):
     sys_ = sa.build_scenario().system
     alpha = 1.0
     x = np.array([2.0, 4.0])
-    assert sa.cbf_margin(sys_, safeset, alpha, x, [0.0, 0.0]) == pytest.approx(1.0)
-    assert sa.cbf_margin(sys_, safeset, alpha, x, [0.0, -1.0]) == pytest.approx(0.0)
-    assert sa.cbf_margin(sys_, safeset, alpha, x, [0.0, 0.5]) == pytest.approx(1.5)
+    assert _cbf_margin(sys_, safeset, alpha, x, [0.0, 0.0]) == pytest.approx(1.0)
+    assert _cbf_margin(sys_, safeset, alpha, x, [0.0, -1.0]) == pytest.approx(0.0)
+    assert _cbf_margin(sys_, safeset, alpha, x, [0.0, 0.5]) == pytest.approx(1.5)
 
 
 def _clf_margin(sys_, Q, gamma_scale, x, u):
@@ -96,7 +103,7 @@ def test_margins_affine_in_u(safeset):
             continue
         u1, u2 = rng.uniform(-0.5, 0.5, size=(2, 2))
         for margin in (
-            lambda u: sa.cbf_margin(sys_, safeset, alpha, x, u),
+            lambda u: _cbf_margin(sys_, safeset, alpha, x, u),
             lambda u: _clf_margin(sys_, Q, gamma, x, u),
         ):
             base = margin(np.zeros(2))
