@@ -381,20 +381,15 @@ class TestQpEpisode:
         assert adp_record.qp_iterations == adp_record.qp_cold_solves == 0
 
     def test_held_input_meets_the_cbf_row(self, qp_record, qp_stall_record):
-        # the CBF condition a + b u at each row's state and held input; with
-        # dt_out == qp.dt every row but the last (t_final) is a hold time,
-        # where the input was solved at that very state, so the row holds
-        # there to the solver's tolerance; off a hold time it may dip
+        # with dt_out == qp.dt every row but the last (t_final) is a hold
+        # time, where the input was solved at that very state, so the row
+        # holds there to the solver's tolerance; off a hold time it may dip
         # slightly below zero
-        alpha2 = sa.build_scenario(sim__controller="qp", qp__alpha_scale=2.0)
         runs = ((sa.build_scenario(sim__controller="qp"), qp_record),
-                (sa.build_scenario(sim__controller="qp", sim__x0=[3.0, 3.0]), qp_stall_record),
-                (alpha2, sa.run_qp_episode(alpha2)))
+                (sa.build_scenario(sim__controller="qp", sim__x0=[3.0, 3.0]), qp_stall_record))
         for scn, rec in runs:
             assert rec.status == "OK" and scn.sim.dt_out == scn.qp.dt
-            a, b = sa.cbf_condition(scn.safeset, scn.qp.alpha_scale, rec.x,
-                                    scn.system.drift(rec.x), scn.system.input_map(rec.x))
-            margin = a + np.vecdot(b, rec.u)
+            margin = _cbf_margin(scn, rec)
             assert margin.min() >= -0.05
             assert margin[:-1].min() >= -1e-9
 
@@ -403,6 +398,33 @@ class TestQpEpisode:
         again = sa.run_qp_episode(scn)
         np.testing.assert_array_equal(qp_record.x, again.x)
         np.testing.assert_array_equal(qp_record.u, again.u)
+
+
+def _cbf_margin(scn, rec):
+    # the CBF condition a + b u of Proposition 1 at each row's state and
+    # held input, with the scenario's alpha_scale
+    a, b = sa.cbf_condition(scn.safeset, scn.qp.alpha_scale, rec.x,
+                            scn.system.drift(rec.x), scn.system.input_map(rec.x))
+    return a + np.vecdot(b, rec.u)
+
+
+class TestDiagnostics:
+    def test_prop1_on_qp_run(self, qp_record):
+        # the applied (held) input satisfies the CBF row at the solve
+        # state; between solves the margin can dip slightly below zero
+        scn = sa.build_scenario(sim__controller="qp")
+        assert _cbf_margin(scn, qp_record).min() >= -0.05
+
+    def test_prop1_takes_alpha_scale_from_the_scenario(self):
+        # the QP imposes the row with the scenario's alpha_scale: at every
+        # hold row it holds for alpha_scale = 2 to the solver's tolerance
+        scn = sa.build_scenario(sim__controller="qp", qp__alpha_scale=2.0)
+        rec = sa.run_qp_episode(scn)
+        assert rec.status == "OK" and scn.qp.alpha_scale == 2.0
+        assert scn.sim.dt_out == scn.qp.dt
+        margin = _cbf_margin(scn, rec)
+        assert margin.min() >= -0.05
+        assert margin[:-1].min() >= -1e-9
 
 
 class TestDispatchAndSummary:
