@@ -1,19 +1,21 @@
 """Independent oracles used by the test suite and the `selftest`
-subcommand: exhaustive active-set enumeration for QPs, quadrature for the
-input penalty, and finite-difference gradient checks."""
+subcommand: exhaustive active-set enumeration for QPs, Gauss-Legendre
+quadrature for the input penalty, and finite-difference gradient checks."""
 
 from __future__ import annotations
 
 from itertools import combinations
 
 import numpy as np
-from scipy.integrate import quad
 
-from .cost import BarrierSpec, CostSpec, barrier_B, barrier_Bbar, grad_Bbar
+from .config import build_scenario
+from .cost import CostSpec, barrier_B, barrier_Bbar, grad_Bbar, input_penalty_Ru
 from .errors import QpInfeasible
 from .model import CircularSafeSet
 from .qpsolve import QpProblem, solve_qp
-from .staf import StaFConfig, grad_sigma, kernel_sigma
+from .staf import grad_sigma, kernel_sigma
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 def enumerate_qp(prob: QpProblem, tol=1e-8):
@@ -48,14 +50,13 @@ def enumerate_qp(prob: QpProblem, tol=1e-8):
 
 
 def quadrature_Ru(cost: CostSpec, u):
-    """Adaptive-quadrature evaluation of the saturating input penalty."""
-    ub = cost.u_max
-    total = 0.0
-    for ui, ri in zip(np.asarray(u, float), cost.r_diag):
-        val, _err = quad(lambda z: 2.0 * ub * ri * np.arctanh(z / ub), 0.0, ui,
-                         epsabs=1e-12, epsrel=1e-12)
-        total += val
-    return total
+    """The input penalty sum_i int_0^u_i 2 u_max r_i atanh(z/u_max) dz, |u_i| < u_max, by
+    64-point Gauss-Legendre in s = atanh(z/u_max): the integrands 2 u_max^2 r_i s sech^2(s)
+    are analytic near the real axis, so the rule converges geometrically."""
+    s_end = np.arctanh(np.asarray(u, float) / cost.u_max)
+    s = 0.5 * s_end[:, None] * (1.0 + _GL_NODES)
+    integrals = 0.5 * s_end * ((s / np.cosh(s) ** 2) @ _GL_WEIGHTS)
+    return float(2.0 * cost.u_max ** 2 * (cost.r_diag @ integrals))
 
 
 def central_difference(fun, x, eps=1e-6):
@@ -78,21 +79,20 @@ def _rel_err(approx, exact):
 # selftest suites
 # ---------------------------------------------------------------------------
 
-def _interior_points(rng, safeset: CircularSafeSet, count, lo=0.1):
+def _interior_points(rng, safeset: CircularSafeSet, count, h_min=1e-3):
     pts = []
     while len(pts) < count:
-        x = rng.uniform(-1.0, 5.0, size=2)
-        if safeset.h(x) > 1e-3 and np.linalg.norm(x - safeset.center) >= lo:
+        x = rng.uniform(safeset.center - 3.0, safeset.center + 3.0)
+        if safeset.h(x) > h_min:
             pts.append(x)
     return pts
 
 
 def selftest_gradients(seed=0, count=100, tol=1e-5):
-    """Analytic gradients of h, sigma, Bbar, and B vs central differences."""
+    """Analytic gradients of h, sigma, Bbar, and B vs central differences (default scenario)."""
     rng = np.random.default_rng(seed)
-    safeset = CircularSafeSet(center=np.array([2.0, 2.0]), radius=1.0)
-    bar = BarrierSpec(safeset, k_p=1.0, a=0.5, d_on=0.2, d_off=1.0)
-    cfg = StaFConfig(offsets=[[0.0, -1.0], [0.866, -0.5], [-0.866, -0.5]], scale_num=0.5)
+    scn = build_scenario()
+    safeset, bar, cfg = scn.safeset, scn.barrier, scn.staf
     results = []
 
     worst = 0.0
@@ -117,7 +117,7 @@ def selftest_gradients(seed=0, count=100, tol=1e-5):
     results.append(("grad_Bbar vs central differences", worst <= tol, f"max rel err {worst:.3e}"))
 
     worst = 0.0
-    for x in _interior_points(rng, safeset, count, lo=1.05):
+    for x in _interior_points(rng, safeset, count, h_min=0.05):
         fd = central_difference(lambda y: barrier_B(bar, y), x)
         h, gh = safeset.h_grad(x)
         s, ds = bar.schedule(h)  # analytic B gradient for the check
@@ -163,18 +163,18 @@ def selftest_qp(seed=0, count=500, tol_v=1e-6, tol_obj=1e-8):
 
 
 def selftest_quadrature(seed=0, count=200, tol=1e-8):
-    """Closed-form input penalty vs adaptive quadrature."""
-    from .cost import input_penalty_Ru
+    """Closed-form input penalty (default scenario's cost) vs quadrature, and
+    at the corner u_i = u_max vs its limit 2 u_max^2 ln 2 sum_i r_i."""
     rng = np.random.default_rng(seed)
-    cost = CostSpec(Q=np.eye(2), r_diag=np.array([10.0, 10.0]), u_max=0.5)
+    cost = build_scenario().cost
     worst = 0.0
     for _ in range(count):
-        u = rng.uniform(-0.499, 0.499, size=2)
+        u = cost.u_max * rng.uniform(-0.998, 0.998, size=cost.r_diag.size)
         exact = input_penalty_Ru(cost, u)
         ref = quadrature_Ru(cost, u)
         worst = max(worst, abs(exact - ref) / max(abs(ref), 1e-12))
-    limit = input_penalty_Ru(cost, np.array([0.5, 0.5]))
-    limit_ref = 2 * 2.0 * 0.5 ** 2 * 10.0 * np.log(2.0)
+    limit = input_penalty_Ru(cost, np.full(cost.r_diag.size, cost.u_max))
+    limit_ref = 2.0 * cost.u_max ** 2 * np.log(2.0) * cost.r_diag.sum()
     ok = worst <= tol and abs(limit - limit_ref) <= 1e-6
     return [("input penalty closed form vs quadrature", ok,
              f"max rel err {worst:.3e}, corner err {abs(limit - limit_ref):.3e}")]

@@ -414,6 +414,46 @@ class TestSweep:
             assert err.count("\n") == 1
             assert not (tmp_path / "sw_000.csv").exists()
 
+    @pytest.mark.parametrize("line", ["system.B = [[1.0, 0.0], [0.0, 1.0]]", "gains.nu = 0"])
+    def test_config_file_error_is_reported_as_run_reports_it(self, tmp_path, capsys, line):
+        # no sweep value is at fault, so the message carries no --sweep-values prefix
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 4
+        run_err = capsys.readouterr().err
+        code = main(["sweep", "--config", str(cfg), "--t-final", "0.3",
+                     "--out", str(tmp_path / "sw.csv"),
+                     "--sweep-key", "gains.seed", "--sweep-values", "0;1"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == run_err and err.count("\n") == 1
+        assert "--sweep-values" not in err
+        assert not (tmp_path / "sw_000.csv").exists()
+
+    def test_sweep_key_may_complete_the_config(self, tmp_path, capsys):
+        # the file alone is rejected (no system.B), but every swept value completes it
+        cfg = tmp_path / "lin.cfg"
+        cfg.write_text(LINEAR + "cost.r_diag = [10.0]\n")
+        code = main(["sweep", "--config", str(cfg), "--t-final", "0.3",
+                     "--out", str(tmp_path / "sw.csv"), "--sweep-key", "system.B",
+                     "--sweep-values", "[[0.0], [1.0]];[[0.0], [2.0]]"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        for i in range(2):
+            assert (tmp_path / f"sw_{i:03d}.csv").exists()
+
+    def test_value_error_unlike_the_file_error_keeps_the_prefix(self, tmp_path, capsys):
+        # the file alone fails for want of system.B; value 2 fails for a reason of its own
+        cfg = tmp_path / "lin.cfg"
+        cfg.write_text(LINEAR + "cost.r_diag = [10.0]\n")
+        code = main(["sweep", "--config", str(cfg), "--t-final", "0.3",
+                     "--out", str(tmp_path / "sw.csv"), "--sweep-key", "system.B",
+                     "--sweep-values", "[[0.0], [1.0]];[[0.0], [1e999]]"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == "config error: --sweep-values:2: system: A and B must be finite\n"
+        assert not (tmp_path / "sw_000.csv").exists()
+
     def test_unknown_sweep_key(self, tmp_path):
         code = main(["sweep", "--sweep-key", "nope.nope", "--sweep-values", "1",
                      "--out", str(tmp_path / "x.csv")])
@@ -428,20 +468,18 @@ class TestSelftest:
         assert "FAIL" not in out
         assert out.count("[PASS]") >= 6
 
-    def test_missing_scipy_exit_code(self, monkeypatch, capsys):
-        # a None entry makes the import fail as if SciPy were not installed
-        for name in ("scipy", "scipy.integrate"):
-            monkeypatch.setitem(sys.modules, name, None)
-        monkeypatch.delitem(sys.modules, "safeadp.oracles", raising=False)
-        assert main(["selftest"]) == 4
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "safeadp[test]" in err
-
 
 def test_runtime_does_not_load_scipy():
+    # the library, the CLI and the oracles load no SciPy, and with SciPy
+    # unimportable (a None entry fails its import) selftest still passes
     src = str(Path(sa.__file__).resolve().parents[1])
-    code = ("import sys, safeadp, safeadp.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, safeadp, safeadp.cli, safeadp.oracles; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "sys.modules['scipy'] = None; "
+            "sys.exit(safeadp.cli.main(['selftest']))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert len(lines) == 7 and all(line.startswith("[PASS] ") for line in lines[1:])
