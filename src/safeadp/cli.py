@@ -97,10 +97,15 @@ def _load_values(args):
 
 def _check_outputs(*paths):
     """Raise OSError for an output path that cannot be written: its
-    directory is missing or read-only, or the path is a directory. Called
-    before the first episode, so that a bad path costs no run and leaves
-    no partial output."""
+    directory is missing or read-only, the path is a directory, or it is
+    the file of another output. Called before the first episode, so that
+    a bad path costs no run and leaves no partial output."""
+    seen = {}
     for path in filter(None, paths):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise OSError(f"{seen[real]} and {path} are the same file")
+        seen[real] = path
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), parent)
@@ -194,11 +199,9 @@ def cmd_sweep(args):
 def cmd_selftest(_args):
     from .oracles import run_selftest  # imported here: only selftest runs the oracles
     results = run_selftest()
-    all_ok = True
     for name, ok, detail in results:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-        all_ok = all_ok and ok
-    return EXIT_OK if all_ok else 1
+    return EXIT_OK if all(ok for _, ok, _ in results) else 1
 
 
 def build_parser():

@@ -170,14 +170,10 @@ def excitation_metrics(times, mean_Lambda_hist, Lambda_hist, window):
     t_end = times[-1]
     mask = times >= t_end - window
     tw = times[mask]
-    if tw.size < 2:
-        c2 = 0.0
-        c3 = 0.0
-    else:
-        I2 = np.trapezoid(mean_Lambda_hist[mask], tw, axis=0)
-        I3 = np.trapezoid(Lambda_hist[mask], tw, axis=0)
-        c2 = float(np.linalg.eigvalsh(I2)[0])
-        c3 = float(np.linalg.eigvalsh(I3)[0])
+    c2 = c3 = 0.0
+    if tw.size >= 2:
+        c2 = float(np.linalg.eigvalsh(np.trapezoid(mean_Lambda_hist[mask], tw, axis=0))[0])
+        c3 = float(np.linalg.eigvalsh(np.trapezoid(Lambda_hist[mask], tw, axis=0))[0])
     return {"c1_now": c1, "c2_window": c2, "c3_window": c3}
 
 

@@ -40,6 +40,11 @@ def dp54_step(rhs, t, y, h, f0=None):
     return y_new, h * (_E @ ks), ks
 
 
+def _edge(t):
+    """The landing tolerance at a stop t."""
+    return 1e-12 * max(1.0, abs(t))
+
+
 def _rms(z):
     """The root mean square of z, bit for bit np.sqrt(np.mean(z ** 2)):
     np.mean is the same sum followed by one division."""
@@ -48,39 +53,38 @@ def _rms(z):
 
 
 class StepRecord:
-    """Accepted steps: times, states, and derivatives for dense output,
-    and the integrator's work."""
+    """One entry per accepted time, strictly increasing: the state, the
+    derivatives into and out of it (equal unless a hook replaced it), and
+    the integrator's work."""
 
     def __init__(self):
         self.ts = []
         self.ys = []
-        self.fs = []
+        self.fs_in = []
+        self.fs_out = []
         self.rhs_evals = 0
         self.rejected_steps = 0
 
     def work(self):
-        """rhs evaluations, accepted steps (distinct times after the
-        first, since a replaced state is recorded twice) and rejected
-        steps."""
-        accepted = sum(a != b for a, b in zip(self.ts, self.ts[1:]))
-        return {"rhs_evals": self.rhs_evals, "accepted_steps": accepted,
+        """rhs evaluations, accepted steps and rejected steps."""
+        return {"rhs_evals": self.rhs_evals, "accepted_steps": len(self.ts) - 1,
                 "rejected_steps": self.rejected_steps}
 
-    def append(self, t, y, f):
-        """Record copies of y and f, so that the caller may change its own."""
+    def append(self, t, y, f_in, f_out):
+        """Record copies, so that the caller may change its own arrays."""
         self.ts.append(t)
         self.ys.append(np.array(y))
-        self.fs.append(np.array(f))
+        self.fs_in.append(np.array(f_in))
+        self.fs_out.append(np.array(f_out))
 
     def sample(self, t_grid):
-        """Cubic Hermite interpolation of the state on a time grid. A time
-        that two steps share is read from the earlier segment, which ends
-        on that point exactly."""
+        """Cubic Hermite interpolation of the state on a time grid; each
+        segment uses the derivative out of its start and into its end."""
         if len(self.ts) == 1:
             return np.tile(self.ys[0], (len(t_grid), 1))
         ts = np.asarray(self.ts)
         ys = np.asarray(self.ys)
-        fs = np.asarray(self.fs)
+        fi, fo = np.asarray(self.fs_in), np.asarray(self.fs_out)
         j = np.clip(np.searchsorted(ts, t_grid, side="left"), 1, len(ts) - 1) - 1
         dt = (ts[j + 1] - ts[j])[:, None]
         s = np.clip((np.asarray(t_grid)[:, None] - ts[j][:, None]) / dt, 0.0, 1.0)
@@ -94,24 +98,24 @@ class StepRecord:
             h10 = sb * (1 - sb) ** 2
             h01 = sb * sb * (3 - 2 * sb)
             h11 = sb * sb * (sb - 1)
-            out[b] = h00 * ys[jb] + h10 * db * fs[jb] + h01 * ys[jb + 1] + h11 * db * fs[jb + 1]
+            out[b] = h00 * ys[jb] + h10 * db * fo[jb] + h01 * ys[jb + 1] + h11 * db * fi[jb + 1]
         return out
 
 
 def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
                        on_accept=None, first_step=1e-3, stops=()):
-    """Integrate y' = rhs(t, y) from t0 to t_final, landing exactly on
-    each of the sorted `stops` in (t0, t_final); step size and controller
-    state carry across stops. Returns (status, record) with status OK,
-    SAFETY_BREACH, STEP_UNDERFLOW or that of a RunEnded.
+    """Integrate y' = rhs(t, y) from t0 to t_final, landing exactly on the
+    set `stops`, less any outside (t0, t_final) or within the landing
+    tolerance of t0, of a smaller stop or of t_final; step size and
+    controller state carry across stops. Returns (status, record) with
+    status OK, SAFETY_BREACH, STEP_UNDERFLOW or that of a RunEnded.
 
     rhs raising BoundaryViolation at a trial state rejects the step (step
     halved; after MAX_SAFETY_HALVINGS consecutive halvings the run ends
     with status SAFETY_BREACH). on_accept(t, y), called after each accepted
     step, may raise RunEnded(status) to end the run there (the point is
-    recorded) or return a replacement state, which the record keeps twice:
-    with the step's own derivative, closing the segment that ends there,
-    then with rhs(t, y), opening the next.
+    recorded) or return a replacement state, recorded with the step's own
+    derivative into it and rhs(t, y) out of it.
     """
     record = StepRecord()
 
@@ -122,19 +126,22 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
     t = float(t0)
     y = np.array(y0, dtype=float)
     f = np.asarray(counted(t, y), float)
-    record.append(t, y, f)
-    stops = [float(s) for s in stops if t0 < s < t_final] + [float(t_final)]
+    record.append(t, y, f, f)
+    kept = []
+    for s in sorted(map(float, stops)):
+        if s - (kept[-1] if kept else t) > _edge(s) and t_final - s > _edge(t_final):
+            kept.append(s)
+    stops = kept + [float(t_final)]
     i_stop = 0
     h = first_step
     err_prev = 1.0
     safety_halvings = 0
 
     while t < t_final:
-        # a remainder within t_edge of the step is taken whole, and that
-        # step lands on the stop exactly
+        # a remainder within the landing tolerance of the step is taken
+        # whole, and that step lands on the stop exactly
         t_stop = stops[i_stop]
-        t_edge = 1e-12 * max(1.0, abs(t_stop))
-        land = t_stop - t - h <= t_edge
+        land = t_stop - t - h <= _edge(t_stop)
         if land:
             h = t_stop - t
         if h < 1e-15 * max(1.0, abs(t)):
@@ -158,17 +165,16 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
             t = t_stop if land else t + h
             i_stop += land
             y = y_new
-            f = ks[6]  # FSAL
+            f_in = f = ks[6]  # FSAL
             try:
                 replaced = None if on_accept is None else on_accept(t, y)
             except RunEnded as end:
-                record.append(t, y, f)
+                record.append(t, y, f, f)
                 return end.args[0], record
             if replaced is not None:
                 y = np.asarray(replaced, float)
-                record.append(t, y, f)
                 f = np.asarray(counted(t, y), float)
-            record.append(t, y, f)
+            record.append(t, y, f_in, f)
             # PI controller (Gustafsson)
             fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0) if err > 0 else 5.0
             h *= min(5.0, max(0.2, fac))

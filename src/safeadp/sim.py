@@ -61,7 +61,7 @@ class TrajectoryRecord:
     qp_iterations: int = 0  # passes of the QP solver's dual loop, summed over holds
     qp_cold_solves: int = 0  # holds whose QP the warm start did not settle
     rhs_evals: int = 0  # the integrator's right-hand-side evaluations
-    accepted_steps: int = 0  # distinct times the integrator stepped to
+    accepted_steps: int = 0  # steps the integrator accepted: its record's times after the first
     rejected_steps: int = 0  # step attempts it threw away
 
 
@@ -95,8 +95,6 @@ def summarize(record: TrajectoryRecord):
         vals = vals[np.isfinite(vals)]
         return float(np.mean(vals)) if vals.size else np.nan
 
-    d_early = _nanmean(np.abs(record.delta[early]))
-    d_late = _nanmean(np.abs(record.delta[late]))
     return SummaryReport(
         controller=record.controller,
         status=record.status,
@@ -105,8 +103,8 @@ def summarize(record: TrajectoryRecord):
         max_u_inf=float(np.max(np.abs(record.u))),
         total_J=float(record.J[-1]),
         j_native_total=record.j_native_total,
-        mean_abs_delta_early=d_early,
-        mean_abs_delta_late=d_late,
+        mean_abs_delta_early=_nanmean(np.abs(record.delta[early])),
+        mean_abs_delta_late=_nanmean(np.abs(record.delta[late])),
         infeasible_events=int(record.status == "QP_INFEASIBLE"),
         weak_excitation=record.weak_excitation_flag,
         wall_clock_s=record.wall_clock,
@@ -203,8 +201,8 @@ def run_adp_episode(scn):
     s0[pack.i_g: pack.i_jn] = (gains.gamma0 * np.eye(L)).ravel()
     check_start(safeset, sim.x0)
 
-    cell = {"pts": sample_extrapolation_points(rng, sim.x0, gains.N, cfg, safeset)}
-    accepted = []  # (t, s, points) after each accepted step's hook
+    # drawn[i]: the points drawn at the record's i-th time; the rhs reads the last
+    drawn = [sample_extrapolation_points(rng, sim.x0, gains.N, cfg, safeset)]
 
     def learner_rows(x, Wc, Wa, pts):
         # rows [x, p_1..p_N] per anchor x
@@ -213,7 +211,7 @@ def run_adp_episode(scn):
 
     def rhs(t, s):
         x, Wc, Wa, Gamma, _, _ = pack.unpack(s)
-        rows = learner_rows(x, Wc, Wa, cell["pts"])
+        rows = learner_rows(x, Wc, Wa, drawn[-1])
         # row 0 is the on-trajectory sample: its ydot and state cost are the
         # plant's at (x, u)
         ds = np.empty(pack.size)
@@ -233,8 +231,7 @@ def run_adp_episode(scn):
         s[pack.i_g: pack.i_jn] = G.ravel()
         if np.linalg.eigvalsh(G)[0] <= 0:
             raise RunEnded("GAIN_INDEFINITE")
-        cell["pts"] = sample_extrapolation_points(rng, x, gains.N, cfg, safeset)
-        accepted.append((t, s, cell["pts"]))
+        drawn.append(sample_extrapolation_points(rng, x, gains.N, cfg, safeset))
         return s
 
     status, rec = integrate_adaptive(rhs, 0.0, s0, sim.t_final, abs_tol=sim.abs_tol,
@@ -248,13 +245,12 @@ def run_adp_episode(scn):
     hs, Bs = _barrier_columns(safeset, bar, xs)
     us, deltas = _learner_columns(scn, xs, Wcs, Was, hs)
 
-    # the excitation history: each accepted state's regressors at the
-    # points drawn there, in one evaluation over all accepted steps
-    hist_t, hist_c1, flag = [], [], False
-    if accepted:
-        hist_t, ss, pts = zip(*accepted)
-        x_a, Wc_a, Wa_a, _, _, _ = pack.unpack(np.array(ss))
-        lam = learner_rows(x_a, Wc_a, Wa_a, np.array(pts)).Lambda
+    # the excitation history: the regressors of each accepted step that drew
+    # points (a hook that ends the run draws none) at them, in one evaluation
+    hist_t, hist_c1, flag = rec.ts[1:len(drawn)], [], False
+    if hist_t:
+        x_a, Wc_a, Wa_a, _, _, _ = pack.unpack(np.array(rec.ys[1:len(drawn)]))
+        lam = learner_rows(x_a, Wc_a, Wa_a, np.array(drawn[1:])).Lambda
         lam_mean = lam[:, 1:].sum(axis=1) / gains.N
         hist_c1 = np.linalg.eigvalsh(lam_mean)[:, 0]
         flag = weak_excitation(excitation_metrics(hist_t, lam_mean, lam[:, 0], gains.pe_window))
@@ -322,7 +318,7 @@ def run_qp_episode(scn):
         solve(sim.x0)
     except RunEnded as end:  # the first solve failed
         status, rec = end.args[0], StepRecord()
-        rec.append(0.0, y0, np.zeros(n + 1))
+        rec.append(0.0, y0, np.zeros(n + 1), np.zeros(n + 1))
     else:
         status, rec = integrate_adaptive(rhs, 0.0, y0, sim.t_final, stops=hold_ts[1:],
                                          abs_tol=sim.abs_tol, rel_tol=sim.rel_tol,

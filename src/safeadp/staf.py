@@ -34,7 +34,6 @@ class StaFConfig:
             raise ValueError("scale_num must be positive")
         self.offsets = offsets
         self.L = offsets.shape[0]
-        self.n = offsets.shape[1]
         self.scale_num = float(scale_num)
 
     def theta(self, x):

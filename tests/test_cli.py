@@ -220,6 +220,23 @@ class TestOutputErrors:
         assert "cmp_qp_panel_h.dat" in err
         assert list(tmp_path.iterdir()) == [panel] and list(panel.iterdir()) == []
 
+    @pytest.mark.parametrize("args", [
+        ["run", "--t-final", "0.3", "--out", "a.csv", "--summary", "a.csv"],
+        ["run", "--t-final", "0.3", "--out", "./r.csv", "--summary", "r.csv"],
+        ["compare", "--t-final", "0.2", "--out", "c.csv", "--summary", "c_qp.csv"],
+    ], ids=["run-same-name", "run-alias", "compare-summary-on-a-csv"])
+    def test_outputs_must_be_distinct_files(self, tmp_path, monkeypatch, capsys, args):
+        # two outputs on one file would leave only the last one written
+        monkeypatch.chdir(tmp_path)
+        episodes = []
+        monkeypatch.setattr(sa.cli, "run_episode", episodes.append)
+        assert main(args) == 4
+        assert episodes == []
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and len(err.splitlines()) == 1
+        assert "are the same file" in err and args[-1] in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unreadable_config_is_a_config_error(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 4
         err = capsys.readouterr().err

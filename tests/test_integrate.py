@@ -99,19 +99,26 @@ def test_work_is_counted(monkeypatch):
 
 
 def test_work_counts_replaced_states_once_and_halvings_as_rejections():
-    # a replaced state is recorded twice but is one step; a step into the
+    # a replaced state is recorded once, as one step; a step into the
     # boundary is a rejected attempt
     def rhs(t, y):
         if y[0] >= 1.0:
             raise BoundaryViolation("past the wall")
         return np.array([1.0])
 
+    hooked = []
+
+    def replace(t, y):
+        hooked.append(t)
+        return y
+
     status, rec = integrate_adaptive(rhs, 0.0, np.array([0.0]), 2.0, first_step=0.3,
-                                     on_accept=lambda t, y: y)
+                                     on_accept=replace)
     work = rec.work()
     assert status == "SAFETY_BREACH"
-    assert len(rec.ts) == 2 * work["accepted_steps"] + 1
-    assert work["accepted_steps"] == len(set(rec.ts)) - 1
+    assert rec.ts == [0.0] + hooked
+    assert np.all(np.diff(rec.ts) > 0)
+    assert work["accepted_steps"] == len(rec.ts) - 1 == len(hooked) > 0
     assert work["rejected_steps"] > integrate.MAX_SAFETY_HALVINGS
 
 
@@ -129,7 +136,8 @@ def test_on_accept_replacement():
 
 def test_record_keeps_a_copy_of_each_replacement():
     # the hook returns one buffer, rewritten at every accepted step; the
-    # record holds each replacement as it was when returned, twice
+    # record holds each replacement as it was when returned, once, with
+    # the derivatives into and out of it
     buf, returned = np.zeros(1), []
 
     def clamp(t, y):
@@ -140,8 +148,10 @@ def test_record_keeps_a_copy_of_each_replacement():
     status, rec = integrate_adaptive(lambda t, y: np.array([1.0]),
                                      0.0, np.array([0.0]), 2.0, on_accept=clamp)
     assert status == "OK" and len(set(r[0] for r in returned)) > 3
-    np.testing.assert_array_equal(np.array(rec.ys[1:]), np.repeat(returned, 2, axis=0))
-
+    assert len(rec.ts) == len(returned) + 1
+    np.testing.assert_array_equal(np.array(rec.ys[1:]), np.array(returned))
+    np.testing.assert_array_equal(np.array(rec.fs_in), np.ones((len(rec.ts), 1)))
+    np.testing.assert_array_equal(np.array(rec.fs_out), np.ones((len(rec.ts), 1)))
 
 
 def test_rhs_that_reuses_its_output_buffer():
@@ -158,7 +168,8 @@ def test_rhs_that_reuses_its_output_buffer():
 
     _, a = integrate_adaptive(reused, 0.0, np.array([1.0, 0.0]), 3.0)
     _, b = integrate_adaptive(fresh, 0.0, np.array([1.0, 0.0]), 3.0)
-    np.testing.assert_array_equal(np.array(a.fs), np.array(b.fs))
+    np.testing.assert_array_equal(np.array(a.fs_in), np.array(b.fs_in))
+    np.testing.assert_array_equal(np.array(a.fs_out), np.array(b.fs_out))
     grid = np.linspace(0.0, 3.0, 31)
     np.testing.assert_array_equal(a.sample(grid), b.sample(grid))
 
@@ -174,6 +185,22 @@ def test_lands_on_every_stop():
     assert rec.ts == sorted(rec.ts)
     np.testing.assert_allclose(rec.sample(np.array(stops))[:, 0], np.cos(stops),
                                rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("stops, kept", [
+    ([0.5, 0.5], [0.5]),  # a repeated stop
+    ([0.7, 0.3], [0.3, 0.7]),  # unsorted stops
+    ([1.0 - 1e-16], []),  # within the landing tolerance of t_final
+    ([1e-17], []),  # within the landing tolerance of t0
+    ([-0.5, 0.3, 0.3 + 1e-13, 1.5], [0.3]),  # outside (t0, t_final), and a near repeat
+])
+def test_stops_are_a_set(stops, kept):
+    status, rec = integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, stops=stops)
+    assert status == "OK"
+    assert rec.ts[-1] == 1.0
+    assert set(kept) <= set(rec.ts)
+    assert np.all(np.diff(rec.ts) > 0)
+    assert rec.ys[-1][0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
 
 def test_hook_switching_the_rhs_gives_exact_segments():
@@ -218,7 +245,7 @@ def test_hook_ends_the_run_with_its_status():
 
 def test_single_record_sample():
     rec = StepRecord()
-    rec.append(0.0, np.array([1.0, 2.0]), np.array([0.0, 0.0]))
+    rec.append(0.0, np.array([1.0, 2.0]), np.array([0.0, 0.0]), np.array([3.0, -1.0]))
     out = rec.sample(np.array([0.0, 0.5]))
     np.testing.assert_allclose(out, [[1.0, 2.0], [1.0, 2.0]])
 
@@ -230,13 +257,17 @@ def _hermite_row(rec, t):
         j += 1
     dt = rec.ts[j + 1] - rec.ts[j]
     s = min(max((t - rec.ts[j]) / dt, 0.0), 1.0)
-    return ((1 + 2 * s) * (1 - s) ** 2 * rec.ys[j] + s * (1 - s) ** 2 * dt * rec.fs[j]
-            + s * s * (3 - 2 * s) * rec.ys[j + 1] + s * s * (s - 1) * dt * rec.fs[j + 1])
+    return ((1 + 2 * s) * (1 - s) ** 2 * rec.ys[j] + s * (1 - s) ** 2 * dt * rec.fs_out[j]
+            + s * s * (3 - 2 * s) * rec.ys[j + 1] + s * s * (s - 1) * dt * rec.fs_in[j + 1])
 
 
 def test_sample_matches_row_by_row_hermite():
+    # the hook shrinks every accepted state, so the derivative out of each
+    # recorded time differs from the one into it
     _s, rec = integrate_adaptive(lambda t, y: np.array([y[1], np.sin(3 * t) - y[0]]),
-                                 0.0, np.array([1.0, 0.0]), 5.0)
+                                 0.0, np.array([1.0, 0.0]), 5.0,
+                                 on_accept=lambda t, y: 0.999 * y)
+    assert all(np.all(a != b) for a, b in zip(rec.fs_in[1:], rec.fs_out[1:]))
     grid = np.sort(np.concatenate([np.linspace(-0.1, 5.1, 523), rec.ts]))
     ref = np.array([_hermite_row(rec, t) for t in grid])
     # the same formula; only the rounding of (1 - s)**2 may differ
@@ -245,13 +276,13 @@ def test_sample_matches_row_by_row_hermite():
 
 
 def test_sample_reads_each_side_of_a_junction():
-    # two holds meet at t = 1 with different slopes: the shared time is
-    # read from the earlier segment, later times from the later one
+    # two holds meet at t = 1 with different slopes: the segment before it
+    # ends with the slope into t = 1, the one after starts with the slope
+    # out of it
     rec = StepRecord()
-    rec.append(0.0, np.array([0.0]), np.array([1.0]))
-    rec.append(1.0, np.array([1.0]), np.array([1.0]))
-    rec.append(1.0, np.array([1.0]), np.array([-2.0]))
-    rec.append(2.0, np.array([-1.0]), np.array([-2.0]))
+    rec.append(0.0, np.array([0.0]), np.array([1.0]), np.array([1.0]))
+    rec.append(1.0, np.array([1.0]), np.array([1.0]), np.array([-2.0]))
+    rec.append(2.0, np.array([-1.0]), np.array([-2.0]), np.array([-2.0]))
     out = rec.sample(np.array([0.5, 1.0, 1.5, 2.0]))[:, 0]
     assert out[1] == 1.0
     np.testing.assert_allclose(out, [0.5, 1.0, 0.0, -1.0], rtol=0, atol=1e-15)
@@ -266,7 +297,7 @@ def test_sample_reproduces_a_cubic():
 
     rec = StepRecord()
     for t in (0.0, 0.3, 1.1, 2.0):
-        rec.append(t, np.array([p(t)]), np.array([dp(t)]))
+        rec.append(t, np.array([p(t)]), np.array([dp(t)]), np.array([dp(t)]))
     grid = np.linspace(0.0, 2.0, 41)
     np.testing.assert_allclose(rec.sample(grid)[:, 0], p(grid), rtol=1e-14, atol=1e-14)
 
@@ -296,7 +327,7 @@ def test_sample_peak_memory_is_at_most_twice_the_output():
     rng = np.random.default_rng(0)
     rec = StepRecord()
     for t in np.linspace(0.0, 25.0, 84):
-        rec.append(t, rng.normal(size=19), rng.normal(size=19))
+        rec.append(t, rng.normal(size=19), rng.normal(size=19), rng.normal(size=19))
     grid = np.linspace(0.0, 25.0, 2501)
     tracemalloc.start()
     try:
