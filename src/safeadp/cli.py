@@ -86,11 +86,11 @@ def write_summary(summary_dict, path):
 
 def _load_values(args):
     values = parse_config(args.config) if args.config else dict(DEFAULTS)
-    if getattr(args, "controller", None):
+    if args.controller:
         values["sim.controller"] = args.controller
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         values["gains.seed"] = args.seed
-    if getattr(args, "t_final", None) is not None:
+    if args.t_final is not None:
         values["sim.t_final"] = args.t_final
     return values
 
@@ -115,46 +115,47 @@ def _check_outputs(*paths):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
+def _run_episodes(episodes, *joint_outputs):
+    """Run each episode, a tuple (label, scenario, CSV path, panel stem or
+    None, summary path or None, extra summary keys), and write its files,
+    every output path checked before the first episode runs. Prints one line
+    per episode; returns the summaries and the largest exit code."""
+    _check_outputs(*(path for _, _, csv, stem, summary_path, _ in episodes
+                     for path in (csv, *(panel_paths(stem) if stem else ()), summary_path)),
+                   *joint_outputs)
+    summaries = []
+    for _, scn, csv, stem, summary_path, extra in episodes:
+        record = run_episode(scn)
+        summaries.append(summarize(record))
+        write_csv(record, csv)
+        if stem:
+            write_panels(record, stem)
+        if summary_path:
+            write_summary({**summaries[-1].as_dict(), **extra}, summary_path)
+    for (label, *_), s in zip(episodes, summaries):
+        print(f"{label}: status={s.status} min_h={s.min_h:.6g} "
+              f"terminal_x={s.terminal_x_norm:.6g} J={s.total_J:.6g}")
+    return summaries, max(_STATUS_EXIT[s.status] for s in summaries)
+
+
 def cmd_run(args):
     scn = build_scenario(_load_values(args))
-    _check_outputs(args.out, args.summary)
-    record = run_episode(scn)
-    summary = summarize(record)
-    write_csv(record, args.out)
-    if args.summary:
-        write_summary(summary.as_dict(), args.summary)
-    print(f"{record.controller}: status={record.status} min_h={summary.min_h:.6g} "
-          f"terminal_x={summary.terminal_x_norm:.6g} J={summary.total_J:.6g}")
-    return _STATUS_EXIT[record.status]
+    return _run_episodes([(scn.sim.controller, scn, args.out, None, args.summary, {})])[1]
 
 
 def cmd_compare(args):
     values = _load_values(args)
-    stem = str(Path(args.out).with_suffix("")) if args.out else "compare"
-    scenarios = {ctrl: build_scenario(values, sim__controller=ctrl) for ctrl in ("adp", "qp")}
+    stem = Path(args.out).with_suffix("")
     summary_path = args.summary or f"{stem}_summary.json"
-    _check_outputs(*(path for ctrl in scenarios
-                     for path in (f"{stem}_{ctrl}.csv", *panel_paths(f"{stem}_{ctrl}"))),
-                   summary_path)
-    summaries = {}
-    for ctrl, scn in scenarios.items():
-        record = run_episode(scn)
-        summaries[ctrl] = summarize(record)
-        write_csv(record, f"{stem}_{ctrl}.csv")
-        write_panels(record, f"{stem}_{ctrl}")
-    joint = {
-        "adp": summaries["adp"].as_dict(),
-        "qp": summaries["qp"].as_dict(),
-        "terminal_x_norm_adp": summaries["adp"].terminal_x_norm,
-        "terminal_x_norm_qp": summaries["qp"].terminal_x_norm,
-        "adp_converges_better": summaries["adp"].terminal_x_norm < summaries["qp"].terminal_x_norm,
-    }
-    write_summary(joint, summary_path)
-    for ctrl in ("adp", "qp"):
-        s = summaries[ctrl]
-        print(f"{ctrl}: status={s.status} min_h={s.min_h:.6g} "
-              f"terminal_x={s.terminal_x_norm:.6g} J={s.total_J:.6g}")
-    return max(_STATUS_EXIT[s.status] for s in summaries.values())
+    (adp, qp), code = _run_episodes(
+        [(ctrl, build_scenario(values, sim__controller=ctrl), f"{stem}_{ctrl}.csv",
+          f"{stem}_{ctrl}", None, {}) for ctrl in ("adp", "qp")], summary_path)
+    write_summary({"adp": adp.as_dict(), "qp": qp.as_dict(),
+                   "terminal_x_norm_adp": adp.terminal_x_norm,
+                   "terminal_x_norm_qp": qp.terminal_x_norm,
+                   "adp_converges_better": adp.terminal_x_norm < qp.terminal_x_norm},
+                  summary_path)
+    return code
 
 
 def cmd_sweep(args):
@@ -177,23 +178,11 @@ def cmd_sweep(args):
                 if str(base) == str(exc):
                     raise base from None
             raise ConfigError(f"--sweep-values:{i}: {exc}") from None
-    stem = str(Path(args.out).with_suffix("")) if args.out else "sweep"
-    _check_outputs(*(f"{stem}_{idx:03d}{end}" for idx in range(len(scenarios))
-                     for end in (".csv", "_summary.json")))
-
-    results = []
-    for idx, (val, scn) in enumerate(zip(sweep_values, scenarios)):
-        record = run_episode(scn)
-        write_csv(record, f"{stem}_{idx:03d}.csv")
-        d = summarize(record).as_dict()
-        d["sweep_key"] = args.sweep_key
-        d["sweep_value"] = val
-        write_summary(d, f"{stem}_{idx:03d}_summary.json")
-        results.append((record.status, d))
-    for (status, d) in results:
-        print(f"{args.sweep_key}={d['sweep_value']}: status={status} "
-              f"min_h={d['min_h']:.6g} terminal_x={d['terminal_x_norm']:.6g}")
-    return max(_STATUS_EXIT[status] for status, _ in results)
+    stem = Path(args.out).with_suffix("")
+    return _run_episodes([(f"{args.sweep_key}={val}", scn, f"{stem}_{i:03d}.csv", None,
+                           f"{stem}_{i:03d}_summary.json",
+                           {"sweep_key": args.sweep_key, "sweep_value": val})
+                          for i, (val, scn) in enumerate(zip(sweep_values, scenarios))])[1]
 
 
 def cmd_selftest(_args):
@@ -204,35 +193,42 @@ def cmd_selftest(_args):
     return EXIT_OK if all(ok for _, ok, _ in results) else 1
 
 
+def _path(text):
+    """An output path: an empty one is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="safeadp",
                                      description="Barrier-embedded safe optimal control runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_controller=True):
+    def common(p):
         p.add_argument("--config", help="config file (flat dotted keys)")
         p.add_argument("--seed", type=int, help="RNG seed (overrides gains.seed)")
         p.add_argument("--t-final", dest="t_final", type=float, help="episode length in seconds")
-        p.add_argument("--out", help="output CSV path / stem")
-        p.add_argument("--summary", help="summary JSON path")
-        if with_controller:
-            p.add_argument("--controller", choices=["adp", "qp"])
+        p.add_argument("--out", type=_path, help="output CSV path / stem")
+        return p
 
-    p_run = sub.add_parser("run", help="run one episode")
-    common(p_run)
+    p_run = common(sub.add_parser("run", help="run one episode"))
     p_run.set_defaults(func=cmd_run, out="traj.csv")
 
-    p_cmp = sub.add_parser("compare", help="run both controllers with shared geometry/seed")
-    common(p_cmp, with_controller=False)
-    p_cmp.set_defaults(func=cmd_compare, out="compare.csv")
+    p_cmp = common(sub.add_parser("compare", help="run both controllers with shared geometry/seed"))
+    p_cmp.set_defaults(func=cmd_compare, out="compare.csv", controller=None)
 
-    p_sw = sub.add_parser("sweep", help="vary one config key over a list of values")
-    common(p_sw)
+    p_sw = common(sub.add_parser("sweep", help="vary one config key over a list of values"))
     p_sw.add_argument("--sweep-key", required=True)
     p_sw.add_argument("--sweep-values", required=True,
                       help="semicolon-separated values, parsed as config values, "
                            "e.g. '0.01;0.05', '[3,3];[3,3.5]' or 'adp;qp'")
     p_sw.set_defaults(func=cmd_sweep, out="sweep.csv")
+
+    for p in (p_run, p_cmp):
+        p.add_argument("--summary", type=_path, help="summary JSON path")
+    for p in (p_run, p_sw):
+        p.add_argument("--controller", choices=["adp", "qp"])
 
     p_st = sub.add_parser("selftest", help="run the oracle suites")
     p_st.set_defaults(func=cmd_selftest)
@@ -240,8 +236,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error would exit 2, SAFETY_BREACH's code
+        return EXIT_CONFIG_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ConfigError as exc:

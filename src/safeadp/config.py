@@ -163,20 +163,13 @@ def build_scenario(values=None, **overrides):
     one component; a value the component rejects is a ConfigError naming
     the section, and an array sized for another system than the one built
     is a ConfigError naming its key."""
-    cfg = dict(DEFAULTS)
-    if values:
-        unknown = set(values) - set(DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(values)
-    for key, val in overrides.items():
-        dotted = key.replace("__", ".")
-        if dotted not in DEFAULTS:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        cfg[dotted] = val
+    given = {**(values or {}), **{key.replace("__", "."): val for key, val in overrides.items()}}
+    unknown = set(given) - set(DEFAULTS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     sections = {}
-    for key, val in cfg.items():
+    for key, val in {**DEFAULTS, **given}.items():
         section, _, name = key.partition(".")
         sections.setdefault(section, {})[name] = _coerce(key, val)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,43 @@ class TestExitCodes:
         assert out.read_text().splitlines()[-1].endswith(",QP_SOLVER_FAILED")
 
 
+class TestUsage:
+    # argparse's own exit code for a usage error is 2, the code of SAFETY_BREACH
+    @pytest.mark.parametrize("args", [
+        ["run", "--bogus"],
+        ["run", "--t-final", "abc"],
+        ["run", "--seed", "1.5"],
+        ["compare", "--controller", "qp"],
+        ["sweep", "--sweep-key", "gains.seed"],
+        [],
+        # sweep writes no joint summary, so it takes no --summary
+        ["sweep", "--out", "s.csv", "--summary", "m.json", "--sweep-key", "gains.seed",
+         "--sweep-values", "0"],
+        # an empty path names no file, and no output falls back to a default name
+        ["run", "--out", ""],
+        ["run", "--summary", ""],
+        ["compare", "--out", ""],
+        ["compare", "--summary", ""],
+        ["sweep", "--out", "", "--sweep-key", "gains.seed", "--sweep-values", "0;1"],
+    ], ids=["unknown-flag", "bad-float", "bad-int", "compare-controller",
+            "missing-sweep-values", "no-command", "sweep-summary", "run-empty-out",
+            "run-empty-summary", "compare-empty-out", "compare-empty-summary",
+            "sweep-empty-out"])
+    def test_usage_error_exit_code(self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        episodes = []
+        monkeypatch.setattr(sa.cli, "run_episode", episodes.append)
+        assert main(args) == 4
+        assert episodes == []
+        assert "error: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_0(self, capsys, args):
+        assert main(args) == 0
+        assert capsys.readouterr().out.startswith("usage: safeadp")
+
+
 class TestOutputErrors:
     # a path whose directory does not exist ends in one line and exit 4
     @pytest.mark.parametrize("command, flag", [("run", "--out"), ("run", "--summary"),
@@ -302,6 +340,15 @@ class TestConfig:
         # sign check
         with pytest.raises(ConfigError, match=f"^{key.replace('__', '.')}: expected finite"):
             sa.build_scenario(**{key: val})
+
+    def test_unknown_key_is_one_error_for_values_and_overrides(self):
+        messages = set()
+        for values, overrides in (({"nope.x": 1}, {}), (None, {"nope__x": 1}),
+                                  ({"sim.t_final": 1.0}, {"nope__x": 1})):
+            with pytest.raises(ConfigError) as exc:
+                sa.build_scenario(values, **overrides)
+            messages.add(str(exc.value))
+        assert messages == {"unknown config keys: ['nope.x']"}
 
     @pytest.mark.parametrize("controller", ["adp", "qp"])
     def test_linear_system_runs(self, tmp_path, controller):
@@ -484,6 +531,21 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("[PASS]") >= 6
+
+
+@pytest.mark.parametrize("args, labels", [
+    (["run", "--out", "r.csv"], ["adp"]),
+    (["compare", "--out", "c.csv"], ["adp", "qp"]),
+    (["sweep", "--out", "s.csv", "--sweep-key", "gains.seed", "--sweep-values", "0;1"],
+     ["gains.seed=0", "gains.seed=1"]),
+], ids=["run", "compare", "sweep"])
+def test_one_status_line_per_episode(tmp_path, monkeypatch, capsys, args, labels):
+    monkeypatch.chdir(tmp_path)
+    assert main([*args, "--t-final", "0.2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ", 1)[0] for line in lines] == labels
+    pattern = r"status=OK min_h=\S+ terminal_x=\S+ J=\S+"
+    assert all(re.fullmatch(pattern, line.split(": ", 1)[1]) for line in lines)
 
 
 def test_runtime_does_not_load_scipy():
