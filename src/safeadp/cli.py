@@ -194,7 +194,8 @@ def cmd_selftest(_args):
 
 
 def _path(text):
-    """An output path: an empty one is a usage error."""
+    """A file path (an output, or the config file): an empty one is a
+    usage error."""
     if not text:
         raise argparse.ArgumentTypeError("an empty path names no file")
     return text
@@ -206,7 +207,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="config file (flat dotted keys)")
+        p.add_argument("--config", type=_path, help="config file (flat dotted keys)")
         p.add_argument("--seed", type=int, help="RNG seed (overrides gains.seed)")
         p.add_argument("--t-final", dest="t_final", type=float, help="episode length in seconds")
         p.add_argument("--out", type=_path, help="output CSV path / stem")

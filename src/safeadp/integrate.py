@@ -10,9 +10,10 @@ import numpy as np
 
 from .errors import BoundaryViolation, RunEnded
 
-# Dormand-Prince 5(4) Butcher tableau; the rows of A are built once, as
+# Dormand-Prince 5(4) Butcher tableau; the stage times are Python floats,
+# so that t + c h is float arithmetic, and the rows of A are built once, as
 # arrays, for the stage sums
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [np.array(row) for row in (
     [],
     [1 / 5],
@@ -30,14 +31,17 @@ SAMPLE_BLOCK = 128  # output rows per block in StepRecord.sample
 
 
 def dp54_step(rhs, t, y, h, f0=None):
-    """One embedded step: returns (y_new, error_estimate, stages)."""
+    """One embedded step: returns (y_new, error_estimate, stages).
+
+    The stage sums are np.dot, which gives the bits of `@` on these vector
+    by matrix products at a lower call cost."""
     ks = np.empty((7, y.size))
     ks[0] = rhs(t, y) if f0 is None else f0
     for i in range(1, 7):
-        yi = y + h * (_A[i] @ ks[:i])
+        yi = y + h * np.dot(_A[i], ks[:i])
         ks[i] = rhs(t + _C[i] * h, yi)
-    y_new = y + h * (_B5 @ ks)
-    return y_new, h * (_E @ ks), ks
+    y_new = y + h * np.dot(_B5, ks)
+    return y_new, h * np.dot(_E, ks), ks
 
 
 def _edge(t):

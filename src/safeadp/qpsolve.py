@@ -66,6 +66,10 @@ class QpProblem:
         # np.allclose(H, H.T, atol=1e-12) without its overhead
         if not (abs(self.H - self.H.T) <= 1e-12 + 1e-5 * abs(self.H.T)).all():
             raise ValueError("H must be symmetric")
+        # 2H, the Hessian of the objective, and -c_lin, the right-hand side
+        # of the KKT system, formed once; H and c_lin are not changed after
+        self.H2 = 2.0 * self.H
+        self.neg_c = -self.c_lin
 
     @property
     def d(self):
@@ -77,9 +81,11 @@ class QpProblem:
 
     def with_rows(self, A, b):
         """This problem with the constraints A v <= b in place of its own.
-        H and c_lin are shared with this problem and not checked again."""
+        H and c_lin (and 2H and -c_lin) are shared with this problem and
+        not checked again."""
         prob = object.__new__(QpProblem)
         prob.H, prob.c_lin, prob.A, prob.b = self.H, self.c_lin, A, b
+        prob.H2, prob.neg_c = self.H2, self.neg_c
         return prob
 
     def objective(self, v):
@@ -105,7 +111,7 @@ def kkt_residuals(prob: QpProblem, v, multipliers, slack=None):
     lam = np.asarray(multipliers, float)
     if slack is None:
         slack = prob.A @ v - prob.b
-    r = 2.0 * prob.H @ v + prob.c_lin + prob.A.T @ lam
+    r = prob.H2 @ v + prob.c_lin + prob.A.T @ lam
     return {
         "stationarity": math.sqrt(float(r.dot(r))),  # np.linalg.norm(r), without its overhead
         "primal": float(max(0.0, slack.max())) if slack.size else 0.0,
@@ -125,7 +131,7 @@ def rounding_bounds(prob: QpProblem, v, multipliers):
     gamma = (prob.d + prob.k) * _EPS
     absA = np.abs(prob.A)
     row = absA @ v + np.abs(prob.b)
-    stat = 2.0 * np.abs(prob.H) @ v + np.abs(prob.c_lin) + absA.T @ lam
+    stat = np.abs(prob.H2) @ v + np.abs(prob.c_lin) + absA.T @ lam
     return {
         "stationarity": gamma * math.sqrt(float(stat.dot(stat))),
         "primal": gamma * float(row.max(initial=0.0)),
@@ -138,12 +144,22 @@ def kkt_ok(prob, v, multipliers, slack=None):
     """Whether every KKT residual is within KKT_TOL, or, failing that,
     within the rounding bound of a point of its size (`rounding_bounds`),
     so that a badly scaled problem's optimum, with multipliers near 1e7,
-    is not rejected for its rounding. The bounds are formed only when the
-    absolute test fails."""
-    res = kkt_residuals(prob, v, multipliers, slack)
-    if all(r <= KKT_TOL for r in res.values()):
+    is not rejected for its rounding.
+
+    The absolute test reads the residuals of `kkt_residuals` straight off
+    the arrays (a NaN fails it); only when it fails are the residuals and
+    their bounds formed, for the full rule."""
+    v = np.asarray(v, float)
+    lam = np.asarray(multipliers, float)
+    if slack is None:
+        slack = prob.A @ v - prob.b
+    r = prob.H2 @ v + prob.c_lin + prob.A.T @ lam
+    if (math.sqrt(float(r.dot(r))) <= KKT_TOL and slack.max(initial=0.0) <= KKT_TOL
+            and lam.min(initial=0.0) >= -KKT_TOL
+            and np.abs(lam * slack).max(initial=0.0) <= KKT_TOL):
         return True
-    bounds = rounding_bounds(prob, v, multipliers)
+    res = kkt_residuals(prob, v, lam, slack)
+    bounds = rounding_bounds(prob, v, lam)
     return all(r <= max(KKT_TOL, bounds[name]) for name, r in res.items())
 
 
@@ -157,12 +173,12 @@ def _equality_solve(prob: QpProblem, W):
         # a vertex: solving A_W v = b_W keeps the active rows exact even when
         # the multipliers are large; these then follow from stationarity
         v = np.linalg.solve(A_W, b_W)
-        return v, np.linalg.solve(A_W.T, -(2.0 * prob.H @ v + prob.c_lin))
+        return v, np.linalg.solve(A_W.T, -(prob.H2 @ v + prob.c_lin))
     KKT = np.zeros((d + len(W), d + len(W)))
-    KKT[:d, :d] = 2.0 * prob.H
+    KKT[:d, :d] = prob.H2
     KKT[:d, d:] = A_W.T
     KKT[d:, :d] = A_W
-    sol = np.linalg.solve(KKT, np.concatenate([-prob.c_lin, b_W]))
+    sol = np.linalg.solve(KKT, np.concatenate([prob.neg_c, b_W]))
     return sol[:d], sol[d:]
 
 
@@ -175,9 +191,10 @@ def _solution(prob: QpProblem, W, v, lam, iterations):
 def _accepted(prob: QpProblem, W, v, lam, iterations):
     """The solution (W, v, lam) if it meets the acceptance rule: every row
     violated by at most SOLVE_TOL, no negative multiplier, and the KKT
-    check, given the slack A v - b formed once; otherwise None."""
+    check, given the slack A v - b formed once; otherwise None. (A NaN
+    that passes the first two tests fails the KKT check.)"""
     slack = prob.A @ v - prob.b
-    if (slack > SOLVE_TOL).any() or (lam < 0.0).any():
+    if slack.max(initial=-np.inf) > SOLVE_TOL or lam.min(initial=0.0) < 0.0:
         return None
     sol = _solution(prob, W, v, lam, iterations)
     return sol if kkt_ok(prob, v, sol.multipliers, slack=slack) else None
@@ -225,7 +242,7 @@ def solve_qp(prob: QpProblem, start=()):
             return warm
     A, b = prob.A, prob.b
     # in w = L^T v, with 2H = L L^T, the Hessian is I and the rows are A L^-T
-    L_T_inv = np.linalg.inv(np.linalg.cholesky(2.0 * prob.H)).T
+    L_T_inv = np.linalg.inv(np.linalg.cholesky(prob.H2)).T
     Aw = A @ L_T_inv
     v = -L_T_inv @ (L_T_inv.T @ prob.c_lin)
     W: list[int] = []

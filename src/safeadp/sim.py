@@ -278,32 +278,36 @@ def run_qp_episode(scn):
     n = sys_.n
     check_start(safeset, sim.x0)
 
-    hold_ts = qp.dt * np.arange(np.ceil(sim.t_final / qp.dt - 1e-9))  # k*qp.dt < t_final - ulps
-    hold_us = []  # the input held from each solved hold time; rhs reads the last
-    # the last solve's active set (each solve is warm-started from it), the
-    # input cost of the held input, and the solver's work so far
-    held = {"active": (), "input_cost": 0.0, "iterations": 0, "cold": 0}
+    # k*qp.dt < t_final - ulps, as floats: on_accept compares each with t
+    hold_ts = (qp.dt * np.arange(np.ceil(sim.t_final / qp.dt - 1e-9))).tolist()
+    hold_us = []  # the input held from each solved hold time
+    # what rhs reads: the held input and its input cost; and the last
+    # solve's active set (each solve is warm-started from it) and the
+    # solver's work so far
+    u_held, input_cost = None, 0.0
+    active, iterations, cold = (), 0, 0
     ctrl = ControllerQp(sys_, safeset, cost, qp)  # the rows no state changes
     y0 = np.append(sim.x0, 0.0)  # [x, J]
 
     def solve(x):
+        nonlocal u_held, input_cost, active, iterations, cold
         try:
-            u, sol = qp_controller(ctrl, x, held["active"])
+            u, sol = qp_controller(ctrl, x, active)
         except QpInfeasible:
             raise RunEnded("QP_INFEASIBLE") from None
         except QpSolverFailed:
             raise RunEnded("QP_SOLVER_FAILED") from None
         hold_us.append(u)
-        held["active"] = sol.active_set
-        held["input_cost"] = cost.quadratic_input_cost(u)
-        held["iterations"] += sol.iterations
-        held["cold"] += sol.iterations > 0
+        u_held, input_cost = u, cost.quadratic_input_cost(u)
+        active = sol.active_set
+        iterations += sol.iterations
+        cold += sol.iterations > 0
 
     def rhs(_t, s):
         x = s[:n]
         ds = np.empty(n + 1)
-        ds[:n] = sys_.xdot(x, hold_us[-1])
-        ds[n] = cost.state_cost(x) + held["input_cost"]
+        ds[:n] = sys_.xdot(x, u_held)
+        ds[n] = cost.state_cost(x) + input_cost
         return ds
 
     def on_accept(t, s):
@@ -334,7 +338,7 @@ def run_qp_episode(scn):
         t=grid, x=xs, u=_held(hold_ts[:len(hold_us)], hold_us, grid, np.zeros(sys_.m)),
         h=hs, B=Bs, Vhat=nanv.copy(), delta=nanv.copy(), Wc=nanL.copy(), Wa=nanL.copy(),
         min_eig_gamma=nanv.copy(), c1=nanv.copy(), J=states[:, n], status=status,
-        controller="qp", qp_iterations=held["iterations"], qp_cold_solves=held["cold"],
+        controller="qp", qp_iterations=iterations, qp_cold_solves=cold,
         **rec.work(), wall_clock=time.perf_counter() - t_start,
     )
 

@@ -188,10 +188,15 @@ class TestUsage:
         ["compare", "--out", ""],
         ["compare", "--summary", ""],
         ["sweep", "--out", "", "--sweep-key", "gains.seed", "--sweep-values", "0;1"],
+        # nor does an empty config path fall back to the defaults
+        ["run", "--config", ""],
+        ["compare", "--config", ""],
+        ["sweep", "--config", "", "--sweep-key", "gains.seed", "--sweep-values", "0;1"],
     ], ids=["unknown-flag", "bad-float", "bad-int", "compare-controller",
             "missing-sweep-values", "no-command", "sweep-summary", "run-empty-out",
             "run-empty-summary", "compare-empty-out", "compare-empty-summary",
-            "sweep-empty-out"])
+            "sweep-empty-out", "run-empty-config", "compare-empty-config",
+            "sweep-empty-config"])
     def test_usage_error_exit_code(self, tmp_path, monkeypatch, capsys, args):
         monkeypatch.chdir(tmp_path)
         episodes = []

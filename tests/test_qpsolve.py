@@ -420,3 +420,113 @@ class TestWarmStart:
                 _same_solution(warm, cold)
                 hits += warm.iterations == 0
         assert hits >= len(probs)
+
+
+def _full_kkt_rule(prob, v, lam):
+    """kkt_ok's rule written out from the residuals and their bounds."""
+    res = sa.kkt_residuals(prob, v, lam)
+    bounds = sa.qpsolve.rounding_bounds(prob, v, lam)
+    return all(r <= max(sa.qpsolve.KKT_TOL, bounds[name]) for name, r in res.items())
+
+
+def _full_acceptance(prob, W, v, lam):
+    """_accepted's rule written out: no row violated by more than
+    SOLVE_TOL, no negative multiplier, and the full KKT rule."""
+    lam_full = np.zeros(prob.k)
+    lam_full[W] = lam
+    slack = prob.A @ v - prob.b
+    return (not (slack > sa.qpsolve.SOLVE_TOL).any() and not (lam < 0.0).any()
+            and _full_kkt_rule(prob, v, lam_full))
+
+
+class TestAcceptanceRule:
+    # the warm check reads the residuals off the arrays and forms the bounds
+    # only when its absolute test fails: its verdicts against the rule
+    # written out, at points nudged across SOLVE_TOL and KKT_TOL
+
+    @staticmethod
+    def _check(prob, W, v, lam, verdicts):
+        W = sorted(W)
+        lam_full = np.zeros(prob.k)
+        lam_full[W] = lam
+        slack = prob.A @ v - prob.b
+        full = _full_kkt_rule(prob, v, lam_full)
+        assert kkt_ok(prob, v, lam_full) is kkt_ok(prob, v, lam_full, slack=slack) is full
+        accepted = sa.qpsolve._accepted(prob, W, v, lam, 0)
+        assert (accepted is not None) == _full_acceptance(prob, W, v, lam)
+        verdicts.append((full, accepted is not None))
+
+    def test_verdicts_match_the_full_rule_near_the_tolerances(self):
+        rng = np.random.default_rng(39)
+        factors = (-2.0, -1.01, -0.99, -0.5, 0.5, 0.99, 1.01, 2.0)
+        verdicts = []
+        for _ in range(150):
+            prob = random_qp(rng, d=int(rng.integers(2, 5)), k=int(rng.integers(3, 8)))
+            if rng.random() < 0.3:  # large multipliers: the rounding bounds decide
+                prob = sa.QpProblem(H=prob.H, c_lin=prob.c_lin * 1e6, A=prob.A, b=prob.b)
+            try:
+                sol = sa.solve_qp(prob)
+            except QpSolverFailed:  # a scaled instance whose loop point fails the rule
+                continue
+            W = list(sol.active_set)
+            v, lam = sol.v_star, sol.multipliers[W]
+            self._check(prob, W, v, lam, verdicts)
+
+            def with_c(c_lin):
+                return sa.QpProblem(H=prob.H, c_lin=c_lin, A=prob.A, b=prob.b)
+
+            def with_multiplier(i, mu):
+                # row i's multiplier set to mu, with c_lin moved to keep the
+                # stationarity residual
+                lam_full = np.zeros(prob.k)
+                lam_full[W] = lam
+                W2 = sorted(set(W) | {i})
+                moved = with_c(prob.c_lin + prob.A[i] * (lam_full[i] - mu))
+                lam_full[i] = mu
+                return moved, W2, lam_full[W2]
+
+            for tol in (sa.qpsolve.SOLVE_TOL, sa.qpsolve.KKT_TOL):
+                e = tol * rng.choice(factors)
+                u = rng.normal(size=prob.d)
+                u /= np.linalg.norm(u)
+                i = int(rng.integers(prob.k))
+                # primal: row i's slack is e
+                moved = sa.QpProblem(H=prob.H, c_lin=prob.c_lin, A=prob.A, b=prob.b.copy())
+                moved.b[i] = prob.A[i] @ v - e
+                self._check(moved, W, v, lam, verdicts)
+                # dual: an active row's multiplier is e
+                if W:
+                    moved, W2, lam2 = with_multiplier(W[rng.integers(len(W))], e)
+                    self._check(moved, W2, v, lam2, verdicts)
+                # complementarity: an inactive row's multiplier times its slack is e
+                slack = prob.A @ v - prob.b
+                rows = [j for j in range(prob.k) if j not in W and slack[j] < 0.0]
+                if rows and len(W) < prob.d:
+                    j = rows[rng.integers(len(rows))]
+                    moved, W2, lam2 = with_multiplier(j, abs(e) / -slack[j])
+                    self._check(moved, W2, v, lam2, verdicts)
+                # stationarity: c_lin moved by e; and the point moved by e
+                self._check(with_c(prob.c_lin + e * u), W, v, lam, verdicts)
+                self._check(prob, W, v + e * u, lam, verdicts)
+        # both verdicts of both rules occur
+        assert {full for full, _ in verdicts} == {True, False}
+        assert {acc for _, acc in verdicts} == {True, False}
+
+    @pytest.mark.parametrize("x0", [[3.0, 3.5], [3.0, 3.0]])
+    def test_every_hold_decides_as_the_full_rule(self, monkeypatch, x0):
+        accepted, checks = sa.qpsolve._accepted, []
+
+        def both(prob, W, v, lam, iterations):
+            sol = accepted(prob, W, v, lam, iterations)
+            assert (sol is not None) == _full_acceptance(prob, W, v, lam)
+            lam_full = np.zeros(prob.k)
+            lam_full[W] = lam
+            assert kkt_ok(prob, v, lam_full) is _full_kkt_rule(prob, v, lam_full)
+            checks.append(sol is not None)
+            return sol
+
+        monkeypatch.setattr(sa.qpsolve, "_accepted", both)
+        rec = sa.run_qp_episode(sa.build_scenario(sim__controller="qp", sim__t_final=2.0,
+                                                  sim__x0=x0))
+        assert rec.status == "OK"
+        assert sum(checks) == 200  # one accepted solution per hold

@@ -259,6 +259,32 @@ class TestQpEpisode:
         assert rec.status == "OK"
         assert len(calls) == 1
 
+    def test_hooks_are_looked_up_at_call_time(self, monkeypatch):
+        # the controller through the sim module (which the benchmark's hold
+        # sampler wraps), the QP layers through qpsolve and the step through
+        # integrate: each patched name sees every call
+        calls = {}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(sa.sim, "qp_controller")
+        for name in ("build_qp", "solve_qp", "kkt_ok"):
+            counting(sa.qpsolve, name)
+        counting(sa.integrate, "dp54_step")
+        rec = sa.run_qp_episode(sa.build_scenario(sim__controller="qp", sim__t_final=2.0))
+        assert rec.status == "OK"
+        assert calls["qp_controller"] == calls["build_qp"] == calls["solve_qp"] == 200
+        assert calls["kkt_ok"] >= 200
+        assert calls["dp54_step"] == rec.accepted_steps + rec.rejected_steps
+        assert rec.rhs_evals == 7 * 200
+
     def test_last_partial_hold_reaches_t_final(self):
         # qp.dt = 0.3 does not divide 25 s: the last hold runs 24.9 -> 25
         scn = sa.build_scenario(sim__controller="qp", qp__dt=0.3)
