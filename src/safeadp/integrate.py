@@ -116,10 +116,12 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
 
     rhs raising BoundaryViolation at a trial state rejects the step (step
     halved; after MAX_SAFETY_HALVINGS consecutive halvings the run ends
-    with status SAFETY_BREACH). on_accept(t, y), called after each accepted
-    step, may raise RunEnded(status) to end the run there (the point is
-    recorded) or return a replacement state, recorded with the step's own
-    derivative into it and rhs(t, y) out of it.
+    with status SAFETY_BREACH). on_accept(t, y) is called at every time the
+    record keeps: the start, before any rhs evaluation, and each accepted
+    step. It may raise RunEnded(status) to end the run there (the point is
+    recorded; ended at the start, the record is that one point and no rhs
+    is evaluated) or return a replacement state, recorded with the step's
+    own derivative into it and rhs(t, y) out of it.
     """
     record = StepRecord()
 
@@ -129,8 +131,7 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
 
     t = float(t0)
     y = np.array(y0, dtype=float)
-    f = np.asarray(counted(t, y), float)
-    record.append(t, y, f, f)
+    f_in = None  # the derivative into y; the start has none
     kept = []
     for s in sorted(map(float, stops)):
         if s - (kept[-1] if kept else t) > _edge(s) and t_final - s > _edge(t_final):
@@ -141,49 +142,56 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
     err_prev = 1.0
     safety_halvings = 0
 
-    while t < t_final:
-        # a remainder within the landing tolerance of the step is taken
-        # whole, and that step lands on the stop exactly
-        t_stop = stops[i_stop]
-        land = t_stop - t - h <= _edge(t_stop)
-        if land:
-            h = t_stop - t
-        if h < 1e-15 * max(1.0, abs(t)):
-            # an underflow mid-way through a safety-halving streak means
-            # the rejection, not the error control, drove h to zero
-            return ("SAFETY_BREACH" if safety_halvings > 0 else "STEP_UNDERFLOW"), record
+    while True:
+        # the hook's one call site: the start, then each accepted step
         try:
-            y_new, err_vec, ks = dp54_step(counted, t, y, h, f0=f)
-        except BoundaryViolation:
-            record.rejected_steps += 1
-            safety_halvings += 1
-            if safety_halvings > MAX_SAFETY_HALVINGS:
-                return "SAFETY_BREACH", record
-            h *= 0.5
-            continue
-        safety_halvings = 0
+            replaced = None if on_accept is None else on_accept(t, y)
+        except RunEnded as end:
+            # a lone start's derivatives are never read: sample tiles it
+            f = np.full_like(y, np.nan) if f_in is None else f_in
+            record.append(t, y, f, f)
+            return end.args[0], record
+        if replaced is not None:
+            y = np.asarray(replaced, float)
+        # the derivative out of y: rhs(t, y) at the start and after a replacement
+        f = np.asarray(counted(t, y), float) if replaced is not None or f_in is None else f_in
+        record.append(t, y, f if f_in is None else f_in, f)
+        if t >= t_final:
+            return "OK", record
 
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(err_vec / scale)
-        if err <= 1.0:
-            t = t_stop if land else t + h
-            i_stop += land
-            y = y_new
-            f_in = f = ks[6]  # FSAL
+        while True:  # step attempts, until one is accepted
+            # a remainder within the landing tolerance of the step is taken
+            # whole, and that step lands on the stop exactly
+            t_stop = stops[i_stop]
+            land = t_stop - t - h <= _edge(t_stop)
+            if land:
+                h = t_stop - t
+            if h < 1e-15 * max(1.0, abs(t)):
+                # an underflow mid-way through a safety-halving streak means
+                # the rejection, not the error control, drove h to zero
+                return ("SAFETY_BREACH" if safety_halvings > 0 else "STEP_UNDERFLOW"), record
             try:
-                replaced = None if on_accept is None else on_accept(t, y)
-            except RunEnded as end:
-                record.append(t, y, f, f)
-                return end.args[0], record
-            if replaced is not None:
-                y = np.asarray(replaced, float)
-                f = np.asarray(counted(t, y), float)
-            record.append(t, y, f_in, f)
-            # PI controller (Gustafsson)
-            fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0) if err > 0 else 5.0
-            h *= min(5.0, max(0.2, fac))
-            err_prev = max(err, 1e-10)
-        else:
+                y_new, err_vec, ks = dp54_step(counted, t, y, h, f0=f)
+            except BoundaryViolation:
+                record.rejected_steps += 1
+                safety_halvings += 1
+                if safety_halvings > MAX_SAFETY_HALVINGS:
+                    return "SAFETY_BREACH", record
+                h *= 0.5
+                continue
+            safety_halvings = 0
+
+            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err = _rms(err_vec / scale)
+            if err <= 1.0:
+                t = t_stop if land else t + h
+                i_stop += land
+                y = y_new
+                f_in = ks[6]  # FSAL
+                # PI controller (Gustafsson)
+                fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0) if err > 0 else 5.0
+                h *= min(5.0, max(0.2, fac))
+                err_prev = max(err, 1e-10)
+                break
             record.rejected_steps += 1
             h *= min(1.0, max(0.2, 0.9 * err ** (-0.2)))
-    return "OK", record

@@ -13,7 +13,7 @@ from .cost import H_MIN, barrier_B
 from .critic import (actor_rhs, bellman_at, critic_rhs, excitation_metrics,
                      gamma_rhs, sample_extrapolation_points, weak_excitation)
 from .errors import QpInfeasible, QpSolverFailed, RunEnded
-from .integrate import StepRecord, integrate_adaptive
+from .integrate import integrate_adaptive
 from .qpsolve import ControllerQp, qp_controller
 from .staf import policy_hat, value_hat
 
@@ -161,6 +161,26 @@ def _learner_columns(scn, xs, Wcs, Was, hs):
     return us, deltas
 
 
+def _record(scn, status, rec, t_start, columns):
+    """The output rows both runners share: the multiples of dt_out up to the
+    time the integration reached, the sampled state, h, B and J (the
+    state's last entry). A run whose rows reach h < 0 ends SAFETY_BREACH at
+    the first such row, and its rows end there. columns(grid, states, xs,
+    hs) gives the runner's own fields on those rows."""
+    sim, n = scn.sim, scn.system.n
+    grid = _output_grid(sim.t_final, sim.dt_out, rec.ts[-1])
+    states = rec.sample(grid)
+    hs, Bs = _barrier_columns(scn.safeset, scn.barrier, states[:, :n])
+    breach = np.flatnonzero(hs < 0.0)
+    if breach.size:
+        k = breach[0] + 1
+        status, grid, states, hs, Bs = "SAFETY_BREACH", grid[:k], states[:k], hs[:k], Bs[:k]
+    xs = states[:, :n].copy()
+    return TrajectoryRecord(t=grid, x=xs, h=hs, B=Bs, J=states[:, -1].copy(), status=status,
+                            **columns(grid, states, xs, hs), **rec.work(),
+                            wall_clock=time.perf_counter() - t_start)
+
+
 # ---------------------------------------------------------------------------
 # ADP episode
 # ---------------------------------------------------------------------------
@@ -201,19 +221,18 @@ def run_adp_episode(scn):
     s0[pack.i_g: pack.i_jn] = (gains.gamma0 * np.eye(L)).ravel()
     check_start(safeset, sim.x0)
 
-    # drawn[i]: the points drawn at the record's i-th time; the rhs reads the last
-    drawn = [sample_extrapolation_points(rng, sim.x0, gains.N, cfg, safeset)]
-
-    def learner_rows(x, Wc, Wa, pts):
-        # rows [x, p_1..p_N] per anchor x
-        return bellman_at(np.concatenate((x[..., None, :], pts), axis=-2), x[..., None, :],
-                          Wc[..., None, :], Wa[..., None, :], sys_, cost, bar, cfg, gains)
+    # each redraw's points, which the rhs reads the last of, and the Lambda
+    # of the rhs evaluation right after each redraw
+    drawn, lams = [], []
 
     def rhs(t, s):
         x, Wc, Wa, Gamma, _, _ = pack.unpack(s)
-        rows = learner_rows(x, Wc, Wa, drawn[-1])
-        # row 0 is the on-trajectory sample: its ydot and state cost are the
-        # plant's at (x, u)
+        # rows [x, p_1..p_N]; row 0 is the on-trajectory sample: its ydot
+        # and state cost are the plant's at (x, u)
+        rows = bellman_at(np.concatenate((x[None], drawn[-1])), x[None], Wc[None], Wa[None],
+                          sys_, cost, bar, cfg, gains)
+        if len(lams) < len(drawn):
+            lams.append(rows.Lambda)
         ds = np.empty(pack.size)
         ds[:n] = rows.ydot[0]
         ds[pack.i_wc: pack.i_wa] = critic_rhs(gains, Gamma, rows)
@@ -237,31 +256,26 @@ def run_adp_episode(scn):
     status, rec = integrate_adaptive(rhs, 0.0, s0, sim.t_final, abs_tol=sim.abs_tol,
                                      rel_tol=sim.rel_tol, on_accept=on_accept)
 
-    grid = _output_grid(sim.t_final, sim.dt_out, rec.ts[-1])
-    # copies, so that neither the post-processing nor a kept record holds
-    # every sampled column
-    xs, Wcs, Was, Gammas, Jns, Js = (c.copy() for c in pack.unpack(rec.sample(grid)))
-    mineig = np.linalg.eigvalsh(0.5 * (Gammas + Gammas.transpose(0, 2, 1))).min(axis=1)
-    hs, Bs = _barrier_columns(safeset, bar, xs)
-    us, deltas = _learner_columns(scn, xs, Wcs, Was, hs)
-
-    # the excitation history: the regressors of each accepted step that drew
-    # points (a hook that ends the run draws none) at them, in one evaluation
-    hist_t, hist_c1, flag = rec.ts[1:len(drawn)], [], False
+    # the excitation history: each redraw after the start's, read from the
+    # rhs evaluation right after it (a hook that ends the run draws none)
+    hist_t, hist_c1, flag = rec.ts[1:len(lams)], [], False
     if hist_t:
-        x_a, Wc_a, Wa_a, _, _, _ = pack.unpack(np.array(rec.ys[1:len(drawn)]))
-        lam = learner_rows(x_a, Wc_a, Wa_a, np.array(drawn[1:])).Lambda
+        lam = np.array(lams[1:])
         lam_mean = lam[:, 1:].sum(axis=1) / gains.N
         hist_c1 = np.linalg.eigvalsh(lam_mean)[:, 0]
         flag = weak_excitation(excitation_metrics(hist_t, lam_mean, lam[:, 0], gains.pe_window))
-    return TrajectoryRecord(
-        t=grid, x=xs, u=us, h=hs, B=Bs, Vhat=value_hat(cfg, bar, Wcs, xs, xs),
-        delta=deltas, Wc=Wcs, Wa=Was, min_eig_gamma=mineig,
-        c1=_held(hist_t, hist_c1, grid, 0.0), J=Js,
-        status=status, controller="adp",
-        j_native_total=float(Jns[-1]), weak_excitation_flag=flag,
-        **rec.work(), wall_clock=time.perf_counter() - t_start,
-    )
+
+    def columns(grid, states, xs, hs):
+        _, Wcs, Was, Gammas, Jns, _ = pack.unpack(states)
+        us, deltas = _learner_columns(scn, xs, Wcs, Was, hs)
+        # copies, so that a kept record does not hold every sampled column
+        return dict(u=us, Vhat=value_hat(cfg, bar, Wcs, xs, xs), delta=deltas, Wc=Wcs.copy(),
+                    Wa=Was.copy(), min_eig_gamma=np.linalg.eigvalsh(
+                        0.5 * (Gammas + Gammas.transpose(0, 2, 1))).min(axis=1),
+                    c1=_held(hist_t, hist_c1, grid, 0.0), controller="adp",
+                    j_native_total=float(Jns[-1]), weak_excitation_flag=flag)
+
+    return _record(scn, status, rec, t_start, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +284,18 @@ def run_adp_episode(scn):
 
 def run_qp_episode(scn):
     """Sampled-data CLF-CBF QP baseline: the QP is solved at each hold time
-    k*qp.dt below t_final and its input held until the next (the last hold
-    ends at t_final), in one integration that lands on every hold time."""
+    k*qp.dt below t_final, 0 always among them, and its input held until
+    the next (the last hold ends at t_final), in one integration that lands
+    on every hold time."""
     t_start = time.perf_counter()
-    sys_, safeset, cost, bar = scn.system, scn.safeset, scn.cost, scn.barrier
+    sys_, safeset, cost = scn.system, scn.safeset, scn.cost
     sim, qp = scn.sim, scn.qp
     n = sys_.n
     check_start(safeset, sim.x0)
 
-    # k*qp.dt < t_final - ulps, as floats: on_accept compares each with t
-    hold_ts = (qp.dt * np.arange(np.ceil(sim.t_final / qp.dt - 1e-9))).tolist()
+    # k*qp.dt < t_final - ulps, and 0 at least, as floats: on_accept
+    # compares each with t
+    hold_ts = (qp.dt * np.arange(max(1.0, np.ceil(sim.t_final / qp.dt - 1e-9)))).tolist()
     hold_us = []  # the input held from each solved hold time
     # what rhs reads: the held input and its input cost; and the last
     # solve's active set (each solve is warm-started from it) and the
@@ -287,21 +303,6 @@ def run_qp_episode(scn):
     u_held, input_cost = None, 0.0
     active, iterations, cold = (), 0, 0
     ctrl = ControllerQp(sys_, safeset, cost, qp)  # the rows no state changes
-    y0 = np.append(sim.x0, 0.0)  # [x, J]
-
-    def solve(x):
-        nonlocal u_held, input_cost, active, iterations, cold
-        try:
-            u, sol = qp_controller(ctrl, x, active)
-        except QpInfeasible:
-            raise RunEnded("QP_INFEASIBLE") from None
-        except QpSolverFailed:
-            raise RunEnded("QP_SOLVER_FAILED") from None
-        hold_us.append(u)
-        u_held, input_cost = u, cost.quadratic_input_cost(u)
-        active = sol.active_set
-        iterations += sol.iterations
-        cold += sol.iterations > 0
 
     def rhs(_t, s):
         x = s[:n]
@@ -311,36 +312,37 @@ def run_qp_episode(scn):
         return ds
 
     def on_accept(t, s):
+        nonlocal u_held, input_cost, active, iterations, cold
         # strict h < 0: the collinear stall legitimately grazes h ~ 5e-12 < H_MIN
         if safeset.h(s[:n]) < 0.0:
             raise RunEnded("SAFETY_BREACH")
         if len(hold_us) < len(hold_ts) and t == hold_ts[len(hold_us)]:
-            solve(s[:n])
+            try:
+                u, sol = qp_controller(ctrl, s[:n], active)
+            except QpInfeasible:
+                raise RunEnded("QP_INFEASIBLE") from None
+            except QpSolverFailed:
+                raise RunEnded("QP_SOLVER_FAILED") from None
+            hold_us.append(u)
+            u_held, input_cost = u, cost.quadratic_input_cost(u)
+            active = sol.active_set
+            iterations += sol.iterations
+            cold += sol.iterations > 0
             return s  # f is re-evaluated with the new input
 
-    try:
-        solve(sim.x0)
-    except RunEnded as end:  # the first solve failed
-        status, rec = end.args[0], StepRecord()
-        rec.append(0.0, y0, np.zeros(n + 1), np.zeros(n + 1))
-    else:
-        status, rec = integrate_adaptive(rhs, 0.0, y0, sim.t_final, stops=hold_ts[1:],
-                                         abs_tol=sim.abs_tol, rel_tol=sim.rel_tol,
-                                         on_accept=on_accept, first_step=qp.dt)
+    status, rec = integrate_adaptive(rhs, 0.0, np.append(sim.x0, 0.0), sim.t_final,  # [x, J]
+                                     stops=hold_ts, abs_tol=sim.abs_tol, rel_tol=sim.rel_tol,
+                                     on_accept=on_accept, first_step=qp.dt)
 
-    grid = _output_grid(sim.t_final, sim.dt_out, rec.ts[-1])
-    states = rec.sample(grid)
-    xs = states[:, :n]
-    hs, Bs = _barrier_columns(safeset, bar, xs)
-    nanL = np.full((len(grid), scn.staf.L), np.nan)
-    nanv = np.full(len(grid), np.nan)
-    return TrajectoryRecord(
-        t=grid, x=xs, u=_held(hold_ts[:len(hold_us)], hold_us, grid, np.zeros(sys_.m)),
-        h=hs, B=Bs, Vhat=nanv.copy(), delta=nanv.copy(), Wc=nanL.copy(), Wa=nanL.copy(),
-        min_eig_gamma=nanv.copy(), c1=nanv.copy(), J=states[:, n], status=status,
-        controller="qp", qp_iterations=iterations, qp_cold_solves=cold,
-        **rec.work(), wall_clock=time.perf_counter() - t_start,
-    )
+    def columns(grid, states, xs, hs):
+        nanL = np.full((len(grid), scn.staf.L), np.nan)
+        nanv = np.full(len(grid), np.nan)
+        return dict(u=_held(hold_ts[:len(hold_us)], hold_us, grid, np.zeros(sys_.m)),
+                    Vhat=nanv.copy(), delta=nanv.copy(), Wc=nanL.copy(), Wa=nanL.copy(),
+                    min_eig_gamma=nanv.copy(), c1=nanv.copy(), controller="qp",
+                    qp_iterations=iterations, qp_cold_solves=cold)
+
+    return _record(scn, status, rec, t_start, columns)
 
 
 def run_episode(scn):

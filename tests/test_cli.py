@@ -137,6 +137,24 @@ class TestRun:
         assert "status=SAFETY_BREACH" in capsys.readouterr().out
         assert out.read_text().splitlines()[-1].endswith(",SAFETY_BREACH")
 
+    def test_breach_between_accepted_points_exit_code(self, tmp_path, capsys):
+        # a 4 s hold whose straight path crosses the obstacle between two
+        # accepted points: the rows reach h < 0 from t = 1.07, so the run
+        # ends SAFETY_BREACH there instead of exiting 0
+        cfg = tmp_path / "crossing.cfg"
+        cfg.write_text("qp.dt = 4.0\nsim.x0 = [3.491, 2.652]\n")
+        out, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        code = main(["run", "--controller", "qp", "--config", str(cfg), "--out", str(out),
+                     "--summary", str(summary)])
+        assert code == 2
+        assert "status=SAFETY_BREACH" in capsys.readouterr().out
+        assert json.loads(summary.read_text())["status"] == "SAFETY_BREACH"
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        h_col = np.array([float(r[5]) for r in rows])
+        assert len(rows) == 108 and float(rows[-1][0]) == pytest.approx(1.07, abs=1e-12)
+        assert h_col[-1] < 0.0 <= h_col[:-1].min()
+        assert rows[-1][-1] == "SAFETY_BREACH"
+
 
 class TestExitCodes:
     def test_every_runner_status_has_an_exit_code(self):

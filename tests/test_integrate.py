@@ -100,7 +100,7 @@ def test_work_is_counted(monkeypatch):
 
 def test_work_counts_replaced_states_once_and_halvings_as_rejections():
     # a replaced state is recorded once, as one step; a step into the
-    # boundary is a rejected attempt
+    # boundary is a rejected attempt; the hook's first call is the start
     def rhs(t, y):
         if y[0] >= 1.0:
             raise BoundaryViolation("past the wall")
@@ -116,9 +116,9 @@ def test_work_counts_replaced_states_once_and_halvings_as_rejections():
                                      on_accept=replace)
     work = rec.work()
     assert status == "SAFETY_BREACH"
-    assert rec.ts == [0.0] + hooked
+    assert rec.ts == hooked and hooked[0] == 0.0
     assert np.all(np.diff(rec.ts) > 0)
-    assert work["accepted_steps"] == len(rec.ts) - 1 == len(hooked) > 0
+    assert work["accepted_steps"] == len(rec.ts) - 1 == len(hooked) - 1 > 0
     assert work["rejected_steps"] > integrate.MAX_SAFETY_HALVINGS
 
 
@@ -135,9 +135,9 @@ def test_on_accept_replacement():
 
 
 def test_record_keeps_a_copy_of_each_replacement():
-    # the hook returns one buffer, rewritten at every accepted step; the
-    # record holds each replacement as it was when returned, once, with
-    # the derivatives into and out of it
+    # the hook returns one buffer, rewritten at the start and at every
+    # accepted step; the record holds each replacement as it was when
+    # returned, once, with the derivatives into and out of it
     buf, returned = np.zeros(1), []
 
     def clamp(t, y):
@@ -148,8 +148,8 @@ def test_record_keeps_a_copy_of_each_replacement():
     status, rec = integrate_adaptive(lambda t, y: np.array([1.0]),
                                      0.0, np.array([0.0]), 2.0, on_accept=clamp)
     assert status == "OK" and len(set(r[0] for r in returned)) > 3
-    assert len(rec.ts) == len(returned) + 1
-    np.testing.assert_array_equal(np.array(rec.ys[1:]), np.array(returned))
+    assert len(rec.ts) == len(returned)
+    np.testing.assert_array_equal(np.array(rec.ys), np.array(returned))
     np.testing.assert_array_equal(np.array(rec.fs_in), np.ones((len(rec.ts), 1)))
     np.testing.assert_array_equal(np.array(rec.fs_out), np.ones((len(rec.ts), 1)))
 
@@ -240,7 +240,61 @@ def test_hook_ends_the_run_with_its_status():
     assert 0.5 <= t_end < 2.0
     assert rec.ts[-1] == t_end and rec.ts.count(t_end) == 1
     np.testing.assert_array_equal(rec.ys[-1], y_end)
-    assert len(rec.ts) == len(seen) + 1
+    assert len(rec.ts) == len(seen)  # the start is among the hook's calls
+
+
+def test_first_hook_call_is_the_start_before_any_rhs_evaluation():
+    evals, calls = [], []
+
+    def rhs(t, y):
+        evals.append(t)
+        return -y
+
+    def hook(t, y):
+        calls.append((t, y.copy(), len(evals)))
+
+    status, rec = integrate_adaptive(rhs, 0.25, np.array([1.0, -2.0]), 1.0, on_accept=hook)
+    assert status == "OK"
+    t, y, evaluated = calls[0]
+    assert t == 0.25 and evaluated == 0
+    np.testing.assert_array_equal(y, [1.0, -2.0])
+    assert [c[0] for c in calls] == rec.ts
+
+
+def test_hook_ending_the_run_at_the_start_records_the_start_alone():
+    evals = []
+
+    def rhs(t, y):
+        evals.append(t)
+        return -y
+
+    def refuse(t, y):
+        raise RunEnded("REFUSED")
+
+    y0 = np.array([1.0, -2.0])
+    status, rec = integrate_adaptive(rhs, 0.25, y0, 1.0, on_accept=refuse, stops=[0.5])
+    assert status == "REFUSED"
+    assert rec.ts == [0.25] and evals == []
+    assert rec.work() == {"rhs_evals": 0, "accepted_steps": 0, "rejected_steps": 0}
+    grid = np.array([-1.0, 0.25, 0.3, 7.0])
+    np.testing.assert_array_equal(rec.sample(grid), np.tile(y0, (len(grid), 1)))
+
+
+def test_replacement_at_the_start_is_recorded_with_the_rhs_after_it():
+    def rhs(t, y):
+        return -y
+
+    def shift_start(t, y):
+        return y + 1.0 if t == 0.0 else None
+
+    status, rec = integrate_adaptive(rhs, 0.0, np.array([1.0]), 1.0, on_accept=shift_start)
+    assert status == "OK"
+    np.testing.assert_array_equal(rec.ys[0], [2.0])
+    np.testing.assert_array_equal(rec.fs_in[0], [-2.0])
+    np.testing.assert_array_equal(rec.fs_out[0], [-2.0])
+    # one evaluation at the start and 6 per attempt
+    assert rec.rhs_evals == 1 + 6 * (rec.work()["accepted_steps"] + rec.rejected_steps)
+    assert rec.ys[-1][0] == pytest.approx(2.0 * np.exp(-1.0), abs=1e-6)
 
 
 def test_single_record_sample():

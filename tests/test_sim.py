@@ -99,8 +99,8 @@ class TestAdpEpisode:
                                    rtol=0, atol=1e-9)
 
     def test_one_bellman_call_per_rhs_evaluation(self, monkeypatch):
-        # one batched call per rhs evaluation, one for the excitation
-        # history of all accepted steps and one for the output rows; the
+        # one batched call per rhs evaluation and one for the output rows;
+        # the excitation history is read from the rhs evaluations, and the
         # accept hook makes none
         bellman, integrate = sa.sim.bellman_at, sa.sim.integrate_adaptive
         counts = {"bellman": 0, "rhs": 0}
@@ -120,7 +120,7 @@ class TestAdpEpisode:
         rec = sa.run_adp_episode(sa.build_scenario(sim__t_final=3.0))
         assert rec.status == "OK"
         assert counts["rhs"] > 0
-        assert counts["bellman"] == counts["rhs"] + 2
+        assert counts["bellman"] == counts["rhs"] + 1
 
     @pytest.mark.parametrize("system", ["single_integrator", "linear"])
     def test_rhs_plant_terms_are_the_model_s(self, monkeypatch, system):
@@ -176,6 +176,42 @@ class TestAdpEpisode:
         assert rec.accepted_steps + rec.rejected_steps == len(attempts)
         # the start, 6 per attempt and 1 after each accepted step's hook
         assert rec.rhs_evals == 1 + 6 * len(attempts) + rec.accepted_steps
+
+    @pytest.mark.parametrize("x0, seed", [([3.0, 3.5], 0), ([4.323, 1.573], 1)])
+    def test_c1_is_read_at_each_redraw(self, monkeypatch, x0, seed):
+        # the excitation history, recomputed from the draws: one batched
+        # Bellman evaluation at each recorded state after the start, with
+        # the points drawn there
+        draw, integrate, bellman = (sa.sim.sample_extrapolation_points,
+                                    sa.sim.integrate_adaptive, sa.sim.bellman_at)
+        draws, runs = [], []
+
+        def kept_draw(*args, **kwargs):
+            draws.append(draw(*args, **kwargs))
+            return draws[-1]
+
+        def kept_run(*args, **kwargs):
+            status, run = integrate(*args, **kwargs)
+            runs.append(run)
+            return status, run
+
+        monkeypatch.setattr(sa.sim, "sample_extrapolation_points", kept_draw)
+        monkeypatch.setattr(sa.sim, "integrate_adaptive", kept_run)
+        scn = sa.build_scenario(sim__t_final=5.0, sim__x0=x0, gains__seed=seed)
+        rec = sa.run_adp_episode(scn)
+        assert rec.status == "OK"
+        run, gains = runs[0], scn.gains
+        assert len(draws) == len(run.ts) > 10
+        x, Wc, Wa, _, _, _ = sa.sim._AdpPack(scn.system.n, scn.staf.L).unpack(np.array(run.ys[1:]))
+        lam = bellman(np.concatenate((x[:, None, :], np.array(draws[1:])), axis=1),
+                      x[:, None, :], Wc[:, None, :], Wa[:, None, :], scn.system, scn.cost,
+                      scn.barrier, scn.staf, gains).Lambda
+        lam_mean = lam[:, 1:].sum(axis=1) / gains.N
+        c1 = np.linalg.eigvalsh(lam_mean)[:, 0]
+        np.testing.assert_array_equal(rec.c1, sa.sim._held(run.ts[1:], c1, rec.t, 0.0))
+        assert rec.weak_excitation_flag == sa.weak_excitation(
+            sa.excitation_metrics(run.ts[1:], lam_mean, lam[:, 0], gains.pe_window))
+        assert len(set(rec.c1)) > 10
 
     def test_rejects_unsafe_start(self):
         # build_scenario refuses this start; a scenario assembled by hand
@@ -293,6 +329,16 @@ class TestQpEpisode:
         assert len(rec.t) == 2501
         assert rec.t[-1] == scn.sim.t_final
         np.testing.assert_array_equal(rec.u[-1], rec.u[rec.t >= 24.9 - 1e-9][0])
+
+    def test_hold_longer_than_the_run(self):
+        # qp.dt so far past t_final that no multiple of it but 0 lies below
+        # it to within 1e-9 of a hold: the start is still a hold, and its
+        # input is the one reported
+        scn = sa.build_scenario(sim__controller="qp", sim__t_final=1.0, qp__dt=1e12)
+        rec = sa.run_qp_episode(scn)
+        assert rec.status == "OK" and rec.t[-1] == 1.0
+        np.testing.assert_allclose(rec.u, np.full((101, 2), -0.5), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rec.x, scn.sim.x0 - 0.5 * rec.t[:, None], rtol=0, atol=1e-12)
 
     def test_infeasible_first_solve_reports_the_start(self, monkeypatch):
         def infeasible(*_args):
@@ -496,9 +542,45 @@ class TestOutputRows:
         assert rep.total_J == rec.J[-1]
         assert rep.terminal_x_norm == np.linalg.norm(rec.x[-1]) < np.linalg.norm(scn.sim.x0)
 
+    @pytest.mark.parametrize("controller", ["adp", "qp"])
+    def test_rows_end_at_the_first_row_inside_the_obstacle(self, monkeypatch, controller):
+        # the runner's own integration, with the plant state moved onto the
+        # straight path x0 + v t, which enters the obstacle at t = 0.2227
+        # between two recorded times; the integrator reports OK
+        integrate, runs, v = sa.sim.integrate_adaptive, [], np.array([-2.0, -3.0])
+
+        def through(*args, **kwargs):
+            status, real = integrate(*args, **kwargs)
+            rec = sa.integrate.StepRecord()
+            for t, y, f_in, f_out in zip(real.ts, real.ys, real.fs_in, real.fs_out):
+                y, f_in, f_out = y.copy(), f_in.copy(), f_out.copy()
+                y[:2], f_in[:2], f_out[:2] = np.array([3.0, 3.5]) + v * t, v, v
+                rec.append(t, y, f_in, f_out)
+            rec.rhs_evals, rec.rejected_steps = real.rhs_evals, real.rejected_steps
+            runs.append(rec)
+            return status, rec
+
+        monkeypatch.setattr(sa.sim, "integrate_adaptive", through)
+        scn = sa.build_scenario(sim__controller=controller, sim__t_final=1.0)
+        rec = sa.run_episode(scn)
+        run = runs[0]
+        assert not any(0.22 < t < 0.23 for t in run.ts)
+        assert rec.status == "SAFETY_BREACH"
+        np.testing.assert_array_equal(rec.t, np.arange(24) * 0.01)
+        assert rec.h[-1] < 0.0 <= rec.h[:-1].min()
+        np.testing.assert_allclose(rec.x, [3.0, 3.5] + rec.t[:, None] * v, rtol=0, atol=1e-12)
+        for name in ("u", "B", "Vhat", "delta", "Wc", "Wa", "min_eig_gamma", "c1", "J"):
+            assert len(getattr(rec, name)) == 24
+        assert np.isinf(rec.B[-1]) and np.all(np.isfinite(rec.B[:-1]))
+        # the work counters still describe the whole integration
+        assert run.ts[-1] == 1.0 and rec.accepted_steps == len(run.ts) - 1 > 0
+        rep = sa.summarize(rec)
+        assert rep.status == "SAFETY_BREACH" and rep.min_h == rec.h[-1]
+
     def test_early_end_is_the_last_row(self, monkeypatch):
         # a run that ends between two multiples of dt_out reports the time
-        # and state it stopped at as its last row
+        # and state it stopped at as its last row; a run whose rows reach
+        # h < 0 ends at the first such row
         integrate, runs = sa.sim.integrate_adaptive, []
 
         def kept(*args, **kwargs):
@@ -513,14 +595,19 @@ class TestOutputRows:
         adp = sa.run_adp_episode(sa.build_scenario(sim__t_final=1.0))
         assert adp.status == "GAIN_INDEFINITE"
         assert adp.min_eig_gamma[-1] <= 0.0  # the state that left PD is reported
-        # QP: a 2 s hold carries the state through the obstacle
+        t_end, n = runs[0].ts[-1], adp.x.shape[1]
+        assert adp.t[-2] + 1e-9 < t_end == adp.t[-1] < 25.0
+        np.testing.assert_array_equal(adp.t[:-1], np.arange(len(adp.t) - 1) * 0.01)
+        np.testing.assert_array_equal(adp.x[-1], runs[0].ys[-1][:n])
+        assert sa.summarize(adp).total_J == adp.J[-1]
+        # QP: a 2 s hold carries the state through the obstacle; the hook
+        # ends the run at the hold's end, t = 2, and the rows at the first
+        # multiple of dt_out inside the obstacle
         qp = sa.run_qp_episode(sa.build_scenario(sim__controller="qp", qp__dt=2.0))
         assert qp.status == "SAFETY_BREACH"
-        assert qp.h[-1] < 0.0
-        for rec, run in zip((adp, qp), runs):
-            t_end, n = run.ts[-1], rec.x.shape[1]
-            assert rec.t[-2] + 1e-9 < t_end == rec.t[-1] < 25.0
-            np.testing.assert_array_equal(rec.t[:-1], np.arange(len(rec.t) - 1) * 0.01)
-            np.testing.assert_array_equal(rec.x[-1], run.ys[-1][:n])
-            assert sa.summarize(rec).total_J == rec.J[-1]
+        assert qp.h[-1] < 0.0 <= qp.h[:-1].min()
+        assert runs[1].ts[-1] == 2.0 and qp.t[-1] == pytest.approx(1.18, abs=1e-12)
+        np.testing.assert_array_equal(qp.t, np.arange(len(qp.t)) * 0.01)
+        np.testing.assert_array_equal(qp.x[-1], runs[1].sample(qp.t[-1:])[0, :n])
+        assert sa.summarize(qp).total_J == qp.J[-1]
 
