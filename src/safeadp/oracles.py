@@ -17,8 +17,17 @@ from .staf import grad_sigma, kernel_sigma
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
+ENUM_TOL = 1e-8  # enumerate_qp's feasibility and multiplier-sign tolerance
+FD_EPS = 1e-6  # central_difference's step
+# the selftest suites: each draws from default_rng(SELFTEST_SEED); a
+# suite's count is its sample size and its tolerances its pass bounds
+SELFTEST_SEED = 0
+GRAD_COUNT, GRAD_TOL = 100, 1e-5
+QP_COUNT, QP_TOL_V, QP_TOL_OBJ = 500, 1e-6, 1e-8
+QUAD_COUNT, QUAD_TOL = 200, 1e-8
 
-def enumerate_qp(prob: QpProblem, tol=1e-8):
+
+def enumerate_qp(prob: QpProblem):
     """Brute-force optimum: check the KKT conditions over every active
     subset of at most d constraints. Returns (v, active_set, objective)
     or None when no KKT point exists (infeasible problem)."""
@@ -41,7 +50,7 @@ def enumerate_qp(prob: QpProblem, tol=1e-8):
                 continue
             v = sol[:d]
             lam = sol[d:]
-            if np.any(prob.A @ v > prob.b + tol) or np.any(lam < -tol):
+            if np.any(prob.A @ v > prob.b + ENUM_TOL) or np.any(lam < -ENUM_TOL):
                 continue
             obj = prob.objective(v)
             if best is None or obj < best[2] - 1e-15:
@@ -59,14 +68,14 @@ def quadrature_Ru(cost: CostSpec, u):
     return float(2.0 * cost.u_max ** 2 * (cost.r_diag @ integrals))
 
 
-def central_difference(fun, x, eps=1e-6):
+def central_difference(fun, x):
     """Central finite-difference gradient of a scalar function."""
     x = np.asarray(x, float)
     g = np.empty_like(x)
     for i in range(x.size):
         dx = np.zeros_like(x)
-        dx[i] = eps
-        g[i] = (fun(x + dx) - fun(x - dx)) / (2.0 * eps)
+        dx[i] = FD_EPS
+        g[i] = (fun(x + dx) - fun(x - dx)) / (2.0 * FD_EPS)
     return g
 
 
@@ -88,42 +97,44 @@ def _interior_points(rng, safeset: CircularSafeSet, count, h_min=1e-3):
     return pts
 
 
-def selftest_gradients(seed=0, count=100, tol=1e-5):
+def selftest_gradients():
     """Analytic gradients of h, sigma, Bbar, and B vs central differences (default scenario)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SELFTEST_SEED)
     scn = build_scenario()
     safeset, bar, cfg = scn.safeset, scn.barrier, scn.staf
     results = []
 
     worst = 0.0
-    for x in _interior_points(rng, safeset, count):
+    for x in _interior_points(rng, safeset, GRAD_COUNT):
         worst = max(worst, _rel_err(central_difference(safeset.h, x), safeset.h_grad(x)[1]))
-    results.append(("grad_h vs central differences", worst <= tol, f"max rel err {worst:.3e}"))
+    results.append(("grad_h vs central differences", worst <= GRAD_TOL, f"max rel err {worst:.3e}"))
 
     worst = 0.0
-    for _ in range(count):
+    for _ in range(GRAD_COUNT):
         x = rng.uniform(-2.0, 2.0, size=2)
         y = rng.uniform(-2.0, 2.0, size=2)
         G = grad_sigma(cfg, y, x)
         for i in range(cfg.L):
             fd = central_difference(lambda yy, i=i: kernel_sigma(cfg, yy, x)[i], y)
             worst = max(worst, _rel_err(fd, G[i]))
-    results.append(("grad_sigma vs central differences", worst <= tol, f"max rel err {worst:.3e}"))
+    results.append(("grad_sigma vs central differences", worst <= GRAD_TOL,
+                    f"max rel err {worst:.3e}"))
 
     worst = 0.0
-    for x in _interior_points(rng, safeset, count):
+    for x in _interior_points(rng, safeset, GRAD_COUNT):
         worst = max(worst, _rel_err(central_difference(lambda y: barrier_Bbar(bar, y), x),
                                     grad_Bbar(bar, x)))
-    results.append(("grad_Bbar vs central differences", worst <= tol, f"max rel err {worst:.3e}"))
+    results.append(("grad_Bbar vs central differences", worst <= GRAD_TOL,
+                    f"max rel err {worst:.3e}"))
 
     worst = 0.0
-    for x in _interior_points(rng, safeset, count, h_min=0.05):
+    for x in _interior_points(rng, safeset, GRAD_COUNT, h_min=0.05):
         fd = central_difference(lambda y: barrier_B(bar, y), x)
         h, gh = safeset.h_grad(x)
         s, ds = bar.schedule(h)  # analytic B gradient for the check
         exact = bar.k_p * (ds * h - s) / (h * h) * gh
         worst = max(worst, _rel_err(fd, exact))
-    results.append(("grad_B vs central differences", worst <= tol, f"max rel err {worst:.3e}"))
+    results.append(("grad_B vs central differences", worst <= GRAD_TOL, f"max rel err {worst:.3e}"))
     return results
 
 
@@ -139,12 +150,12 @@ def random_qp(rng, d=3, k=6):
     return QpProblem(H=H, c_lin=c, A=A, b=b)
 
 
-def selftest_qp(seed=0, count=500, tol_v=1e-6, tol_obj=1e-8):
+def selftest_qp():
     """Active-set solver vs exhaustive KKT enumeration on random instances."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SELFTEST_SEED)
     worst_v = 0.0
     worst_obj = 0.0
-    for _ in range(count):
+    for _ in range(QP_COUNT):
         prob = random_qp(rng)
         ref = enumerate_qp(prob)
         try:
@@ -157,25 +168,25 @@ def selftest_qp(seed=0, count=500, tol_v=1e-6, tol_obj=1e-8):
                      f"oracle {'optimum' if ref else 'none'}")]
         worst_v = max(worst_v, float(np.linalg.norm(sol.v_star - ref[0], np.inf)))
         worst_obj = max(worst_obj, abs(prob.objective(sol.v_star) - ref[2]))
-    ok = worst_v <= tol_v and worst_obj <= tol_obj
+    ok = worst_v <= QP_TOL_V and worst_obj <= QP_TOL_OBJ
     return [("QP active-set vs enumeration", ok,
-             f"{count} instances, max |dv|={worst_v:.3e}, max |dobj|={worst_obj:.3e}")]
+             f"{QP_COUNT} instances, max |dv|={worst_v:.3e}, max |dobj|={worst_obj:.3e}")]
 
 
-def selftest_quadrature(seed=0, count=200, tol=1e-8):
+def selftest_quadrature():
     """Closed-form input penalty (default scenario's cost) vs quadrature, and
     at the corner u_i = u_max vs its limit 2 u_max^2 ln 2 sum_i r_i."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SELFTEST_SEED)
     cost = build_scenario().cost
     worst = 0.0
-    for _ in range(count):
+    for _ in range(QUAD_COUNT):
         u = cost.u_max * rng.uniform(-0.998, 0.998, size=cost.r_diag.size)
         exact = input_penalty_Ru(cost, u)
         ref = quadrature_Ru(cost, u)
         worst = max(worst, abs(exact - ref) / max(abs(ref), 1e-12))
     limit = input_penalty_Ru(cost, np.full(cost.r_diag.size, cost.u_max))
     limit_ref = 2.0 * cost.u_max ** 2 * np.log(2.0) * cost.r_diag.sum()
-    ok = worst <= tol and abs(limit - limit_ref) <= 1e-6
+    ok = worst <= QUAD_TOL and abs(limit - limit_ref) <= 1e-6
     return [("input penalty closed form vs quadrature", ok,
              f"max rel err {worst:.3e}, corner err {abs(limit - limit_ref):.3e}")]
 

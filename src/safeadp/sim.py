@@ -185,40 +185,32 @@ def _record(scn, status, rec, t_start, columns):
 # ADP episode
 # ---------------------------------------------------------------------------
 
-class _AdpPack:
-    """Index bookkeeping for the augmented state vector
-    [x, Wc, Wa, Gamma.flat, J_native, J_quad], with any leading row axes."""
+def _adp_pack(x, Wc, Wa, Gamma, j_native, j_quad):
+    """The ADP augmented state [x, Wc, Wa, Gamma (row-major), J_native, J_quad],
+    or its derivative."""
+    return np.concatenate((x, Wc, Wa, np.ravel(Gamma), (j_native, j_quad)))
 
-    def __init__(self, n, L):
-        self.n = n
-        self.L = L
-        self.i_wc = n
-        self.i_wa = n + L
-        self.i_g = n + 2 * L
-        self.i_jn = n + 2 * L + L * L
-        self.size = self.i_jn + 2
 
-    def unpack(self, s):
-        L = self.L
-        return (s[..., : self.n], s[..., self.i_wc: self.i_wa], s[..., self.i_wa: self.i_g],
-                s[..., self.i_g: self.i_jn].reshape(s.shape[:-1] + (L, L)),
-                s[..., self.i_jn], s[..., self.i_jn + 1])
+def _adp_unpack(s, n, L):
+    """Views of x, Wc, Wa, Gamma (L x L), J_native and J_quad in packed
+    states s (..., size), with any leading row axes."""
+    g = n + 2 * L
+    return (s[..., :n], s[..., n:n + L], s[..., n + L:g],
+            s[..., g:-2].reshape(s.shape[:-1] + (L, L)), s[..., -2], s[..., -1])
 
 
 def run_adp_episode(scn):
-    """Integrate the coupled plant + learner dynamics for the ADP controller."""
+    """Integrate the coupled plant + learner dynamics for the ADP controller.
+    The augmented state is [x, Wc, Wa, Gamma (row-major), J_native, J]: x
+    first and J last, where the row builder reads them for both runners."""
     t_start = time.perf_counter()
     sys_, safeset, cost, bar = scn.system, scn.safeset, scn.cost, scn.barrier
     cfg, gains, sim = scn.staf, scn.gains, scn.sim
     n, L = sys_.n, cfg.L
-    pack = _AdpPack(n, L)
     rng = np.random.default_rng(gains.seed)
-
-    s0 = np.zeros(pack.size)
-    s0[:n] = sim.x0
-    s0[pack.i_wc: pack.i_wa] = rng.uniform(0.0, 4.0, L)
-    s0[pack.i_wa: pack.i_g] = rng.uniform(0.0, 4.0, L)
-    s0[pack.i_g: pack.i_jn] = (gains.gamma0 * np.eye(L)).ravel()
+    # Wc(0) is drawn before Wa(0): that order decides every trajectory
+    s0 = _adp_pack(sim.x0, rng.uniform(0.0, 4.0, L), rng.uniform(0.0, 4.0, L),
+                   gains.gamma0 * np.eye(L), 0.0, 0.0)
     check_start(safeset, sim.x0)
 
     # each redraw's points, which the rhs reads the last of, and the Lambda
@@ -226,32 +218,25 @@ def run_adp_episode(scn):
     drawn, lams = [], []
 
     def rhs(t, s):
-        x, Wc, Wa, Gamma, _, _ = pack.unpack(s)
+        x, Wc, Wa, Gamma, _, _ = _adp_unpack(s, n, L)
         # rows [x, p_1..p_N]; row 0 is the on-trajectory sample: its ydot
         # and state cost are the plant's at (x, u)
         rows = bellman_at(np.concatenate((x[None], drawn[-1])), x[None], Wc[None], Wa[None],
                           sys_, cost, bar, cfg, gains)
         if len(lams) < len(drawn):
             lams.append(rows.Lambda)
-        ds = np.empty(pack.size)
-        ds[:n] = rows.ydot[0]
-        ds[pack.i_wc: pack.i_wa] = critic_rhs(gains, Gamma, rows)
-        ds[pack.i_wa: pack.i_g] = actor_rhs(gains, Wa, Wc)
-        ds[pack.i_g: pack.i_jn] = gamma_rhs(gains, Gamma, rows).ravel()
         r_native = rows.delta[0] - float(Wc @ rows.omega[0]) - rows.omega_B[0]
-        ds[pack.i_jn] = r_native
-        ds[pack.i_jn + 1] = rows.state_cost[0] + cost.quadratic_input_cost(rows.u[0])
-        return ds
+        return _adp_pack(rows.ydot[0], critic_rhs(gains, Gamma, rows), actor_rhs(gains, Wa, Wc),
+                         gamma_rhs(gains, Gamma, rows), r_native,
+                         rows.state_cost[0] + cost.quadratic_input_cost(rows.u[0]))
 
     def on_accept(t, s):
-        s = np.array(s)
-        x, _, _, Gamma, _, _ = pack.unpack(s)
+        x, Wc, Wa, Gamma, j_native, j_quad = _adp_unpack(s, n, L)
         G = 0.5 * (Gamma + Gamma.T)
-        s[pack.i_g: pack.i_jn] = G.ravel()
         if np.linalg.eigvalsh(G)[0] <= 0:
             raise RunEnded("GAIN_INDEFINITE")
         drawn.append(sample_extrapolation_points(rng, x, gains.N, cfg, safeset))
-        return s
+        return _adp_pack(x, Wc, Wa, G, j_native, j_quad)
 
     status, rec = integrate_adaptive(rhs, 0.0, s0, sim.t_final, abs_tol=sim.abs_tol,
                                      rel_tol=sim.rel_tol, on_accept=on_accept)
@@ -266,7 +251,7 @@ def run_adp_episode(scn):
         flag = weak_excitation(excitation_metrics(hist_t, lam_mean, lam[:, 0], gains.pe_window))
 
     def columns(grid, states, xs, hs):
-        _, Wcs, Was, Gammas, Jns, _ = pack.unpack(states)
+        _, Wcs, Was, Gammas, Jns, _ = _adp_unpack(states, n, L)
         us, deltas = _learner_columns(scn, xs, Wcs, Was, hs)
         # copies, so that a kept record does not hold every sampled column
         return dict(u=us, Vhat=value_hat(cfg, bar, Wcs, xs, xs), delta=deltas, Wc=Wcs.copy(),

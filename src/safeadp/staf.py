@@ -7,16 +7,17 @@ import numpy as np
 
 from .cost import BarrierSpec, CostSpec, barrier_Bbar, grad_Bbar
 
+SCALE_DEN_OFFSET = 1.0  # the offset in theta's denominator
+
+
 class StaFConfig:
     """Moving-center kernel configuration.
 
     Centers travel with the state: c_i(x) = x + theta(x) d_i with
-    theta(x) = scale_num * x.x / (scale_den_offset + x.x) and unit
+    theta(x) = scale_num * x.x / (SCALE_DEN_OFFSET + x.x) and unit
     offset directions d_i. Offsets are normalized exactly at
     construction (inputs must already be unit within 1e-3).
     """
-
-    scale_den_offset = 1.0
 
     def __init__(self, offsets, scale_num):
         offsets = np.asarray(offsets, dtype=float)
@@ -39,7 +40,7 @@ class StaFConfig:
     def theta(self, x):
         """Offset scale per row of x (..., n)."""
         q = np.vecdot(x, x)
-        return self.scale_num * q / (self.scale_den_offset + q)
+        return self.scale_num * q / (SCALE_DEN_OFFSET + q)
 
 
 def centers(cfg: StaFConfig, x):

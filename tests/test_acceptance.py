@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import safeadp as sa
+from safeadp import oracles
 from safeadp.cli import write_csv
 from safeadp.oracles import (central_difference, enumerate_qp, quadrature_Ru,
                              random_qp, selftest_gradients)
@@ -99,7 +100,9 @@ def test_criterion_6_input_penalty_quadrature(cost_spec):
 
 
 def test_criterion_7_gradient_oracles():
-    results = selftest_gradients(seed=0, count=100, tol=1e-5)
+    # the gate's strictness: 100 points per gradient from seed 0, 1e-5 relative error
+    assert (oracles.SELFTEST_SEED, oracles.GRAD_COUNT, oracles.GRAD_TOL) == (0, 100, 1e-5)
+    results = selftest_gradients()
     ok = all(passed for _n, passed, _d in results)
     detail = "; ".join(f"{n}: {d}" for n, _p, d in results)
     _report(7, "gradient oracles", ok, detail)

@@ -202,7 +202,7 @@ class TestAdpEpisode:
         assert rec.status == "OK"
         run, gains = runs[0], scn.gains
         assert len(draws) == len(run.ts) > 10
-        x, Wc, Wa, _, _, _ = sa.sim._AdpPack(scn.system.n, scn.staf.L).unpack(np.array(run.ys[1:]))
+        x, Wc, Wa, _, _, _ = sa.sim._adp_unpack(np.array(run.ys[1:]), scn.system.n, scn.staf.L)
         lam = bellman(np.concatenate((x[:, None, :], np.array(draws[1:])), axis=1),
                       x[:, None, :], Wc[:, None, :], Wa[:, None, :], scn.system, scn.cost,
                       scn.barrier, scn.staf, gains).Lambda
@@ -212,6 +212,36 @@ class TestAdpEpisode:
         assert rec.weak_excitation_flag == sa.weak_excitation(
             sa.excitation_metrics(run.ts[1:], lam_mean, lam[:, 0], gains.pe_window))
         assert len(set(rec.c1)) > 10
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_start_state_layout(self, seed):
+        # row 0 is the start state: x0, Wc(0) then Wa(0) from the seed's
+        # generator in that order, Gamma(0) = gamma0 I and no cost yet
+        scn = sa.build_scenario(sim__t_final=1.0, gains__seed=seed)
+        rec = sa.run_adp_episode(scn)
+        L = scn.staf.L
+        rng = np.random.default_rng(seed)
+        Wc0, Wa0 = rng.uniform(0.0, 4.0, L), rng.uniform(0.0, 4.0, L)
+        np.testing.assert_array_equal(rec.x[0], scn.sim.x0)
+        np.testing.assert_array_equal(rec.Wc[0], Wc0)
+        np.testing.assert_array_equal(rec.Wa[0], Wa0)
+        assert rec.min_eig_gamma[0] == scn.gains.gamma0
+        assert rec.J[0] == 0.0
+
+    def test_pack_and_unpack_round_trip(self):
+        n, L, R = 2, 3, 4
+        rng = np.random.default_rng(7)
+        blocks = [(rng.normal(size=n), rng.normal(size=L), rng.normal(size=L),
+                   rng.normal(size=(L, L)), rng.normal(), rng.normal()) for _ in range(R)]
+        packed = [sa.sim._adp_pack(*b) for b in blocks]
+        assert packed[0].shape == (n + 2 * L + L * L + 2,)
+        rows = np.stack(packed)
+        for s, want in [(packed[0], blocks[0]), (rows, [np.array(col) for col in zip(*blocks)])]:
+            got = sa.sim._adp_unpack(s, n, L)
+            assert len(got) == 6
+            for block, expected in zip(got, want):
+                np.testing.assert_array_equal(block, expected)
+                assert np.shares_memory(block, s)
 
     def test_rejects_unsafe_start(self):
         # build_scenario refuses this start; a scenario assembled by hand

@@ -117,7 +117,7 @@ def test_policy_hat_matches_explicit_formula(cfg, barrier, cost_spec):
     for _ in range(20):
         x = rng.uniform(-2, 2, size=2)
         w = rng.normal(size=3)
-        th = cfg.scale_num * (x @ x) / (cfg.scale_den_offset + x @ x)
+        th = cfg.scale_num * (x @ x) / (sa.staf.SCALE_DEN_OFFSET + x @ x)
         C = x[None, :] + th * cfg.offsets
         D = C.T @ w + sa.grad_Bbar(barrier, x)
         expected = -0.5 * np.tanh(D / (2.0 * 0.5 * cost_spec.r_diag))
