@@ -87,22 +87,36 @@ def _parse_value(val, key, path, lineno):
         raise ConfigError(f"{path}:{lineno}: cannot parse value for {key!r}: {val!r}")
 
 
+def _holds_bool(val):
+    """Whether val is a boolean or holds one at any depth."""
+    if isinstance(val, np.ndarray):
+        val = val.tolist()
+    if isinstance(val, (list, tuple)):
+        return any(map(_holds_bool, val))
+    return isinstance(val, (bool, np.bool_))
+
+
 def _coerce(key, val):
     """Convert val to the type of the key's default; lists become float
-    arrays and keys whose default is None take the value as given. A
-    number that is not finite (nan, inf, or a literal such as 1e999) is
-    rejected."""
+    arrays, and so does a value other than None of a key whose default is
+    None (system.A and system.B). A boolean, alone or in an array, is not
+    a number, and a number that is not finite (nan, inf, or a literal such
+    as 1e999) is rejected."""
     default = DEFAULTS[key]
-    if default is None:
-        return val
-    kind = type(default)
+    if default is None and val is None:
+        return None
+    kind = list if default is None else type(default)
+    if kind is not str and _holds_bool(val):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {val!r}: "
+                          "a boolean is not a number")
     try:
         out = np.asarray(val, float) if kind is list else kind(val)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: expected {kind.__name__}, got {val!r}") from None
     if kind is int and out != val:
         raise ConfigError(f"{key}: expected an integer, got {val!r}")
-    if kind in (float, list) and not np.isfinite(out).all():
+    # system.A and system.B are checked for finite entries by linear_system
+    if default is not None and kind in (float, list) and not np.isfinite(out).all():
         raise ConfigError(f"{key}: expected finite values, got {val!r}")
     return out
 

@@ -63,9 +63,8 @@ class QpProblem:
         self.c_lin = np.asarray(self.c_lin, float)
         self.A = np.asarray(self.A, float)
         self.b = np.asarray(self.b, float)
-        # np.allclose(H, H.T, atol=1e-12) without its overhead
-        if not (abs(self.H - self.H.T) <= 1e-12 + 1e-5 * abs(self.H.T)).all():
-            raise ValueError("H must be symmetric")
+        if not (np.isfinite(self.H).all() and np.allclose(self.H, self.H.T, atol=1e-12)):
+            raise ValueError("H must be finite and symmetric")
         # 2H, the Hessian of the objective, and -c_lin, the right-hand side
         # of the KKT system, formed once; H and c_lin are not changed after
         self.H2 = 2.0 * self.H
@@ -101,23 +100,31 @@ class QpSolution:
     iterations: int = 0
 
 
+_RESIDUALS = ("stationarity", "primal", "dual", "complementarity")
+
+
+def _residuals(prob: QpProblem, v, lam, slack):
+    """The four KKT residuals of `kkt_residuals`, in the order of
+    _RESIDUALS, as floats; a NaN in the point shows in each residual it
+    enters. The primal and dual residuals are |max(slack, 0)| and
+    |min(lam, 0)|, so a zero reads 0.0, not -0.0."""
+    if slack is None:
+        slack = prob.A @ v - prob.b
+    r = prob.H2 @ v + prob.c_lin + prob.A.T @ lam
+    return (math.sqrt(r.dot(r)),  # np.linalg.norm(r), without its overhead
+            abs(float(slack.max(initial=0.0))),
+            abs(float(lam.min(initial=0.0))),
+            float(np.abs(lam * slack).max(initial=0.0)))
+
+
 def kkt_residuals(prob: QpProblem, v, multipliers, slack=None):
     """KKT residuals for  min v^T H v + c^T v  s.t.  A v <= b.
 
     Stationarity uses 2 H v + c + A^T lam = 0. `slack` is A v - b when the
     caller has it already.
     """
-    v = np.asarray(v, float)
-    lam = np.asarray(multipliers, float)
-    if slack is None:
-        slack = prob.A @ v - prob.b
-    r = prob.H2 @ v + prob.c_lin + prob.A.T @ lam
-    return {
-        "stationarity": math.sqrt(float(r.dot(r))),  # np.linalg.norm(r), without its overhead
-        "primal": float(max(0.0, slack.max())) if slack.size else 0.0,
-        "dual": float(max(0.0, -(lam.min()))) if lam.size else 0.0,
-        "complementarity": float(np.abs(lam * slack).max()) if lam.size else 0.0,
-    }
+    res = _residuals(prob, np.asarray(v, float), np.asarray(multipliers, float), slack)
+    return dict(zip(_RESIDUALS, res))
 
 
 def rounding_bounds(prob: QpProblem, v, multipliers):
@@ -146,21 +153,17 @@ def kkt_ok(prob, v, multipliers, slack=None):
     so that a badly scaled problem's optimum, with multipliers near 1e7,
     is not rejected for its rounding.
 
-    The absolute test reads the residuals of `kkt_residuals` straight off
-    the arrays (a NaN fails it); only when it fails are the residuals and
-    their bounds formed, for the full rule."""
+    The verdict and the `kkt_residuals` report read one computation of
+    the residuals (a NaN fails the rule); the rounding bounds are formed
+    only when the absolute test fails."""
     v = np.asarray(v, float)
     lam = np.asarray(multipliers, float)
-    if slack is None:
-        slack = prob.A @ v - prob.b
-    r = prob.H2 @ v + prob.c_lin + prob.A.T @ lam
-    if (math.sqrt(float(r.dot(r))) <= KKT_TOL and slack.max(initial=0.0) <= KKT_TOL
-            and lam.min(initial=0.0) >= -KKT_TOL
-            and np.abs(lam * slack).max(initial=0.0) <= KKT_TOL):
+    stat, primal, dual, comp = res = _residuals(prob, v, lam, slack)
+    # four comparisons, not all(): a generator per hold costs more than they do
+    if stat <= KKT_TOL and primal <= KKT_TOL and dual <= KKT_TOL and comp <= KKT_TOL:
         return True
-    res = kkt_residuals(prob, v, lam, slack)
     bounds = rounding_bounds(prob, v, lam)
-    return all(r <= max(KKT_TOL, bounds[name]) for name, r in res.items())
+    return all(r <= max(KKT_TOL, bounds[name]) for name, r in zip(_RESIDUALS, res))
 
 
 def _equality_solve(prob: QpProblem, W):
@@ -182,12 +185,6 @@ def _equality_solve(prob: QpProblem, W):
     return sol[:d], sol[d:]
 
 
-def _solution(prob: QpProblem, W, v, lam, iterations):
-    lam_full = np.zeros(prob.k)
-    lam_full[W] = lam
-    return QpSolution(v_star=v, active_set=tuple(W), multipliers=lam_full, iterations=iterations)
-
-
 def _accepted(prob: QpProblem, W, v, lam, iterations):
     """The solution (W, v, lam) if it meets the acceptance rule: every row
     violated by at most SOLVE_TOL, no negative multiplier, and the KKT
@@ -196,8 +193,11 @@ def _accepted(prob: QpProblem, W, v, lam, iterations):
     slack = prob.A @ v - prob.b
     if slack.max(initial=-np.inf) > SOLVE_TOL or lam.min(initial=0.0) < 0.0:
         return None
-    sol = _solution(prob, W, v, lam, iterations)
-    return sol if kkt_ok(prob, v, sol.multipliers, slack=slack) else None
+    lam_full = np.zeros(prob.k)
+    lam_full[W] = lam
+    if not kkt_ok(prob, v, lam_full, slack=slack):
+        return None
+    return QpSolution(v_star=v, active_set=tuple(W), multipliers=lam_full, iterations=iterations)
 
 
 def _warm_solve(prob: QpProblem, start):

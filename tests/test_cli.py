@@ -340,6 +340,18 @@ class TestConfig:
         ("system.A = [[0.2, 0.0], [0.0, 0.2]]",
          "system.A and system.B need system.kind = linear, not 'single_integrator'"),
         ("system.B = [[1.0, 0.0], [0.0, 1.0]]", "system.A and system.B need system.kind"),
+        # a matrix that is not an array of numbers
+        (LINEAR + "system.B = [[0.0], [1.0]]\ncost.r_diag = [10.0]\nsystem.A = {1: 2}",
+         "system.A: expected list, got {1: 2}"),
+        # a boolean is not read as 1 or 0, alone or in an array
+        ("sim.t_final = True", "sim.t_final: expected float, got True: a boolean is not a number"),
+        ("gains.N = True", "gains.N: expected int, got True: a boolean is not a number"),
+        ("gains.seed = False", "gains.seed: expected int, got False: a boolean"),
+        ("sim.x0 = [True, 3.5]", "sim.x0: expected list, got [True, 3.5]: a boolean"),
+        ("staf.offsets = [[0.0, -1.0], [0.866, -0.5], [-0.866, False]]",
+         "staf.offsets: expected list, got [[0.0, -1.0], [0.866, -0.5], [-0.866, False]]: a bool"),
+        (LINEAR.replace("1.0]", "True]") + "system.B = [[0.0], [1.0]]",
+         "system.A: expected list, got [[0.0, True], [0.0, 0.0]]: a boolean"),
     ])
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -348,6 +360,7 @@ class TestConfig:
         assert code == 4
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and message in err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_non_finite_t_final_exit_code(self, tmp_path, capsys):
         assert main(["run", "--t-final", "nan", "--out", str(tmp_path / "t.csv")]) == 4
@@ -372,6 +385,19 @@ class TestConfig:
                 sa.build_scenario(values, **overrides)
             messages.add(str(exc.value))
         assert messages == {"unknown config keys: ['nope.x']"}
+
+    @pytest.mark.parametrize("overrides, pattern", [
+        ({"system__kind": "linear", "system__A": {1: 2}, "system__B": np.eye(2)},
+         r"system\.A: expected list, got \{1: 2\}"),
+        ({"sim__t_final": True},
+         r"sim\.t_final: expected float, got True: a boolean is not a number"),
+        ({"gains__N": np.True_}, r"gains\.N: expected int, got .*: a boolean is not a number"),
+        ({"sim__x0": np.array([True, True])},
+         r"sim\.x0: expected list, got .*: a boolean is not a number"),
+    ], ids=["dict-matrix", "bool", "numpy-bool", "bool-array"])
+    def test_value_of_the_wrong_type_is_a_config_error(self, overrides, pattern):
+        with pytest.raises(ConfigError, match=f"^{pattern}$"):
+            sa.build_scenario(**overrides)
 
     @pytest.mark.parametrize("controller", ["adp", "qp"])
     def test_linear_system_runs(self, tmp_path, controller):
@@ -528,6 +554,18 @@ class TestSweep:
         assert capsys.readouterr().err == ""
         for i in range(2):
             assert (tmp_path / f"sw_{i:03d}.csv").exists()
+
+    def test_malformed_matrix_ends_the_sweep(self, tmp_path, capsys):
+        # the file is complete, so the value is at fault: one config error, no file
+        cfg = tmp_path / "lin.cfg"
+        cfg.write_text(LINEAR + "system.B = [[0.0], [1.0]]\ncost.r_diag = [10.0]\n")
+        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw.csv"),
+                     "--sweep-key", "system.A",
+                     "--sweep-values", "[[0.0, 1.0], [0.0, 0.0]];{1: 2}"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == "config error: --sweep-values:2: system.A: expected list, got {1: 2}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_value_error_unlike_the_file_error_keeps_the_prefix(self, tmp_path, capsys):
         # the file alone fails for want of system.B; value 2 fails for a reason of its own

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,13 @@ class TestSolver:
             sa.QpProblem(H=np.array([[1.0, 0.5], [0.0, 1.0]]),
                          c_lin=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0))
 
+    @pytest.mark.parametrize("H", [[[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]],
+                                   [[1.0, np.nan], [np.nan, 1.0]]], ids=["inf", "inf-pair", "nan"])
+    def test_non_finite_h_rejected(self, H):
+        # np.allclose takes equal infinities as close
+        with pytest.raises(ValueError, match="finite"):
+            sa.QpProblem(H=np.array(H), c_lin=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0))
+
     @pytest.mark.parametrize("gap, accepted", [(0.99e-5, True), (1.01e-5, False)])
     def test_symmetry_tolerance_matches_allclose(self, gap, accepted):
         # |H - H^T| <= 1e-12 + 1e-5 |H^T|: the boundary sits at gap 1e-5 + 1e-12
@@ -240,6 +249,28 @@ class TestSolver:
         assert all(v <= 1e-12 for v in res.values())
         res_bad = sa.kkt_residuals(prob, np.array([0.0, 0.0]), np.array([0.0]))
         assert res_bad["primal"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("v, lam, slack, nan_in", [
+        ([0.0, 0.0], [0.0, 0.0], [np.nan, -1.0], {"primal", "complementarity"}),
+        ([np.nan, 0.0], [0.0, 0.0], None, {"stationarity", "primal", "complementarity"}),
+        ([0.0, 0.0], [np.nan, 0.0], None, {"stationarity", "dual", "complementarity"}),
+    ], ids=["nan-slack", "nan-point", "nan-multiplier"])
+    def test_kkt_report_shows_a_nan_where_the_verdict_fails(self, v, lam, slack, nan_in):
+        # the slack of v is [v1, v2 - 1]
+        prob = sa.QpProblem(H=np.eye(2), c_lin=np.zeros(2), A=np.eye(2), b=np.array([0.0, 1.0]))
+        v, lam = np.array(v), np.array(lam)
+        own = prob.A @ v - prob.b
+        slack = own if slack is None else np.array(slack)
+        given = [{"slack": slack}]
+        if np.array_equal(slack, own, equal_nan=True):
+            given.append({})
+        for kwargs in given:
+            res = sa.kkt_residuals(prob, v, lam, **kwargs)
+            assert {name for name, r in res.items() if math.isnan(r)} == nan_in
+            # a residual no NaN enters reads 0.0, not -0.0
+            assert all(r == 0.0 and math.copysign(1.0, r) == 1.0
+                       for name, r in res.items() if name not in nan_in)
+            assert kkt_ok(prob, v, lam, **kwargs) is False
 
 
 def _check_against_oracle(prob):
