@@ -36,23 +36,20 @@ _STATUS_EXIT = {
 
 def write_csv(record: TrajectoryRecord, path):
     """CSV rows at dt_out with 17-significant-digit values and LF endings."""
-    n = record.x.shape[1]
-    m = record.u.shape[1]
-    L = record.Wc.shape[1]
-    header = (["t"]
-              + [f"x{i+1}" for i in range(n)]
-              + [f"u{i+1}" for i in range(m)]
-              + ["h", "B", "Vhat", "delta"]
-              + [f"Wc{i+1}" for i in range(L)]
-              + [f"Wa{i+1}" for i in range(L)]
-              + ["minEigGamma", "c1", "J", "status"])
-    table = np.column_stack((record.t, record.x, record.u, record.h, record.B, record.Vhat,
-                             record.delta, record.Wc, record.Wa, record.min_eig_gamma,
-                             record.c1, record.J)).tolist()
-    row_fmt = ",".join(["%.17g"] * (len(header) - 1)) + ",%s\n"
+    def numbered(name, block):
+        return [(f"{name}{i + 1}", col) for i, col in enumerate(block.T)]
+
+    # the columns in file order, each named once
+    columns = ([("t", record.t)] + numbered("x", record.x) + numbered("u", record.u)
+               + [("h", record.h), ("B", record.B), ("Vhat", record.Vhat), ("delta", record.delta)]
+               + numbered("Wc", record.Wc) + numbered("Wa", record.Wa)
+               + [("minEigGamma", record.min_eig_gamma), ("c1", record.c1), ("J", record.J)])
+    names, cols = zip(*columns)
+    table = np.column_stack(cols).tolist()
+    row_fmt = ",".join(["%.17g"] * len(cols)) + ",%s\n"
     statuses = ["OK"] * (len(table) - 1) + [record.status]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(names + ("status",)) + "\n")
         fh.writelines(row_fmt % (*row, st) for row, st in zip(table, statuses))
 
 

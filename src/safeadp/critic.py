@@ -131,7 +131,9 @@ def critic_rhs(gains: LearnerGains, Gamma, rows: BellmanSample):
 def gamma_rhs(gains: LearnerGains, Gamma, rows: BellmanSample):
     """Gain-matrix dynamics, symmetrized: forgetting growth beta Gamma minus
     the contraction Gamma S Gamma, where S = kc1 Lambda_0 + (kc2/N) sum_k
-    Lambda_k is the curvature of the critic update."""
+    Lambda_k is the curvature of the critic update. The symmetrized form is
+    exactly symmetric in floating point, and it alone keeps the integrated
+    Gamma symmetric: the runner does not repair Gamma."""
     Gamma = np.asarray(Gamma, float)
     S = (gains.row_weights[:, None, None] * rows.Lambda).sum(axis=0)
     M = gains.beta * Gamma - Gamma @ S @ Gamma

@@ -4,8 +4,8 @@ for solving strictly convex quadratic programs", Math. Programming 27,
 1983).
 
 Problems are stated as  min v^T H v + c_lin^T v  s.t.  A v <= b  with H
-symmetric positive definite. The dual method starts at the unconstrained
-minimum and needs no feasible start point. A solve may be warm-started
+symmetric positive definite, which `QpProblem` checks. The dual method
+starts at the unconstrained minimum and needs no feasible start point. A solve may be warm-started
 from a guess of the active set (the previous hold's, in the controller):
 one equality-constrained solve on that set, in the manner of the online
 active set strategy of Ferreau, Bock and Diehl (IJRNC 18, 2008).
@@ -53,6 +53,10 @@ class QpParams:
 
 @dataclass
 class QpProblem:
+    """min v^T H v + c_lin^T v  s.t.  A v <= b. H is checked when the
+    problem is built: finite, symmetric and positive definite (ValueError
+    otherwise)."""
+
     H: np.ndarray
     c_lin: np.ndarray
     A: np.ndarray
@@ -69,6 +73,12 @@ class QpProblem:
         # of the KKT system, formed once; H and c_lin are not changed after
         self.H2 = 2.0 * self.H
         self.neg_c = -self.c_lin
+        # the dual loop works in w = L^T v, with 2H = L L^T, where the
+        # Hessian is I; the factor exists only when H is positive definite
+        try:
+            self.L_T_inv = np.linalg.inv(np.linalg.cholesky(self.H2)).T
+        except np.linalg.LinAlgError:
+            raise ValueError("H must be positive definite") from None
 
     @property
     def d(self):
@@ -80,11 +90,11 @@ class QpProblem:
 
     def with_rows(self, A, b):
         """This problem with the constraints A v <= b in place of its own.
-        H and c_lin (and 2H and -c_lin) are shared with this problem and
-        not checked again."""
+        H and c_lin (and 2H, -c_lin and the factor of 2H) are shared with
+        this problem and not checked again."""
         prob = object.__new__(QpProblem)
         prob.H, prob.c_lin, prob.A, prob.b = self.H, self.c_lin, A, b
-        prob.H2, prob.neg_c = self.H2, self.neg_c
+        prob.H2, prob.neg_c, prob.L_T_inv = self.H2, self.neg_c, self.L_T_inv
         return prob
 
     def objective(self, v):
@@ -173,8 +183,10 @@ def _equality_solve(prob: QpProblem, W):
     d = prob.d
     A_W, b_W = prob.A[W], prob.b[W]
     if len(W) == d:
-        # a vertex: solving A_W v = b_W keeps the active rows exact even when
-        # the multipliers are large; these then follow from stationarity
+        # a vertex: v solves A_W v = b_W, and the multipliers then follow
+        # from stationarity. This does not keep the active rows exact: it
+        # leaves rounding on them in 582 of the 592 vertex solves of the
+        # default QP episode (ROADMAP item 12)
         v = np.linalg.solve(A_W, b_W)
         return v, np.linalg.solve(A_W.T, -(prob.H2 @ v + prob.c_lin))
     KKT = np.zeros((d + len(W), d + len(W)))
@@ -240,10 +252,8 @@ def solve_qp(prob: QpProblem, start=()):
         warm = _warm_solve(prob, start)
         if warm is not None:
             return warm
-    A, b = prob.A, prob.b
-    # in w = L^T v, with 2H = L L^T, the Hessian is I and the rows are A L^-T
-    L_T_inv = np.linalg.inv(np.linalg.cholesky(prob.H2)).T
-    Aw = A @ L_T_inv
+    A, b, L_T_inv = prob.A, prob.b, prob.L_T_inv
+    Aw = A @ L_T_inv  # the rows in w = L^T v
     v = -L_T_inv @ (L_T_inv.T @ prob.c_lin)
     W: list[int] = []
     lam = np.zeros(0)  # multipliers of the rows in W, in order

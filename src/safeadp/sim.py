@@ -213,9 +213,9 @@ def run_adp_episode(scn):
                    gains.gamma0 * np.eye(L), 0.0, 0.0)
     check_start(safeset, sim.x0)
 
-    # each redraw's points, which the rhs reads the last of, and the Lambda
-    # of the rhs evaluation right after each redraw
-    drawn, lams = [], []
+    # each redraw's time and points, which the rhs reads the last of, and
+    # the Lambda of the rhs evaluation right after each redraw
+    redraw_ts, drawn, lams = [], [], []
 
     def rhs(t, s):
         x, Wc, Wa, Gamma, _, _ = _adp_unpack(s, n, L)
@@ -231,19 +231,21 @@ def run_adp_episode(scn):
                          rows.state_cost[0] + cost.quadratic_input_cost(rows.u[0]))
 
     def on_accept(t, s):
-        x, Wc, Wa, Gamma, j_native, j_quad = _adp_unpack(s, n, L)
-        G = 0.5 * (Gamma + Gamma.T)
-        if np.linalg.eigvalsh(G)[0] <= 0:
+        # gamma_rhs keeps Gamma exactly symmetric, so it is read as it is
+        x, _, _, Gamma, _, _ = _adp_unpack(s, n, L)
+        if np.linalg.eigvalsh(Gamma)[0] <= 0:
             raise RunEnded("GAIN_INDEFINITE")
+        redraw_ts.append(t)
         drawn.append(sample_extrapolation_points(rng, x, gains.N, cfg, safeset))
-        return _adp_pack(x, Wc, Wa, G, j_native, j_quad)
+        return s  # unchanged: the rhs is evaluated again with the new points
 
     status, rec = integrate_adaptive(rhs, 0.0, s0, sim.t_final, abs_tol=sim.abs_tol,
                                      rel_tol=sim.rel_tol, on_accept=on_accept)
 
-    # the excitation history: each redraw after the start's, read from the
-    # rhs evaluation right after it (a hook that ends the run draws none)
-    hist_t, hist_c1, flag = rec.ts[1:len(lams)], [], False
+    # the excitation history: each redraw after the start's, at its own
+    # time, read from the rhs evaluation right after it (a hook that ends
+    # the run draws none)
+    hist_t, hist_c1, flag = redraw_ts[1:len(lams)], [], False
     if hist_t:
         lam = np.array(lams[1:])
         lam_mean = lam[:, 1:].sum(axis=1) / gains.N
@@ -255,8 +257,7 @@ def run_adp_episode(scn):
         us, deltas = _learner_columns(scn, xs, Wcs, Was, hs)
         # copies, so that a kept record does not hold every sampled column
         return dict(u=us, Vhat=value_hat(cfg, bar, Wcs, xs, xs), delta=deltas, Wc=Wcs.copy(),
-                    Wa=Was.copy(), min_eig_gamma=np.linalg.eigvalsh(
-                        0.5 * (Gammas + Gammas.transpose(0, 2, 1))).min(axis=1),
+                    Wa=Was.copy(), min_eig_gamma=np.linalg.eigvalsh(Gammas).min(axis=1),
                     c1=_held(hist_t, hist_c1, grid, 0.0), controller="adp",
                     j_native_total=float(Jns[-1]), weak_excitation_flag=flag)
 

@@ -156,6 +156,23 @@ class TestRun:
         assert rows[-1][-1] == "SAFETY_BREACH"
 
 
+    def test_infeasible_qp_exit_code(self, tmp_path, capsys):
+        # the drift -0.5 x moves the start toward the obstacle faster than
+        # the input box |u_i| <= 0.5 can hold it off, so no input meets the
+        # CBF row at t = 0: the run ends there with one row and exits 3
+        cfg = tmp_path / "infeasible.cfg"
+        cfg.write_text("system.kind = linear\nsystem.A = [[-0.5, 0.0], [0.0, -0.5]]\n"
+                       "system.B = [[1.0, 0.0], [0.0, 1.0]]\n")
+        out, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        code = main(["run", "--controller", "qp", "--config", str(cfg), "--out", str(out),
+                     "--summary", str(summary)])
+        assert code == 3
+        assert "status=QP_INFEASIBLE" in capsys.readouterr().out
+        assert json.loads(summary.read_text())["status"] == "QP_INFEASIBLE"
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 1 and rows[0].endswith(",QP_INFEASIBLE")
+
+
 class TestExitCodes:
     def test_every_runner_status_has_an_exit_code(self):
         # the statuses the runners and the integrator can end with, read

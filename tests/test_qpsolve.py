@@ -213,6 +213,15 @@ class TestSolver:
         with pytest.raises(ValueError, match="finite"):
             sa.QpProblem(H=np.array(H), c_lin=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0))
 
+    @pytest.mark.parametrize("H", [[[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]]],
+                             ids=["indefinite", "negative-diagonal"])
+    def test_h_not_positive_definite_rejected(self, H):
+        # neither is a strictly convex problem: the dual loop cannot factor
+        # the first, and the second is unbounded below, yet its warm start
+        # from (0,) would meet the KKT rule at v = (1, 0)
+        with pytest.raises(ValueError, match="positive definite"):
+            sa.QpProblem(H=np.array(H), c_lin=np.zeros(2), A=np.eye(2), b=np.ones(2))
+
     @pytest.mark.parametrize("gap, accepted", [(0.99e-5, True), (1.01e-5, False)])
     def test_symmetry_tolerance_matches_allclose(self, gap, accepted):
         # |H - H^T| <= 1e-12 + 1e-5 |H^T|: the boundary sits at gap 1e-5 + 1e-12

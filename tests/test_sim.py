@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import safeadp as sa
+from safeadp.config import DEFAULTS
 
 
 class TestAdpEpisode:
@@ -212,6 +213,32 @@ class TestAdpEpisode:
         assert rec.weak_excitation_flag == sa.weak_excitation(
             sa.excitation_metrics(run.ts[1:], lam_mean, lam[:, 0], gains.pe_window))
         assert len(set(rec.c1)) > 10
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"sim__x0": [3.5, 3.0], "gains__seed": 1},
+        {"system__kind": "linear", "system__A": [[0.0, 1.0], [-1.0, 0.0]],
+         "system__B": [[1.0, 0.0], [0.0, 1.0]], "gains__seed": 2},
+    ], ids=["default", "breach", "rotation"])
+    def test_gamma_stays_exactly_symmetric(self, monkeypatch, overrides):
+        # gamma_rhs is the only statement of Gamma's symmetry: its
+        # derivative is exactly symmetric, the integrator weighs entries
+        # (i, j) and (j, i) alike, and the rows are sampled entrywise, so
+        # Gamma == Gamma^T bit for bit with no repair in the hook or the rows
+        integrate, runs = sa.sim.integrate_adaptive, []
+
+        def kept_run(*args, **kwargs):
+            status, run = integrate(*args, **kwargs)
+            runs.append(run)
+            return status, run
+
+        monkeypatch.setattr(sa.sim, "integrate_adaptive", kept_run)
+        scn = sa.build_scenario(**overrides)
+        rec = sa.run_adp_episode(scn)
+        run, n, L = runs[0], scn.system.n, scn.staf.L
+        assert len(run.ts) > 50
+        for states in (run.ys, run.fs_in, run.fs_out, run.sample(rec.t)):
+            Gamma = sa.sim._adp_unpack(np.array(states), n, L)[3]
+            np.testing.assert_array_equal(Gamma, Gamma.transpose(0, 2, 1))
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_start_state_layout(self, seed):
@@ -641,3 +668,54 @@ class TestOutputRows:
         np.testing.assert_array_equal(qp.x[-1], runs[1].sample(qp.t[-1:])[0, :n])
         assert sa.summarize(qp).total_J == qp.J[-1]
 
+
+class TestMirrorSymmetry:
+    """A mirror image of the geometry gives the mirror image of the run.
+    The StaF offsets are mirrored with the state. Every pair runs at
+    gains.kc2 = 0, which only ADP reads: the extrapolation points are
+    drawn in the state's own coordinates, so a run and its mirror draw
+    different points, and with the default kc2 the reflected ADP pair
+    differs by up to 0.02 in x and 0.41 in J."""
+
+    OFFSETS = np.array(DEFAULTS["staf.offsets"])
+
+    @staticmethod
+    def _run(controller, **overrides):
+        t_final = 25.0 if controller == "adp" else 10.0
+        return sa.run_episode(sa.build_scenario(sim__controller=controller, sim__t_final=t_final,
+                                                gains__kc2=0.0, **overrides))
+
+    @pytest.mark.parametrize("controller", ["adp", "qp"])
+    def test_reflection_in_the_x1_axis_is_exact(self, controller):
+        # obstacle on the x1 axis: negation is exact and commutes with every
+        # operation on x2, so the rows agree bit for bit (c1, which reads the
+        # drawn points, is left out)
+        center = [2.0 * np.sqrt(2.0), 0.0]
+        a = self._run(controller, safeset__center=center, sim__x0=[4.5, 0.7],
+                      staf__offsets=self.OFFSETS.tolist())
+        b = self._run(controller, safeset__center=center, sim__x0=[4.5, -0.7],
+                      staf__offsets=(self.OFFSETS * [1.0, -1.0]).tolist())
+        assert a.status == b.status == "OK" and len(a.t) == len(b.t)
+        for name in ("h", "B", "J", "Wc", "Wa", "Vhat", "delta", "min_eig_gamma"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+        for name in ("x", "u"):
+            np.testing.assert_array_equal(getattr(a, name) * [1.0, -1.0], getattr(b, name))
+
+    @pytest.mark.parametrize("controller, tol", [("qp", 1e-12), ("adp", 1e-8)], ids=["qp", "adp"])
+    @pytest.mark.parametrize("x0", [[3.0, 3.5], [4.0, 2.6]], ids=["3,3.5", "4,2.6"])
+    def test_swapping_the_coordinates(self, controller, tol, x0):
+        # the default obstacle sits on the diagonal; x1 <-> x2 reorders sums,
+        # so the runs agree to rounding (QP max |dx| 8e-15, ADP 4e-10)
+        a = self._run(controller, sim__x0=x0, staf__offsets=self.OFFSETS.tolist())
+        b = self._run(controller, sim__x0=x0[::-1], staf__offsets=self.OFFSETS[:, ::-1].tolist())
+        assert a.status == b.status == "OK" and len(a.t) == len(b.t)
+        for name in ("x", "u"):
+            np.testing.assert_allclose(getattr(a, name), getattr(b, name)[:, ::-1], rtol=0,
+                                       atol=tol, err_msg=name)
+
+    def test_diagonal_start_stays_on_the_diagonal(self, qp_stall_record):
+        # from [3, 3] every row has x1 = x2 and u1 = u2 bit for bit: the QP
+        # stalls on the obstacle-origin line
+        rec = qp_stall_record
+        np.testing.assert_array_equal(rec.x[:, 0], rec.x[:, 1])
+        np.testing.assert_array_equal(rec.u[:, 0], rec.u[:, 1])
