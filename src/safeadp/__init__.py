@@ -11,7 +11,7 @@ from .errors import (BoundaryViolation, ConfigError, InputOutOfBox,
                      QpInfeasible, QpSolverFailed, RunEnded, SafeAdpError,
                      SingularGradient)
 from .model import (CircularSafeSet, SystemModel, cbf_condition, clf_condition,
-                    linear_system, single_integrator)
+                    single_integrator)
 from .qpsolve import (ControllerQp, QpParams, QpProblem, QpSolution, build_qp,
                       kkt_residuals, qp_controller, solve_qp)
 from .sim import (SimConfig, SummaryReport, TrajectoryRecord, run_adp_episode,

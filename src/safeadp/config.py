@@ -12,7 +12,7 @@ import numpy as np
 from .cost import BarrierSpec, CostSpec
 from .critic import LearnerGains
 from .errors import ConfigError
-from .model import CircularSafeSet, SystemModel, linear_system, single_integrator
+from .model import CircularSafeSet, SystemModel, single_integrator
 from .qpsolve import QpParams
 from .sim import SimConfig, check_start
 from .staf import StaFConfig
@@ -115,7 +115,7 @@ def _coerce(key, val):
         raise ConfigError(f"{key}: expected {kind.__name__}, got {val!r}") from None
     if kind is int and out != val:
         raise ConfigError(f"{key}: expected an integer, got {val!r}")
-    # system.A and system.B are checked for finite entries by linear_system
+    # system.A and system.B are checked for finite entries by SystemModel
     if default is not None and kind in (float, list) and not np.isfinite(out).all():
         raise ConfigError(f"{key}: expected finite values, got {val!r}")
     return out
@@ -139,7 +139,7 @@ def _system(kind, A, B):
     if kind == "linear":
         if A is None or B is None:
             raise ConfigError("system.kind = linear requires system.A and system.B")
-        return linear_system(A, B)
+        return SystemModel(A, B)
     if kind != "single_integrator":
         raise ConfigError(f"unknown system.kind {kind!r}")
     if A is not None or B is not None:

@@ -85,7 +85,7 @@ def bellman_at(y, x, Wc, Wa, sys, cost: CostSpec, bar: BarrierSpec,
     y = np.asarray(y, float)
     C = grad_sigma(cfg, y, x)
     B, gB = barrier_B_grad_Bbar(bar, y)
-    u = policy_star(cost, sys, np.vecmat(Wa, C) + gB, y)
+    u = policy_star(cost, sys, np.vecmat(Wa, C) + gB)
     ydot = sys.xdot(y, u)
     omega = np.matvec(C, ydot)
     omega_B = np.vecdot(gB, ydot)

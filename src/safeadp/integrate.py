@@ -58,8 +58,8 @@ def _rms(z):
 
 class StepRecord:
     """One entry per accepted time, strictly increasing: the state, the
-    derivatives into and out of it (equal unless a hook replaced it), and
-    the integrator's work."""
+    derivatives into and out of it (equal unless the hook changed the rhs
+    there), and the integrator's work."""
 
     def __init__(self):
         self.ts = []
@@ -120,8 +120,9 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
     record keeps: the start, before any rhs evaluation, and each accepted
     step. It may raise RunEnded(status) to end the run there (the point is
     recorded; ended at the start, the record is that one point and no rhs
-    is evaluated) or return a replacement state, recorded with the step's
-    own derivative into it and rhs(t, y) out of it.
+    is evaluated), and it returns True when it changed the rhs at t (None
+    otherwise): the point is then recorded with the step's own derivative
+    into it and rhs(t, y), evaluated again, out of it.
     """
     record = StepRecord()
 
@@ -145,16 +146,14 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
     while True:
         # the hook's one call site: the start, then each accepted step
         try:
-            replaced = None if on_accept is None else on_accept(t, y)
+            changed = on_accept is not None and on_accept(t, y)
         except RunEnded as end:
             # a lone start's derivatives are never read: sample tiles it
             f = np.full_like(y, np.nan) if f_in is None else f_in
             record.append(t, y, f, f)
             return end.args[0], record
-        if replaced is not None:
-            y = np.asarray(replaced, float)
-        # the derivative out of y: rhs(t, y) at the start and after a replacement
-        f = np.asarray(counted(t, y), float) if replaced is not None or f_in is None else f_in
+        # the derivative out of y: rhs(t, y) at the start and after the rhs changed
+        f = np.asarray(counted(t, y), float) if changed or f_in is None else f_in
         record.append(t, y, f if f_in is None else f_in, f)
         if t >= t_final:
             return "OK", record

@@ -1,9 +1,11 @@
-"""Control-affine system models and safe-set geometry.
+"""The linear plant and safe-set geometry.
 
-The safe set is any object with ``h(x)`` and ``h_grad(x)``; the circular set
-below is the shipped instance. Systems expose their dimensions ``n`` and
-``m`` and the ``drift`` and ``input_map`` callables; the input box and the
-cost belong to ``CostSpec``.
+The plant is its matrices: ``SystemModel(A, B)`` is xdot = A x + B u, and
+callers read ``A``, ``B``, ``n`` and ``m`` directly (the drift at x is
+A x, the input map is B). Every plant this reproduction builds is linear; a
+nonlinear one would need drift and input-map callables back. The safe set
+is any object with ``h(x)`` and ``h_grad(x)``; the circular set below is the
+shipped instance. The input box and the cost belong to ``CostSpec``.
 
 Every function of a state takes rows: ``x`` of shape ``(..., n)`` gives a
 result with the same leading axes, and a single state ``(n,)`` is the case
@@ -22,58 +24,34 @@ GRAD_TOL = 1e-12
 
 
 class SystemModel:
-    """xdot = drift(x) + input_map(x) @ u with n states and m inputs.
+    """The linear plant xdot = A x + B u with n states and m inputs.
 
-    drift maps states (..., n) to (..., n); input_map maps them to an
-    array that broadcasts to (..., n, m), so a constant n x m matrix
-    serves every row. Both are probed on a batch of 8 states here, and
-    input_map must not vanish at any of them.
+    A must be square and B n x m, both finite, and B must not be all zero
+    (so neither dimension is 0); each is stored as a float array.
     """
 
-    def __init__(self, n, m, drift, input_map):
-        if n <= 0 or m <= 0:
-            raise ValueError("state and input dimensions must be positive")
-        self.n = int(n)
-        self.m = int(m)
-        self.drift = drift
-        self.input_map = input_map
-
-        f0 = np.asarray(drift(np.zeros(self.n)), dtype=float)
-        if not np.allclose(f0, 0.0, atol=0.0):
-            raise ValueError("drift must vanish exactly at the origin")
-        probes = np.random.default_rng(0).normal(scale=2.0, size=(8, self.n))
-        try:
-            f_shape = np.shape(drift(probes))
-            G = np.broadcast_to(np.asarray(input_map(probes), float), (8, self.n, self.m))
-        except ValueError as exc:
-            raise ValueError(f"drift and input_map must take (R, n) rows: {exc}") from None
-        if f_shape != probes.shape:
-            raise ValueError(f"drift must map (R, n) rows to (R, n): got {f_shape}")
-        if not (np.linalg.norm(G, axis=(-2, -1)) > 0.0).all():
-            raise ValueError("input_map must not vanish at a probe state")
+    def __init__(self, A, B):
+        A = np.asarray(A, dtype=float)
+        B = np.asarray(B, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("A must be square")
+        if B.ndim != 2 or B.shape[0] != A.shape[0]:
+            raise ValueError("B must be n x m")
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            raise ValueError("A and B must be finite")
+        if not B.any():
+            raise ValueError("B must not be all zero")
+        self.A, self.B = A, B
+        self.n, self.m = B.shape
 
     def xdot(self, x, u):
-        return np.asarray(self.drift(x), float) + np.matvec(self.input_map(x), u)
+        """A x + B u per row of x (..., n) and u (..., m)."""
+        return np.matvec(self.A, x) + np.matvec(self.B, u)
 
 
 def single_integrator():
-    """Planar single integrator: f = 0, g = I2."""
-    eye = np.eye(2)
-    return SystemModel(2, 2, drift=lambda x: np.zeros(np.shape(x)), input_map=lambda x: eye)
-
-
-def linear_system(A, B):
-    """Generic affine system xdot = A x + B u from config matrices."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    if B.ndim != 2 or B.shape[0] != A.shape[0]:
-        raise ValueError("B must be n x m")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise ValueError("A and B must be finite")
-    return SystemModel(A.shape[0], B.shape[1], drift=lambda x: np.matvec(A, x),
-                       input_map=lambda x: B)
+    """Planar single integrator: A = 0, B = I2."""
+    return SystemModel(np.zeros((2, 2)), np.eye(2))
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,6 @@ def random_qp(rng, d=3, k=6):
     """Random strictly convex, feasible, full-dimensional instance."""
     M = rng.normal(size=(d, d))
     H = M @ M.T + 0.2 * np.eye(d)
-    H = 0.5 * (H + H.T)
     c = rng.normal(size=d)
     A = rng.normal(size=(k, d))
     v0 = rng.normal(size=d)

@@ -55,7 +55,9 @@ class QpParams:
 class QpProblem:
     """min v^T H v + c_lin^T v  s.t.  A v <= b. H is checked when the
     problem is built: finite, symmetric and positive definite (ValueError
-    otherwise)."""
+    otherwise). Its symmetric part (H + H^T)/2, which is H itself when H is
+    exactly symmetric, is what the problem keeps, so that the factor and
+    the residuals read one Hessian."""
 
     H: np.ndarray
     c_lin: np.ndarray
@@ -69,6 +71,7 @@ class QpProblem:
         self.b = np.asarray(self.b, float)
         if not (np.isfinite(self.H).all() and np.allclose(self.H, self.H.T, atol=1e-12)):
             raise ValueError("H must be finite and symmetric")
+        self.H = 0.5 * (self.H + self.H.T)
         # 2H, the Hessian of the objective, and -c_lin, the right-hand side
         # of the KKT system, formed once; H and c_lin are not changed after
         self.H2 = 2.0 * self.H
@@ -337,15 +340,15 @@ class ControllerQp:
 
 def build_qp(ctrl: ControllerQp, x):
     """The QP of `ctrl` at state x: the CBF row reads a_h + b_h u >= 0 and
-    the CLF row b_V u - phi <= -a_V, with drift, input map, h and grad of h
-    evaluated once each. The rows are written into fresh copies of A and
-    b, so a problem returned for one state is not changed by the next."""
+    the CLF row b_V u - phi <= -a_V, with the drift f = A x and the input
+    map g = B of the linear plant, and h and grad of h evaluated once. The
+    rows are written into fresh copies of A and b, so a problem returned for
+    one state is not changed by the next."""
     x = np.asarray(x, float)
     sys = ctrl.sys
-    f = np.asarray(sys.drift(x), float)
-    g = np.asarray(sys.input_map(x), float)
-    a_h, b_h = cbf_condition(ctrl.safeset, ctrl.params.alpha_scale, x, f, g)
-    a_V, b_V = clf_condition(ctrl.cost.Q, ctrl.params.gamma_scale, x, f, g)
+    f = np.matvec(sys.A, x)
+    a_h, b_h = cbf_condition(ctrl.safeset, ctrl.params.alpha_scale, x, f, sys.B)
+    a_V, b_V = clf_condition(ctrl.cost.Q, ctrl.params.gamma_scale, x, f, sys.B)
     m = sys.m
     A, b = ctrl.problem.A.copy(), ctrl.problem.b.copy()
     A[0, :m] = -b_h

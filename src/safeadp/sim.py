@@ -237,7 +237,7 @@ def run_adp_episode(scn):
             raise RunEnded("GAIN_INDEFINITE")
         redraw_ts.append(t)
         drawn.append(sample_extrapolation_points(rng, x, gains.N, cfg, safeset))
-        return s  # unchanged: the rhs is evaluated again with the new points
+        return True  # the rhs reads the new points from here on
 
     status, rec = integrate_adaptive(rhs, 0.0, s0, sim.t_final, abs_tol=sim.abs_tol,
                                      rel_tol=sim.rel_tol, on_accept=on_accept)
@@ -314,7 +314,7 @@ def run_qp_episode(scn):
             active = sol.active_set
             iterations += sol.iterations
             cold += sol.iterations > 0
-            return s  # f is re-evaluated with the new input
+            return True  # the rhs holds the new input from here on
 
     status, rec = integrate_adaptive(rhs, 0.0, np.append(sim.x0, 0.0), sim.t_final,  # [x, J]
                                      stops=hold_ts, abs_tol=sim.abs_tol, rel_tol=sim.rel_tol,

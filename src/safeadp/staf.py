@@ -68,10 +68,10 @@ def value_hat(cfg: StaFConfig, bar: BarrierSpec, Wc, y, x):
     return np.vecdot(Wc, kernel_sigma(cfg, y, x)) + barrier_Bbar(bar, y)
 
 
-def policy_star(cost: CostSpec, sys, gradV, y):
+def policy_star(cost: CostSpec, sys, gradV):
     """Saturated optimal-policy form for a supplied value gradient, per row
-    of gradV and y (..., n); (..., m) out."""
-    arg = np.vecmat(gradV, sys.input_map(y)) / cost.two_umax_r
+    of gradV (..., n); (..., m) out."""
+    arg = np.vecmat(gradV, sys.B) / cost.two_umax_r
     return -cost.u_max * np.tanh(arg)
 
 
@@ -80,4 +80,4 @@ def policy_hat(cfg: StaFConfig, bar: BarrierSpec, cost: CostSpec, sys, Wa, y, x)
     weights Wa (..., L) and the bounded-barrier gradient; strictly inside
     the input box."""
     D = np.vecmat(Wa, grad_sigma(cfg, y, x)) + grad_Bbar(bar, y)
-    return policy_star(cost, sys, D, y)
+    return policy_star(cost, sys, D)

@@ -57,7 +57,7 @@ class TestBellman:
             Wc, Wa = rng.normal(size=(2, 3))
             s = _bell(setup, x, x, Wc, Wa)
             u = sa.policy_hat(cfg, bar, cost, sys_, Wa, x, x)
-            xdot = np.asarray(sys_.drift(x), float) + np.asarray(sys_.input_map(x), float) @ u
+            xdot = sys_.A @ x + sys_.B @ u
             gradV = sa.grad_sigma(cfg, x, x).T @ Wc + sa.grad_Bbar(bar, x)
             ref = float(gradV @ xdot) + sa.instantaneous_cost(cost, bar, x, u)
             assert s.delta == pytest.approx(ref, abs=1e-10)

@@ -99,8 +99,9 @@ def test_work_is_counted(monkeypatch):
 
 
 def test_work_counts_replaced_states_once_and_halvings_as_rejections():
-    # a replaced state is recorded once, as one step; a step into the
-    # boundary is a rejected attempt; the hook's first call is the start
+    # a state at which the hook changed the rhs is recorded once, as one
+    # step; a step into the boundary is a rejected attempt; the hook's
+    # first call is the start
     def rhs(t, y):
         if y[0] >= 1.0:
             raise BoundaryViolation("past the wall")
@@ -108,50 +109,18 @@ def test_work_counts_replaced_states_once_and_halvings_as_rejections():
 
     hooked = []
 
-    def replace(t, y):
+    def switch(t, y):
         hooked.append(t)
-        return y
+        return True
 
     status, rec = integrate_adaptive(rhs, 0.0, np.array([0.0]), 2.0, first_step=0.3,
-                                     on_accept=replace)
+                                     on_accept=switch)
     work = rec.work()
     assert status == "SAFETY_BREACH"
     assert rec.ts == hooked and hooked[0] == 0.0
     assert np.all(np.diff(rec.ts) > 0)
     assert work["accepted_steps"] == len(rec.ts) - 1 == len(hooked) - 1 > 0
     assert work["rejected_steps"] > integrate.MAX_SAFETY_HALVINGS
-
-
-def test_on_accept_replacement():
-    # clamp the state after every accepted step; the stored trajectory
-    # must reflect the replacement
-    def clamp(t, y):
-        return np.minimum(y, 0.5)
-
-    status, rec = integrate_adaptive(lambda t, y: np.array([1.0]),
-                                     0.0, np.array([0.0]), 2.0, on_accept=clamp)
-    assert status == "OK"
-    assert max(y[0] for y in rec.ys) <= 0.5
-
-
-def test_record_keeps_a_copy_of_each_replacement():
-    # the hook returns one buffer, rewritten at the start and at every
-    # accepted step; the record holds each replacement as it was when
-    # returned, once, with the derivatives into and out of it
-    buf, returned = np.zeros(1), []
-
-    def clamp(t, y):
-        buf[:] = np.minimum(y, 0.5)
-        returned.append(buf.copy())
-        return buf
-
-    status, rec = integrate_adaptive(lambda t, y: np.array([1.0]),
-                                     0.0, np.array([0.0]), 2.0, on_accept=clamp)
-    assert status == "OK" and len(set(r[0] for r in returned)) > 3
-    assert len(rec.ts) == len(returned)
-    np.testing.assert_array_equal(np.array(rec.ys), np.array(returned))
-    np.testing.assert_array_equal(np.array(rec.fs_in), np.ones((len(rec.ts), 1)))
-    np.testing.assert_array_equal(np.array(rec.fs_out), np.ones((len(rec.ts), 1)))
 
 
 def test_rhs_that_reuses_its_output_buffer():
@@ -213,7 +182,7 @@ def test_hook_switching_the_rhs_gives_exact_segments():
     def switch(t, y):
         slope["c"] = -2.0 * slope["c"] + 0.5
         switches.append((t, y[0], slope["c"]))
-        return y
+        return True
 
     status, rec = integrate_adaptive(lambda t, y: np.array([slope["c"]]), 0.0,
                                      np.array([0.0]), 2.0, on_accept=switch,
@@ -280,21 +249,25 @@ def test_hook_ending_the_run_at_the_start_records_the_start_alone():
     np.testing.assert_array_equal(rec.sample(grid), np.tile(y0, (len(grid), 1)))
 
 
-def test_replacement_at_the_start_is_recorded_with_the_rhs_after_it():
+def test_rhs_switch_at_the_start_is_recorded_with_the_rhs_after_it():
+    rate = {"k": 1.0}
+
     def rhs(t, y):
-        return -y
+        return -rate["k"] * y
 
-    def shift_start(t, y):
-        return y + 1.0 if t == 0.0 else None
+    def switch_at_start(t, y):
+        if t == 0.0:
+            rate["k"] = 2.0
+            return True
 
-    status, rec = integrate_adaptive(rhs, 0.0, np.array([1.0]), 1.0, on_accept=shift_start)
+    status, rec = integrate_adaptive(rhs, 0.0, np.array([1.0]), 1.0, on_accept=switch_at_start)
     assert status == "OK"
-    np.testing.assert_array_equal(rec.ys[0], [2.0])
+    np.testing.assert_array_equal(rec.ys[0], [1.0])
     np.testing.assert_array_equal(rec.fs_in[0], [-2.0])
     np.testing.assert_array_equal(rec.fs_out[0], [-2.0])
     # one evaluation at the start and 6 per attempt
     assert rec.rhs_evals == 1 + 6 * (rec.work()["accepted_steps"] + rec.rejected_steps)
-    assert rec.ys[-1][0] == pytest.approx(2.0 * np.exp(-1.0), abs=1e-6)
+    assert rec.ys[-1][0] == pytest.approx(np.exp(-2.0), abs=1e-6)
 
 
 def test_single_record_sample():
@@ -316,11 +289,16 @@ def _hermite_row(rec, t):
 
 
 def test_sample_matches_row_by_row_hermite():
-    # the hook shrinks every accepted state, so the derivative out of each
-    # recorded time differs from the one into it
-    _s, rec = integrate_adaptive(lambda t, y: np.array([y[1], np.sin(3 * t) - y[0]]),
-                                 0.0, np.array([1.0, 0.0]), 5.0,
-                                 on_accept=lambda t, y: 0.999 * y)
+    # the hook scales the rhs anew at every accepted step, so the
+    # derivative out of each recorded time differs from the one into it
+    gain = {"g": 1.0}
+
+    def rescale(t, y):
+        gain["g"] *= 0.999
+        return True
+
+    _s, rec = integrate_adaptive(lambda t, y: gain["g"] * np.array([y[1], np.sin(3 * t) - y[0]]),
+                                 0.0, np.array([1.0, 0.0]), 5.0, on_accept=rescale)
     assert all(np.all(a != b) for a, b in zip(rec.fs_in[1:], rec.fs_out[1:]))
     grid = np.sort(np.concatenate([np.linspace(-0.1, 5.1, 523), rec.ts]))
     ref = np.array([_hermite_row(rec, t) for t in grid])

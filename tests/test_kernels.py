@@ -71,19 +71,19 @@ def test_geometry_and_system_kernels(scn, rows):
     assert_within_ulps(sys_.xdot(y, u), row_by_row(sys_.xdot, y, u))
 
     def cbf_margin(x, v):  # cbf_condition's a + b u
-        a, b = sa.cbf_condition(safe, 2.0, x, sys_.drift(x), sys_.input_map(x))
+        a, b = sa.cbf_condition(safe, 2.0, x, np.matvec(sys_.A, x), sys_.B)
         return a + np.vecdot(b, v)
 
     assert_within_ulps(cbf_margin(y, u), row_by_row(cbf_margin, y, u))
     Q = np.array([[2.0, 0.5], [0.5, 1.0]])
 
     def clf_margin(x, v):  # clf_condition's a + b u
-        a, b = sa.clf_condition(Q, 10.0, x, sys_.drift(x), sys_.input_map(x))
+        a, b = sa.clf_condition(Q, 10.0, x, np.matvec(sys_.A, x), sys_.B)
         return a + np.vecdot(b, v)
 
     assert_within_ulps(clf_margin(y, u), row_by_row(clf_margin, y, u))
-    lin = sa.linear_system(A=np.array([[0.0, 1.0], [-1.0, -0.5]]),
-                           B=np.array([[0.0, 0.3], [1.0, 0.2]]))
+    lin = sa.SystemModel(A=np.array([[0.0, 1.0], [-1.0, -0.5]]),
+                         B=np.array([[0.0, 0.3], [1.0, 0.2]]))
     assert_within_ulps(lin.xdot(y, u), row_by_row(lin.xdot, y, u))
 
 
@@ -223,8 +223,8 @@ def test_staf_kernels(scn, rows):
                        row_by_row(lambda a, b: sa.grad_sigma(cfg, a, b), y, x))
     assert_within_ulps(sa.value_hat(cfg, bar, Wc, y, x),
                        row_by_row(lambda w, a, b: sa.value_hat(cfg, bar, w, a, b), Wc, y, x))
-    assert_within_ulps(sa.policy_star(cost, sys_, Wa[:, :2], y),
-                       row_by_row(lambda g, a: sa.policy_star(cost, sys_, g, a), Wa[:, :2], y))
+    assert_within_ulps(sa.policy_star(cost, sys_, Wa[:, :2]),
+                       row_by_row(lambda g: sa.policy_star(cost, sys_, g), Wa[:, :2]))
     assert_within_ulps(sa.policy_hat(cfg, bar, cost, sys_, Wa, y, x),
                        row_by_row(lambda w, a, b: sa.policy_hat(cfg, bar, cost, sys_, w, a, b),
                                   Wa, y, x))
@@ -285,13 +285,3 @@ def test_postprocessing_rows_at_the_boundary(scn, rows):
     np.testing.assert_array_equal(deltas[good], on.delta)
     np.testing.assert_array_equal(Bs[good], sa.barrier_B(scn.barrier, xs[good]))
 
-
-def test_system_model_probes_the_row_contract():
-    # a drift written for one state only fails at construction, not mid-run
-    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    for drift in (lambda x: A @ x, lambda x: np.zeros(2)):
-        with pytest.raises(ValueError, match="rows"):
-            sa.SystemModel(2, 2, drift=drift, input_map=lambda x: np.eye(2))
-    with pytest.raises(ValueError, match="rows"):
-        sa.SystemModel(2, 2, drift=lambda x: np.zeros(np.shape(x)),
-                       input_map=lambda x: np.eye(3))

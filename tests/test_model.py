@@ -62,7 +62,7 @@ def test_boundary_iff_radius(safeset):
 def _cbf_margin(sys_, safeset, alpha_scale, x, u):
     """L_f h + L_g h u + alpha_scale h, as cbf_condition's a + b u."""
     x = np.asarray(x, float)
-    a, b = sa.cbf_condition(safeset, alpha_scale, x, sys_.drift(x), sys_.input_map(x))
+    a, b = sa.cbf_condition(safeset, alpha_scale, x, np.matvec(sys_.A, x), sys_.B)
     return a + np.vecdot(b, u)
 
 
@@ -78,7 +78,7 @@ def test_cbf_margin_examples(safeset):
 def _clf_margin(sys_, Q, gamma_scale, x, u):
     """L_f V + L_g V u + gamma_scale V, as clf_condition's a + b u."""
     x = np.asarray(x, float)
-    a, b = sa.clf_condition(Q, gamma_scale, x, sys_.drift(x), sys_.input_map(x))
+    a, b = sa.clf_condition(Q, gamma_scale, x, np.matvec(sys_.A, x), sys_.B)
     return a + np.vecdot(b, u)
 
 
@@ -113,10 +113,16 @@ def test_margins_affine_in_u(safeset):
 
 
 def test_system_invariants():
-    with pytest.raises(ValueError):
-        sa.linear_system(A=np.eye(2), B=np.zeros((2, 2)))  # g vanishes
-    sys_ = sa.linear_system(A=np.array([[0.0, 1.0], [-1.0, -0.5]]),
-                            B=np.array([[0.0], [1.0]]))
+    for A, B, message in ((np.eye(2), np.zeros((2, 2)), "all zero"),  # g vanishes
+                          (np.zeros((0, 0)), np.zeros((0, 1)), "all zero"),
+                          (np.ones((2, 3)), np.eye(2), "square"),
+                          (np.eye(2), np.eye(3), "n x m"),
+                          (np.eye(2), [[np.inf, 0.0], [0.0, 1.0]], "finite")):
+        with pytest.raises(ValueError, match=message):
+            sa.SystemModel(A=A, B=B)
+    sys_ = sa.SystemModel(A=np.array([[0.0, 1.0], [-1.0, -0.5]]),
+                          B=np.array([[0.0], [1.0]]))
+    assert (sys_.n, sys_.m) == (2, 1)
     np.testing.assert_allclose(sys_.xdot(np.array([1.0, 0.0]), np.array([0.0])),
                                [0.0, -1.0])
 

@@ -46,8 +46,8 @@ class TestBuild:
     def test_state_rows_are_the_lie_derivatives(self, safeset, cost_spec, params):
         # rows 0 and 1 against L_f h, L_g h, L_f V and L_g V written out,
         # on a system with drift and a state-independent input map
-        lin = sa.linear_system(A=np.array([[0.0, 1.0], [-1.0, -0.5]]),
-                               B=np.array([[0.0, 0.3], [1.0, 0.2]]))
+        lin = sa.SystemModel(A=np.array([[0.0, 1.0], [-1.0, -0.5]]),
+                             B=np.array([[0.0, 0.3], [1.0, 0.2]]))
         Q = np.array([[2.0, 0.5], [0.5, 1.0]])
         cost = sa.CostSpec(Q=Q, r_diag=cost_spec.r_diag, u_max=cost_spec.u_max)
         lin_ctrl = sa.ControllerQp(lin, safeset, cost, params)
@@ -55,7 +55,7 @@ class TestBuild:
         for x in rng.uniform(-4, 6, size=(50, 2)):
             if np.linalg.norm(x - safeset.center) < 0.1:
                 continue
-            f, g, gh = lin.drift(x), lin.input_map(x), safeset.h_grad(x)[1]
+            f, g, gh = lin.A @ x, lin.B, safeset.h_grad(x)[1]
             gV = 2.0 * Q @ x
             prob = sa.build_qp(lin_ctrl, x)
             tol = dict(rtol=1e-14, atol=1e-14)
@@ -104,7 +104,7 @@ class TestController:
             prob = sa.build_qp(ctrl, x)
             assert kkt_ok(prob, sol.v_star, sol.multipliers)
             gh = safeset.h_grad(x)[1]
-            assert float(gh @ (sys_.input_map(x) @ u)) + params.alpha_scale * safeset.h(x) >= -1e-8
+            assert float(gh @ (sys_.B @ u)) + params.alpha_scale * safeset.h(x) >= -1e-8
 
     def test_infeasible_without_relaxation(self, ctrl, safeset):
         # just outside the disk, heading constraints clash once phi is
@@ -227,9 +227,14 @@ class TestSolver:
         # |H - H^T| <= 1e-12 + 1e-5 |H^T|: the boundary sits at gap 1e-5 + 1e-12
         H = np.array([[2.0, 1.0 + gap], [1.0, 2.0]])
         assert np.allclose(H, H.T, atol=1e-12) == accepted
-        make = lambda: sa.QpProblem(H=H, c_lin=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0))
+        make = lambda c=np.zeros(2): sa.QpProblem(H=H, c_lin=c, A=np.zeros((0, 2)), b=np.zeros(0))
         if accepted:
-            make()
+            # the problem keeps the symmetric part of H, so the factor and
+            # the residuals read one Hessian and the optimum passes the rule
+            np.testing.assert_array_equal(make().H, 0.5 * (H + H.T))
+            for c in (np.array([-1.0, -1.0]), np.array([-1000.0, -1000.0])):
+                v = sa.solve_qp(make(c)).v_star
+                np.testing.assert_allclose(v, np.linalg.solve(H + H.T, -c), rtol=1e-12)
         else:
             with pytest.raises(ValueError):
                 make()

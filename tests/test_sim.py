@@ -152,8 +152,8 @@ class TestAdpEpisode:
             assert ds[-1] == cost.state_cost(x) + cost.quadratic_input_cost(u)
 
     def test_integrator_work_is_recorded(self, monkeypatch):
-        # one record entry per accepted step, whose state the hook replaced;
-        # every attempt is accepted or rejected
+        # one record entry per accepted step, at which the hook changed the
+        # rhs; every attempt is accepted or rejected
         integrate, dp54 = sa.sim.integrate_adaptive, sa.integrate.dp54_step
         records, attempts = [], []
 
@@ -171,8 +171,8 @@ class TestAdpEpisode:
         ts = records[0].ts
         assert np.all(np.diff(ts) > 0)
         assert rec.accepted_steps == len(ts) - 1 > 0
-        # the hook symmetrises Gamma and redraws the points at every step,
-        # so the derivative out of each recorded time differs from the one into it
+        # the hook redraws the points at every step, so the derivative out
+        # of each recorded time differs from the one into it
         assert all(np.any(a != b) for a, b in zip(records[0].fs_in[1:], records[0].fs_out[1:]))
         assert rec.accepted_steps + rec.rejected_steps == len(attempts)
         # the start, 6 per attempt and 1 after each accepted step's hook
@@ -536,7 +536,7 @@ def _cbf_margin(scn, rec):
     # the CBF condition a + b u of Proposition 1 at each row's state and
     # held input, with the scenario's alpha_scale
     a, b = sa.cbf_condition(scn.safeset, scn.qp.alpha_scale, rec.x,
-                            scn.system.drift(rec.x), scn.system.input_map(rec.x))
+                            np.matvec(scn.system.A, rec.x), scn.system.B)
     return a + np.vecdot(b, rec.u)
 
 
@@ -685,6 +685,15 @@ class TestMirrorSymmetry:
         return sa.run_episode(sa.build_scenario(sim__controller=controller, sim__t_final=t_final,
                                                 gains__kc2=0.0, **overrides))
 
+    def _check_swap(self, controller, tol, x0, **plant):
+        a = self._run(controller, sim__x0=x0, staf__offsets=self.OFFSETS.tolist(), **plant)
+        b = self._run(controller, sim__x0=x0[::-1], staf__offsets=self.OFFSETS[:, ::-1].tolist(),
+                      **plant)
+        assert a.status == b.status == "OK" and len(a.t) == len(b.t)
+        for name in ("x", "u"):
+            np.testing.assert_allclose(getattr(a, name), getattr(b, name)[:, ::-1], rtol=0,
+                                       atol=tol, err_msg=name)
+
     @pytest.mark.parametrize("controller", ["adp", "qp"])
     def test_reflection_in_the_x1_axis_is_exact(self, controller):
         # obstacle on the x1 axis: negation is exact and commutes with every
@@ -706,12 +715,18 @@ class TestMirrorSymmetry:
     def test_swapping_the_coordinates(self, controller, tol, x0):
         # the default obstacle sits on the diagonal; x1 <-> x2 reorders sums,
         # so the runs agree to rounding (QP max |dx| 8e-15, ADP 4e-10)
-        a = self._run(controller, sim__x0=x0, staf__offsets=self.OFFSETS.tolist())
-        b = self._run(controller, sim__x0=x0[::-1], staf__offsets=self.OFFSETS[:, ::-1].tolist())
-        assert a.status == b.status == "OK" and len(a.t) == len(b.t)
-        for name in ("x", "u"):
-            np.testing.assert_allclose(getattr(a, name), getattr(b, name)[:, ::-1], rtol=0,
-                                       atol=tol, err_msg=name)
+        self._check_swap(controller, tol, x0)
+
+    @pytest.mark.parametrize("controller, tol", [("qp", 1e-12), ("adp", 1e-7)], ids=["qp", "adp"])
+    @pytest.mark.parametrize("x0", [[3.0, 3.5], [4.0, 2.6]], ids=["3,3.5", "4,2.6"])
+    def test_swapping_the_coordinates_on_a_coupled_plant(self, controller, tol, x0):
+        # A = [[-0.1, 0.05], [0.05, -0.1]] and B = I commute with the swap.
+        # The coupling carries rounding from one coordinate into the other,
+        # so ADP needs 1e-7, not the 1e-8 of the uncoupled plant (measured
+        # max |dx| 1.2e-8 and |du| 1.2e-8 from [3, 3.5]; QP 1.8e-15 and 9.7e-15)
+        self._check_swap(controller, tol, x0, system__kind="linear",
+                         system__A=[[-0.1, 0.05], [0.05, -0.1]],
+                         system__B=[[1.0, 0.0], [0.0, 1.0]])
 
     def test_diagonal_start_stays_on_the_diagonal(self, qp_stall_record):
         # from [3, 3] every row has x1 = x2 and u1 = u2 bit for bit: the QP

@@ -65,15 +65,15 @@ def test_value_hat(cfg, barrier, safeset):
 
 def test_policy_star_examples(cost_spec):
     sys_ = sa.build_scenario().system
-    assert np.all(sa.policy_star(cost_spec, sys_, np.zeros(2), np.zeros(2)) == 0.0)
-    u = sa.policy_star(cost_spec, sys_, np.array([10.0, 0.0]), np.array([1.0, 1.0]))
+    assert np.all(sa.policy_star(cost_spec, sys_, np.zeros(2)) == 0.0)
+    u = sa.policy_star(cost_spec, sys_, np.array([10.0, 0.0]))
     np.testing.assert_allclose(u, [-0.5 * np.tanh(1.0), 0.0], atol=1e-12)
     # odd symmetry
     rng = np.random.default_rng(12)
     for _ in range(20):
         g = rng.normal(size=2)
-        np.testing.assert_allclose(sa.policy_star(cost_spec, sys_, -g, np.zeros(2)),
-                                   -sa.policy_star(cost_spec, sys_, g, np.zeros(2)),
+        np.testing.assert_allclose(sa.policy_star(cost_spec, sys_, -g),
+                                   -sa.policy_star(cost_spec, sys_, g),
                                    atol=1e-14)
 
 
