@@ -148,10 +148,7 @@ def cmd_compare(args):
         [(ctrl, build_scenario(values, sim__controller=ctrl), f"{stem}_{ctrl}.csv",
           f"{stem}_{ctrl}", None, {}) for ctrl in ("adp", "qp")], summary_path)
     write_summary({"adp": adp.as_dict(), "qp": qp.as_dict(),
-                   "terminal_x_norm_adp": adp.terminal_x_norm,
-                   "terminal_x_norm_qp": qp.terminal_x_norm,
-                   "adp_converges_better": adp.terminal_x_norm < qp.terminal_x_norm},
-                  summary_path)
+                   "adp_converges_better": adp.terminal_x_norm < qp.terminal_x_norm}, summary_path)
     return code
 
 

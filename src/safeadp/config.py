@@ -31,7 +31,6 @@ DEFAULTS = {
     "barrier.d_on": 0.2,
     "barrier.d_off": 1.0,
     "staf.offsets": [[0.0, -1.0], [0.866, -0.5], [-0.866, -0.5]],
-    "staf.scale_num": 0.5,
     "gains.kc1": 0.05,
     "gains.kc2": 0.75,
     "gains.ka1": 0.75,
@@ -41,15 +40,13 @@ DEFAULTS = {
     "gains.gamma0": 1.0,
     "gains.wa_bound": 20.0,
     "gains.seed": 0,
-    "gains.pe_window": 1.0,
     "qp.p": 2.0,
     "qp.dt": 0.01,
     "qp.alpha_scale": 1.0,
     "qp.gamma_scale": 10.0,
     "sim.t_final": 25.0,
     "sim.x0": [3.0, 3.5],
-    "sim.abs_tol": 1e-6,
-    "sim.rel_tol": 1e-6,
+    "sim.tol": 1e-6,
     "sim.dt_out": 0.01,
     "sim.controller": "adp",
 }

@@ -13,6 +13,7 @@ from .staf import StaFConfig, grad_sigma, policy_star
 
 PROJ_LAYER = 0.05  # boundary-layer fraction of the actor projection
 WEAK_EXCITATION_TOL = 1e-8  # every excitation surrogate below it flags weak excitation
+PE_WINDOW = 1.0  # s: the trailing span of history that c2_window and c3_window integrate
 
 
 @dataclass(frozen=True)
@@ -31,11 +32,10 @@ class LearnerGains:
     gamma0: float
     wa_bound: float
     seed: int
-    pe_window: float
     row_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("nu", "gamma0", "wa_bound", "pe_window"):
+        for name in ("nu", "gamma0", "wa_bound"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("kc1", "kc2", "ka1", "beta"):

@@ -106,8 +106,8 @@ class StepRecord:
         return out
 
 
-def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
-                       on_accept=None, first_step=1e-3, stops=()):
+def integrate_adaptive(rhs, t0, y0, t_final, tol=1e-6, on_accept=None, first_step=1e-3,
+                       stops=()):
     """Integrate y' = rhs(t, y) from t0 to t_final, landing exactly on the
     set `stops`, less any outside (t0, t_final) or within the landing
     tolerance of t0, of a smaller stop or of t_final; step size and
@@ -180,7 +180,7 @@ def integrate_adaptive(rhs, t0, y0, t_final, abs_tol=1e-6, rel_tol=1e-6,
                 continue
             safety_halvings = 0
 
-            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
             err = _rms(err_vec / scale)
             if err <= 1.0:
                 t = t_stop if land else t + h

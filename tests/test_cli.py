@@ -19,7 +19,7 @@ LINEAR = "system.kind = linear\nsystem.A = [[0.0, 1.0], [0.0, 0.0]]\n"
 # sweep_key and sweep_value) and of each controller in `compare`
 SUMMARY_KEYS = {"controller", "status", "min_h", "terminal_x_norm", "max_u_inf", "total_J",
                 "j_native_total", "mean_abs_delta_early", "mean_abs_delta_late",
-                "infeasible_events", "weak_excitation", "wall_clock_s"}
+                "weak_excitation", "wall_clock_s"}
 
 
 def _run(tmp_path, *extra):
@@ -93,6 +93,18 @@ class TestRun:
         for name, series in panels.items():
             text = (tmp_path / f"p_panel_{name}.dat").read_text()
             assert text == "".join(f"{t:.17g} {v:.17g}\n" for t, v in zip(rec.t, series))
+
+    def test_seed_flag_sets_the_gains_seed(self, tmp_path):
+        flagged = tmp_path / "flag.csv"
+        assert main(["run", "--t-final", "0.5", "--seed", "3", "--out", str(flagged)]) == 0
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("gains.seed = 3\n")
+        configured = tmp_path / "cfg.csv"
+        assert main(["run", "--t-final", "0.5", "--config", str(cfg),
+                     "--out", str(configured)]) == 0
+        unseeded = tmp_path / "seed0.csv"
+        assert main(["run", "--t-final", "0.5", "--out", str(unseeded)]) == 0
+        assert flagged.read_bytes() == configured.read_bytes() != unseeded.read_bytes()
 
     def test_byte_identical_across_runs(self, tmp_path):
         _c1, out1, _ = _run(tmp_path)
@@ -369,6 +381,24 @@ class TestConfig:
          "staf.offsets: expected list, got [[0.0, -1.0], [0.866, -0.5], [-0.866, False]]: a bool"),
         (LINEAR.replace("1.0]", "True]") + "system.B = [[0.0], [1.0]]",
          "system.A: expected list, got [[0.0, True], [0.0, 0.0]]: a boolean"),
+        # lines and values each component refuses
+        ("sim.t_final", "bad.cfg:1: expected `key = value`, got 'sim.t_final'"),
+        ("system.kind = cubic", "unknown system.kind 'cubic'"),
+        ("cost.Q = [1.0, 0.0, 0.0, -1.0]", "cost: Q must be positive definite"),
+        ("cost.r_diag = [10.0, 0.0]", "cost: r_diag entries must be positive"),
+        ("cost.u_max = 0", "cost: u_max must be positive"),
+        ("barrier.k_p = 0", "barrier: k_p and a must be positive"),
+        ("barrier.d_on = 1.0", "barrier: d_on must be smaller than d_off"),
+        ("sim.dt_out = 0", "sim: t_final, tol, and dt_out must be positive"),
+        ("sim.tol = 0", "sim: t_final, tol, and dt_out must be positive"),
+        ("safeset.radius = 0", "safeset: radius must be positive"),
+        ("staf.offsets = [0.0, -1.0]", "staf: offsets must be an L x n array"),
+        # not config keys: the one tolerance is sim.tol, and theta's scale
+        # and the excitation window are the constants SCALE_NUM and PE_WINDOW
+        ("sim.abs_tol = 1e-6", "bad.cfg:1: unknown key 'sim.abs_tol'"),
+        ("sim.rel_tol = 1e-6", "bad.cfg:1: unknown key 'sim.rel_tol'"),
+        ("staf.scale_num = 0.5", "bad.cfg:1: unknown key 'staf.scale_num'"),
+        ("gains.pe_window = 1.0", "bad.cfg:1: unknown key 'gains.pe_window'"),
     ])
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -474,8 +504,7 @@ class TestCompare:
             for panel in ("xnorm", "h", "uinf"):
                 assert (tmp_path / f"cmp_{ctrl}_panel_{panel}.dat").exists()
         joint = json.loads((tmp_path / "cmp.json").read_text())
-        assert set(joint) == {"adp", "qp", "terminal_x_norm_adp", "terminal_x_norm_qp",
-                              "adp_converges_better"}
+        assert set(joint) == {"adp", "qp", "adp_converges_better"}
         assert set(joint["adp"]) == set(joint["qp"]) == SUMMARY_KEYS
         out = capsys.readouterr().out
         assert "adp:" in out and "qp:" in out

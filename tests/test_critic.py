@@ -102,6 +102,23 @@ class TestExtrapolation:
         for p in pts:
             np.testing.assert_array_equal(p, np.zeros(2))
 
+    def test_collapse_to_the_anchor_after_16_failed_draws(self, setup):
+        # a safe set whose interior is the anchor alone: every draw fails,
+        # so each point is drawn 16 times and then set to the anchor
+        x = np.array([3.0, 3.5])
+        tried = []
+
+        class AnchorOnly:
+            def h(self, p):
+                tried.append(np.array(p))
+                return 1.0 if np.array_equal(p, x) else sa.cost.H_MIN
+
+        pts = sa.sample_extrapolation_points(np.random.default_rng(3), x, 2,
+                                             setup["cfg"], AnchorOnly())
+        np.testing.assert_array_equal(pts, [x, x])
+        assert len(tried) == 2 * 16
+        assert not any(np.array_equal(p, x) for p in tried)
+
 
 class TestCriticUpdate:
     def test_zero_error_zero_update(self, setup):

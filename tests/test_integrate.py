@@ -38,8 +38,7 @@ def test_convergence_order():
 def test_tolerance_controls_error():
     def run(tol):
         _s, rec = integrate_adaptive(lambda t, y: np.array([y[1], -y[0]]),
-                                     0.0, np.array([1.0, 0.0]), 10.0,
-                                     abs_tol=tol, rel_tol=tol)
+                                     0.0, np.array([1.0, 0.0]), 10.0, tol=tol)
         return abs(rec.ys[-1][0] - np.cos(10.0)), len(rec.ts)
 
     err_loose, n_loose = run(1e-4)
@@ -121,6 +120,27 @@ def test_work_counts_replaced_states_once_and_halvings_as_rejections():
     assert np.all(np.diff(rec.ts) > 0)
     assert work["accepted_steps"] == len(rec.ts) - 1 == len(hooked) - 1 > 0
     assert work["rejected_steps"] > integrate.MAX_SAFETY_HALVINGS
+
+
+def test_safety_halvings_are_capped():
+    # a wall in time at the first accepted t >= 0.3: from there every trial
+    # stage lies past it, so each attempt is halved until the cap ends the
+    # run, with the wall as the last recorded time
+    wall = []
+
+    def rhs(t, y):
+        if wall and t > wall[0]:
+            raise BoundaryViolation("past the wall")
+        return -y
+
+    def set_wall(t, y):
+        if not wall and t >= 0.3:
+            wall.append(t)
+
+    status, rec = integrate_adaptive(rhs, 0.0, np.array([1.0]), 2.0, on_accept=set_wall)
+    assert status == "SAFETY_BREACH"
+    assert rec.rejected_steps == integrate.MAX_SAFETY_HALVINGS + 1
+    assert rec.ts[-1] == wall[0]
 
 
 def test_rhs_that_reuses_its_output_buffer():

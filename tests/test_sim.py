@@ -178,6 +178,13 @@ class TestAdpEpisode:
         # the start, 6 per attempt and 1 after each accepted step's hook
         assert rec.rhs_evals == 1 + 6 * len(attempts) + rec.accepted_steps
 
+    def test_tolerance_reaches_the_integrator(self):
+        # one sim.tol sets both the absolute and the relative error scale:
+        # a tighter one takes more, shorter steps over the same episode
+        evals = {tol: sa.run_adp_episode(sa.build_scenario(sim__tol=tol)).rhs_evals
+                 for tol in (1e-5, 1e-7)}
+        assert evals[1e-7] > evals[1e-5]
+
     @pytest.mark.parametrize("x0, seed", [([3.0, 3.5], 0), ([4.323, 1.573], 1)])
     def test_c1_is_read_at_each_redraw(self, monkeypatch, x0, seed):
         # the excitation history, recomputed from the draws: one batched
@@ -211,7 +218,7 @@ class TestAdpEpisode:
         c1 = np.linalg.eigvalsh(lam_mean)[:, 0]
         np.testing.assert_array_equal(rec.c1, sa.sim._held(run.ts[1:], c1, rec.t, 0.0))
         assert rec.weak_excitation_flag == sa.weak_excitation(
-            sa.excitation_metrics(run.ts[1:], lam_mean, lam[:, 0], gains.pe_window))
+            sa.excitation_metrics(run.ts[1:], lam_mean, lam[:, 0], sa.critic.PE_WINDOW))
         assert len(set(rec.c1)) > 10
 
     @pytest.mark.parametrize("overrides", [
@@ -286,7 +293,7 @@ class TestQpEpisode:
     def test_completes(self, qp_record):
         assert qp_record.status == "OK"
         assert qp_record.controller == "qp"
-        assert sa.summarize(qp_record).infeasible_events == 0
+        assert sa.summarize(qp_record).status == "OK"
 
     def test_stays_safe(self, qp_record):
         assert np.min(qp_record.h) >= -1e-6
@@ -405,7 +412,7 @@ class TestQpEpisode:
         scn = sa.build_scenario(sim__controller="qp")
         rec = sa.run_qp_episode(scn)
         assert rec.status == "QP_INFEASIBLE"
-        assert sa.summarize(rec).infeasible_events == 1
+        assert sa.summarize(rec).status == "QP_INFEASIBLE"
         np.testing.assert_array_equal(rec.x, [scn.sim.x0])
         assert list(rec.t) == [0.0] and list(rec.J) == [0.0]
         np.testing.assert_array_equal(rec.u, np.zeros((1, 2)))
@@ -424,7 +431,7 @@ class TestQpEpisode:
         scn = sa.build_scenario(sim__controller="qp")
         rec = sa.run_qp_episode(scn)
         assert rec.status == "QP_SOLVER_FAILED"
-        assert sa.summarize(rec).infeasible_events == 0
+        assert sa.summarize(rec).status == "QP_SOLVER_FAILED"
         assert rec.t[-1] == pytest.approx(good_solves * scn.qp.dt, abs=1e-12)
         np.testing.assert_array_equal(rec.x[0], scn.sim.x0)
 

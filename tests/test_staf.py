@@ -117,7 +117,7 @@ def test_policy_hat_matches_explicit_formula(cfg, barrier, cost_spec):
     for _ in range(20):
         x = rng.uniform(-2, 2, size=2)
         w = rng.normal(size=3)
-        th = cfg.scale_num * (x @ x) / (sa.staf.SCALE_DEN_OFFSET + x @ x)
+        th = sa.staf.SCALE_NUM * (x @ x) / (sa.staf.SCALE_DEN_OFFSET + x @ x)
         C = x[None, :] + th * cfg.offsets
         D = C.T @ w + sa.grad_Bbar(barrier, x)
         expected = -0.5 * np.tanh(D / (2.0 * 0.5 * cost_spec.r_diag))
@@ -127,9 +127,9 @@ def test_policy_hat_matches_explicit_formula(cfg, barrier, cost_spec):
 
 def test_offsets_validated():
     with pytest.raises(ValueError):
-        sa.StaFConfig(offsets=np.array([[0.0, -2.0], [1.0, 0.0]]), scale_num=0.5)
+        sa.StaFConfig(offsets=np.array([[0.0, -2.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
-        sa.StaFConfig(offsets=np.array([[0.0, 1.0], [0.0, 1.0]]), scale_num=0.5)
+        sa.StaFConfig(offsets=np.array([[0.0, 1.0], [0.0, 1.0]]))
     cfg = sa.build_scenario().staf
     np.testing.assert_allclose(np.linalg.norm(cfg.offsets, axis=1), 1.0, atol=1e-9)
 
@@ -140,4 +140,4 @@ def test_theta_range():
     assert cfg.theta(np.zeros(2)) == 0.0
     for _ in range(100):
         x = rng.normal(scale=10.0, size=2)
-        assert 0.0 <= cfg.theta(x) < cfg.scale_num
+        assert 0.0 <= cfg.theta(x) < sa.staf.SCALE_NUM
