@@ -14,7 +14,7 @@ from .critic import LearnerGains
 from .errors import ConfigError
 from .model import CircularSafeSet, SystemModel, single_integrator
 from .qpsolve import QpParams
-from .sim import SimConfig, check_start
+from .sim import SimConfig, _output_grid, check_start
 from .staf import StaFConfig
 
 DEFAULTS = {
@@ -193,7 +193,16 @@ def build_scenario(values=None, **overrides):
     system = build("system", _system)
     _fit_to_system(sections, system.n, system.m)
     safeset = build("safeset", CircularSafeSet)
-    return Scenario(system=system, safeset=safeset, cost=build("cost", CostSpec),
-                    barrier=build("barrier", partial(BarrierSpec, safeset)),
-                    staf=build("staf", StaFConfig), gains=build("gains", LearnerGains),
-                    qp=build("qp", QpParams), sim=build("sim", partial(_sim, safeset)))
+    scn = Scenario(system=system, safeset=safeset, cost=build("cost", CostSpec),
+                   barrier=build("barrier", partial(BarrierSpec, safeset)),
+                   staf=build("staf", StaFConfig), gains=build("gains", LearnerGains),
+                   qp=build("qp", QpParams), sim=build("sim", partial(_sim, safeset)))
+    # the output rows' and the QP holds' grids up to t_final, built once by
+    # the rule the run builds them with, so that a step too fine for NumPy
+    # to lay out is refused before any episode runs
+    for key, dt in (("sim.dt_out", scn.sim.dt_out), ("qp.dt", scn.qp.dt)):
+        try:
+            _output_grid(dt, scn.sim.t_final)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: no time grid of step {dt!r} up to t_final: {exc}") from None
+    return scn

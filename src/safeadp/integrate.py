@@ -26,17 +26,17 @@ _A = [np.array(row) for row in (
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
-MAX_SAFETY_HALVINGS = 40
 SAMPLE_BLOCK = 128  # output rows per block in StepRecord.sample
 
 
-def dp54_step(rhs, t, y, h, f0=None):
-    """One embedded step: returns (y_new, error_estimate, stages).
+def dp54_step(rhs, t, y, h, f0):
+    """One embedded step from (t, y) with rhs(t, y) = f0: returns (y_new,
+    error_estimate, stages).
 
     The stage sums are np.dot, which gives the bits of `@` on these vector
     by matrix products at a lower call cost."""
     ks = np.empty((7, y.size))
-    ks[0] = rhs(t, y) if f0 is None else f0
+    ks[0] = f0
     for i in range(1, 7):
         yi = y + h * np.dot(_A[i], ks[:i])
         ks[i] = rhs(t + _C[i] * h, yi)
@@ -45,8 +45,9 @@ def dp54_step(rhs, t, y, h, f0=None):
 
 
 def _edge(t):
-    """The landing tolerance at a stop t."""
-    return 1e-12 * max(1.0, abs(t))
+    """The landing tolerance at a time t, or at each of an array of times:
+    the run reads two times this close as one time."""
+    return 1e-12 * np.maximum(1.0, abs(t))
 
 
 def _rms(z):
@@ -106,23 +107,27 @@ class StepRecord:
         return out
 
 
-def integrate_adaptive(rhs, t0, y0, t_final, tol=1e-6, on_accept=None, first_step=1e-3,
-                       stops=()):
+def integrate_adaptive(rhs, t0, y0, t_final, tol, on_accept=None, first_step=1e-3, stops=()):
     """Integrate y' = rhs(t, y) from t0 to t_final, landing exactly on the
     set `stops`, less any outside (t0, t_final) or within the landing
     tolerance of t0, of a smaller stop or of t_final; step size and
-    controller state carry across stops. Returns (status, record) with
-    status OK, SAFETY_BREACH, STEP_UNDERFLOW or that of a RunEnded.
+    controller state carry across stops. The run ends OK at the first
+    recorded time within the landing tolerance of t_final, so a t_final
+    that close to t0 records the start alone. Returns (status, record)
+    with status OK, SAFETY_BREACH, STEP_UNDERFLOW or that of a RunEnded.
 
-    rhs raising BoundaryViolation at a trial state rejects the step (step
-    halved; after MAX_SAFETY_HALVINGS consecutive halvings the run ends
-    with status SAFETY_BREACH). on_accept(t, y) is called at every time the
-    record keeps: the start, before any rhs evaluation, and each accepted
-    step. It may raise RunEnded(status) to end the run there (the point is
-    recorded; ended at the start, the record is that one point and no rhs
-    is evaluated), and it returns True when it changed the rhs at t (None
-    otherwise): the point is then recorded with the step's own derivative
-    into it and rhs(t, y), evaluated again, out of it.
+    A step is accepted when the RMS of its error estimate over
+    tol + tol max(|y|, |y_new|) is at most 1. rhs raising
+    BoundaryViolation at a trial state rejects the step and halves it;
+    a streak of such halvings that takes the step under the underflow
+    floor ends the run with status SAFETY_BREACH (STEP_UNDERFLOW when the
+    error control took it there). on_accept(t, y) is called at every time
+    the record keeps: the start, before any rhs evaluation, and each
+    accepted step. It may raise RunEnded(status) to end the run there (the
+    point is recorded; ended at the start, the record is that one point and
+    no rhs is evaluated), and it returns True when it changed the rhs at t
+    (None otherwise): the point is then recorded with the step's own
+    derivative into it and rhs(t, y), evaluated again, out of it.
     """
     record = StepRecord()
 
@@ -133,15 +138,16 @@ def integrate_adaptive(rhs, t0, y0, t_final, tol=1e-6, on_accept=None, first_ste
     t = float(t0)
     y = np.array(y0, dtype=float)
     f_in = None  # the derivative into y; the start has none
+    end_edge = _edge(t_final)  # the landing tolerance at t_final
     kept = []
     for s in sorted(map(float, stops)):
-        if s - (kept[-1] if kept else t) > _edge(s) and t_final - s > _edge(t_final):
+        if s - (kept[-1] if kept else t) > _edge(s) and t_final - s > end_edge:
             kept.append(s)
     stops = kept + [float(t_final)]
     i_stop = 0
     h = first_step
     err_prev = 1.0
-    safety_halvings = 0
+    refused = False  # whether the rhs refused the last attempt
 
     while True:
         # the hook's one call site: the start, then each accepted step
@@ -155,7 +161,7 @@ def integrate_adaptive(rhs, t0, y0, t_final, tol=1e-6, on_accept=None, first_ste
         # the derivative out of y: rhs(t, y) at the start and after the rhs changed
         f = np.asarray(counted(t, y), float) if changed or f_in is None else f_in
         record.append(t, y, f if f_in is None else f_in, f)
-        if t >= t_final:
+        if t_final - t <= end_edge:
             return "OK", record
 
         while True:  # step attempts, until one is accepted
@@ -166,19 +172,17 @@ def integrate_adaptive(rhs, t0, y0, t_final, tol=1e-6, on_accept=None, first_ste
             if land:
                 h = t_stop - t
             if h < 1e-15 * max(1.0, abs(t)):
-                # an underflow mid-way through a safety-halving streak means
-                # the rejection, not the error control, drove h to zero
-                return ("SAFETY_BREACH" if safety_halvings > 0 else "STEP_UNDERFLOW"), record
+                # an underflow at the end of a streak of refused steps means
+                # the rhs, not the error control, drove h to zero
+                return ("SAFETY_BREACH" if refused else "STEP_UNDERFLOW"), record
             try:
-                y_new, err_vec, ks = dp54_step(counted, t, y, h, f0=f)
+                y_new, err_vec, ks = dp54_step(counted, t, y, h, f)
             except BoundaryViolation:
                 record.rejected_steps += 1
-                safety_halvings += 1
-                if safety_halvings > MAX_SAFETY_HALVINGS:
-                    return "SAFETY_BREACH", record
+                refused = True
                 h *= 0.5
                 continue
-            safety_halvings = 0
+            refused = False
 
             scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
             err = _rms(err_vec / scale)

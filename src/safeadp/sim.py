@@ -13,7 +13,7 @@ from .cost import H_MIN, barrier_B
 from .critic import (PE_WINDOW, actor_rhs, bellman_at, critic_rhs, excitation_metrics,
                      gamma_rhs, sample_extrapolation_points, weak_excitation)
 from .errors import QpInfeasible, QpSolverFailed, RunEnded
-from .integrate import integrate_adaptive
+from .integrate import _edge, integrate_adaptive
 from .qpsolve import ControllerQp, qp_controller
 from .staf import policy_hat, value_hat
 
@@ -114,24 +114,23 @@ def check_start(safeset, x0):
         raise ValueError("x0 must lie in the interior of the safe set")
 
 
-def _output_grid(t_final, dt_out, t_reached):
-    """The multiples of dt_out up to the time the integration reached
-    (within 1e-9), and that time as the last row when none lands on it."""
-    grid = np.arange(0.0, t_final + 0.5 * dt_out, dt_out)
-    grid = grid[grid <= t_reached + 1e-9]
-    if t_reached > grid[-1] + 1e-9:
-        grid = np.append(grid, t_reached)
-    return grid
+def _output_grid(dt, t_end):
+    """The multiples of dt up to t_end, each within the landing tolerance
+    at its own time, and t_end as the last row when it lies past the last
+    multiple by more than the tolerance at t_end. The rows of a record are
+    this grid at sim.dt_out up to the time the integration reached."""
+    grid = np.arange(0.0, t_end + 0.5 * dt, dt)
+    grid = grid[grid - t_end <= _edge(grid)]
+    return grid if t_end - grid[-1] <= _edge(t_end) else np.append(grid, t_end)
 
 
 def _held(times, values, grid, empty):
     """Zero-order hold: at each grid time the value recorded at the last
-    time at or before it (within 1e-12), the first value before any, and
-    `empty` on every row when nothing was recorded."""
-    if len(times) == 0:
-        return np.array([empty] * len(grid))
-    j = np.searchsorted(np.asarray(times), grid + 1e-12, side="right") - 1
-    return np.asarray(values)[np.maximum(j, 0)]
+    time at or before it, within the landing tolerance at the grid time,
+    the first value before any, and `empty` on every row when nothing was
+    recorded."""
+    j = np.searchsorted(np.asarray(times), grid + _edge(grid), side="right") - 1
+    return np.asarray(list(values) or [empty])[np.maximum(j, 0)]
 
 
 def _barrier_columns(safeset, bar, xs):
@@ -165,7 +164,7 @@ def _record(scn, status, rec, t_start, columns):
     the first such row, and its rows end there. columns(grid, states, xs,
     hs) gives the runner's own fields on those rows."""
     sim, n = scn.sim, scn.system.n
-    grid = _output_grid(sim.t_final, sim.dt_out, rec.ts[-1])
+    grid = _output_grid(sim.dt_out, rec.ts[-1])
     states = rec.sample(grid)
     hs, Bs = _barrier_columns(scn.safeset, scn.barrier, states[:, :n])
     breach = np.flatnonzero(hs < 0.0)
@@ -275,10 +274,11 @@ def run_qp_episode(scn):
     n = sys_.n
     check_start(safeset, sim.x0)
 
-    # the output rows' grid at qp.dt less its last row, t_final: 0 and the
-    # multiples of qp.dt below t_final, as floats, since on_accept compares
-    # each with t
-    hold_ts = _output_grid(sim.t_final, qp.dt, sim.t_final)[:-1].tolist()
+    # the row rule at qp.dt up to t_final less its last point, the end: 0
+    # and the multiples of qp.dt more than the landing tolerance below
+    # t_final, as floats, since on_accept compares each with t; and 0 alone
+    # when t_final is within the tolerance of it, so the start always holds
+    hold_ts = _output_grid(qp.dt, sim.t_final)[:-1].tolist() or [0.0]
     hold_us = []  # the input held from each solved hold time
     # what rhs reads: the held input and its input cost; and the last
     # solve's active set (each solve is warm-started from it) and the

@@ -94,6 +94,24 @@ class TestRun:
             text = (tmp_path / f"p_panel_{name}.dat").read_text()
             assert text == "".join(f"{t:.17g} {v:.17g}\n" for t, v in zip(rec.t, series))
 
+    @pytest.mark.parametrize("controller", ["adp", "qp"])
+    @pytest.mark.parametrize("t_final, rows", [(1e-10, 2), (1e-20, 1)])
+    def test_tiny_horizon_ends_ok(self, tmp_path, qp_record, controller, t_final, rows):
+        # a t_final past the landing tolerance of 0 is one step and two
+        # rows; one within it is the start alone, one row; the QP holds the
+        # input it solved at 0 either way, the default run's first input
+        code, out, summary = _run(tmp_path, "--controller", controller,
+                                  "--t-final", str(t_final))
+        assert code == 0
+        assert json.loads(summary.read_text())["status"] == "OK"
+        lines = out.read_text().splitlines()[1:]
+        assert len(lines) == rows and lines[-1].endswith(",OK")
+        assert [float(line.split(",")[0]) for line in lines] == [0.0, t_final][:rows]
+        if controller == "qp":
+            for line in lines:
+                np.testing.assert_array_equal([float(v) for v in line.split(",")[3:5]],
+                                              qp_record.u[0])
+
     def test_seed_flag_sets_the_gains_seed(self, tmp_path):
         flagged = tmp_path / "flag.csv"
         assert main(["run", "--t-final", "0.5", "--seed", "3", "--out", str(flagged)]) == 0
@@ -363,6 +381,9 @@ class TestConfig:
         ("sim.dt_out = 1e999", "sim.dt_out: expected finite values, got inf"),
         ("sim.x0 = [1e999, 1.0]", "sim.x0: expected finite values, got [inf, 1.0]"),
         ("qp.dt = 1e999", "qp.dt: expected finite values, got inf"),
+        # a step so fine that NumPy cannot lay out its grid up to t_final
+        ("sim.dt_out = 1e-300", "sim.dt_out: no time grid of step 1e-300"),
+        ("qp.dt = 1e-300", "qp.dt: no time grid of step 1e-300"),
         (LINEAR.replace("1.0]", "1e999]") + "system.B = [[0.0], [1.0]]",
          "system: A and B must be finite"),
         # matrices the single integrator would ignore

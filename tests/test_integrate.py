@@ -5,15 +5,17 @@ from safeadp.errors import BoundaryViolation, RunEnded
 import safeadp.integrate as integrate
 from safeadp.integrate import StepRecord, dp54_step, integrate_adaptive
 
+TOL = 1e-6  # the integrator tolerance of every test that does not vary it
+
 
 def test_exponential_decay():
-    status, rec = integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 1.0)
+    status, rec = integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, TOL)
     assert status == "OK"
     assert rec.ys[-1][0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
 
 def test_dense_output_accuracy():
-    status, rec = integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 2.0)
+    status, rec = integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 2.0, TOL)
     grid = np.linspace(0.0, 2.0, 101)
     vals = rec.sample(grid)[:, 0]
     assert np.max(np.abs(vals - np.exp(-grid))) <= 1e-5
@@ -25,7 +27,7 @@ def test_convergence_order():
         y = np.array([1.0])
         t = 0.0
         while t < 1.0 - 1e-12:
-            y, _err, _ks = dp54_step(lambda _t, yy: -yy, t, y, h)
+            y, _err, _ks = dp54_step(lambda _t, yy: -yy, t, y, h, -y)
             t += h
         return abs(y[0] - np.exp(-1.0))
 
@@ -50,8 +52,8 @@ def test_tolerance_controls_error():
 
 def test_deterministic():
     rhs = lambda t, y: np.array([np.sin(t) - y[0]])
-    _s1, r1 = integrate_adaptive(rhs, 0.0, np.array([0.5]), 5.0)
-    _s2, r2 = integrate_adaptive(rhs, 0.0, np.array([0.5]), 5.0)
+    _s1, r1 = integrate_adaptive(rhs, 0.0, np.array([0.5]), 5.0, TOL)
+    _s2, r2 = integrate_adaptive(rhs, 0.0, np.array([0.5]), 5.0, TOL)
     np.testing.assert_array_equal(np.asarray(r1.ts), np.asarray(r2.ts))
     np.testing.assert_array_equal(np.asarray(r1.ys), np.asarray(r2.ys))
 
@@ -62,7 +64,7 @@ def test_rhs_boundary_violation_treated_as_unsafe():
             raise BoundaryViolation("left the domain")
         return np.array([-1.0])
 
-    status, rec = integrate_adaptive(rhs, 0.0, np.array([1.0]), 10.0)
+    status, rec = integrate_adaptive(rhs, 0.0, np.array([1.0]), 10.0, TOL)
     assert status == "SAFETY_BREACH"
     assert rec.ys[-1][0] > 0.0
 
@@ -89,7 +91,7 @@ def test_work_is_counted(monkeypatch):
         return dp54(*args, **kwargs)
 
     monkeypatch.setattr(integrate, "dp54_step", counted_step)
-    status, rec = integrate_adaptive(rhs, 0.0, np.array([1.0]), 1.0, first_step=0.5)
+    status, rec = integrate_adaptive(rhs, 0.0, np.array([1.0]), 1.0, TOL, first_step=0.5)
     assert status == "OK"
     work = rec.work()
     assert work["rhs_evals"] == len(evals) == 1 + 6 * len(attempts)
@@ -101,8 +103,11 @@ def test_work_counts_replaced_states_once_and_halvings_as_rejections():
     # a state at which the hook changed the rhs is recorded once, as one
     # step; a step into the boundary is a rejected attempt; the hook's
     # first call is the start
+    refusals = []
+
     def rhs(t, y):
         if y[0] >= 1.0:
+            refusals.append(t)
             raise BoundaryViolation("past the wall")
         return np.array([1.0])
 
@@ -112,21 +117,24 @@ def test_work_counts_replaced_states_once_and_halvings_as_rejections():
         hooked.append(t)
         return True
 
-    status, rec = integrate_adaptive(rhs, 0.0, np.array([0.0]), 2.0, first_step=0.3,
+    status, rec = integrate_adaptive(rhs, 0.0, np.array([0.0]), 2.0, TOL, first_step=0.3,
                                      on_accept=switch)
     work = rec.work()
     assert status == "SAFETY_BREACH"
     assert rec.ts == hooked and hooked[0] == 0.0
     assert np.all(np.diff(rec.ts) > 0)
     assert work["accepted_steps"] == len(rec.ts) - 1 == len(hooked) - 1 > 0
-    assert work["rejected_steps"] > integrate.MAX_SAFETY_HALVINGS
+    # a constant slope has no error estimate, so every rejection is a refusal
+    assert work["rejected_steps"] == len(refusals) > 0
 
 
-def test_safety_halvings_are_capped():
+def test_refused_steps_end_at_the_underflow_floor(monkeypatch):
     # a wall in time at the first accepted t >= 0.3: from there every trial
-    # stage lies past it, so each attempt is halved until the cap ends the
-    # run, with the wall as the last recorded time
-    wall = []
+    # stage lies past it, so each attempt is refused and halved until the
+    # step falls under the underflow floor, 1e-15 max(1, |t|), which ends
+    # the run SAFETY_BREACH with the wall as the last recorded time
+    wall, tried = [], []
+    dp54 = integrate.dp54_step
 
     def rhs(t, y):
         if wall and t > wall[0]:
@@ -137,10 +145,20 @@ def test_safety_halvings_are_capped():
         if not wall and t >= 0.3:
             wall.append(t)
 
-    status, rec = integrate_adaptive(rhs, 0.0, np.array([1.0]), 2.0, on_accept=set_wall)
+    def step(rhs_, t, y, h, f0):
+        tried.append((t, h))
+        return dp54(rhs_, t, y, h, f0)
+
+    monkeypatch.setattr(integrate, "dp54_step", step)
+    status, rec = integrate_adaptive(rhs, 0.0, np.array([1.0]), 2.0, TOL, on_accept=set_wall)
     assert status == "SAFETY_BREACH"
-    assert rec.rejected_steps == integrate.MAX_SAFETY_HALVINGS + 1
     assert rec.ts[-1] == wall[0]
+    # every attempt from the wall is refused, each half the one before;
+    # the last is at or above the floor and its half under it
+    streak = [h for t, h in tried if t == wall[0]]
+    assert len(streak) <= rec.rejected_steps
+    assert all(b == 0.5 * a for a, b in zip(streak, streak[1:]))
+    assert 0.5 * streak[-1] < 1e-15 * max(1.0, wall[0]) <= streak[-1]
 
 
 def test_rhs_that_reuses_its_output_buffer():
@@ -155,8 +173,8 @@ def test_rhs_that_reuses_its_output_buffer():
     def fresh(t, y):
         return np.array([y[1], -y[0]])
 
-    _, a = integrate_adaptive(reused, 0.0, np.array([1.0, 0.0]), 3.0)
-    _, b = integrate_adaptive(fresh, 0.0, np.array([1.0, 0.0]), 3.0)
+    _, a = integrate_adaptive(reused, 0.0, np.array([1.0, 0.0]), 3.0, TOL)
+    _, b = integrate_adaptive(fresh, 0.0, np.array([1.0, 0.0]), 3.0, TOL)
     np.testing.assert_array_equal(np.array(a.fs_in), np.array(b.fs_in))
     np.testing.assert_array_equal(np.array(a.fs_out), np.array(b.fs_out))
     grid = np.linspace(0.0, 3.0, 31)
@@ -167,7 +185,7 @@ def test_lands_on_every_stop():
     # boundary, and one a hair past the previous step
     stops = [0.05, 0.3, 0.3000001, 1.7, 2.9]
     status, rec = integrate_adaptive(lambda t, y: np.array([y[1], -y[0]]), 0.0,
-                                     np.array([1.0, 0.0]), 3.0, stops=stops)
+                                     np.array([1.0, 0.0]), 3.0, TOL, stops=stops)
     assert status == "OK"
     assert rec.ts[-1] == 3.0
     assert set(stops) <= set(rec.ts)
@@ -184,7 +202,7 @@ def test_lands_on_every_stop():
     ([-0.5, 0.3, 0.3 + 1e-13, 1.5], [0.3]),  # outside (t0, t_final), and a near repeat
 ])
 def test_stops_are_a_set(stops, kept):
-    status, rec = integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, stops=stops)
+    status, rec = integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, TOL, stops=stops)
     assert status == "OK"
     assert rec.ts[-1] == 1.0
     assert set(kept) <= set(rec.ts)
@@ -205,7 +223,7 @@ def test_hook_switching_the_rhs_gives_exact_segments():
         return True
 
     status, rec = integrate_adaptive(lambda t, y: np.array([slope["c"]]), 0.0,
-                                     np.array([0.0]), 2.0, on_accept=switch,
+                                     np.array([0.0]), 2.0, TOL, on_accept=switch,
                                      stops=[0.7, 1.3])
     assert status == "OK" and len(switches) >= 6
     for (ta, ya, c), (tb, _yb, _c) in zip(switches, switches[1:]):
@@ -222,7 +240,7 @@ def test_hook_ends_the_run_with_its_status():
         if t >= 0.5:
             raise RunEnded("STOPPED")
 
-    status, rec = integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 2.0,
+    status, rec = integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 2.0, TOL,
                                      on_accept=stop_late)
     assert status == "STOPPED"
     t_end, y_end = seen[-1]
@@ -242,7 +260,7 @@ def test_first_hook_call_is_the_start_before_any_rhs_evaluation():
     def hook(t, y):
         calls.append((t, y.copy(), len(evals)))
 
-    status, rec = integrate_adaptive(rhs, 0.25, np.array([1.0, -2.0]), 1.0, on_accept=hook)
+    status, rec = integrate_adaptive(rhs, 0.25, np.array([1.0, -2.0]), 1.0, TOL, on_accept=hook)
     assert status == "OK"
     t, y, evaluated = calls[0]
     assert t == 0.25 and evaluated == 0
@@ -261,7 +279,7 @@ def test_hook_ending_the_run_at_the_start_records_the_start_alone():
         raise RunEnded("REFUSED")
 
     y0 = np.array([1.0, -2.0])
-    status, rec = integrate_adaptive(rhs, 0.25, y0, 1.0, on_accept=refuse, stops=[0.5])
+    status, rec = integrate_adaptive(rhs, 0.25, y0, 1.0, TOL, on_accept=refuse, stops=[0.5])
     assert status == "REFUSED"
     assert rec.ts == [0.25] and evals == []
     assert rec.work() == {"rhs_evals": 0, "accepted_steps": 0, "rejected_steps": 0}
@@ -280,7 +298,7 @@ def test_rhs_switch_at_the_start_is_recorded_with_the_rhs_after_it():
             rate["k"] = 2.0
             return True
 
-    status, rec = integrate_adaptive(rhs, 0.0, np.array([1.0]), 1.0, on_accept=switch_at_start)
+    status, rec = integrate_adaptive(rhs, 0.0, np.array([1.0]), 1.0, TOL, on_accept=switch_at_start)
     assert status == "OK"
     np.testing.assert_array_equal(rec.ys[0], [1.0])
     np.testing.assert_array_equal(rec.fs_in[0], [-2.0])
@@ -318,7 +336,7 @@ def test_sample_matches_row_by_row_hermite():
         return True
 
     _s, rec = integrate_adaptive(lambda t, y: gain["g"] * np.array([y[1], np.sin(3 * t) - y[0]]),
-                                 0.0, np.array([1.0, 0.0]), 5.0, on_accept=rescale)
+                                 0.0, np.array([1.0, 0.0]), 5.0, TOL, on_accept=rescale)
     assert all(np.all(a != b) for a, b in zip(rec.fs_in[1:], rec.fs_out[1:]))
     grid = np.sort(np.concatenate([np.linspace(-0.1, 5.1, 523), rec.ts]))
     ref = np.array([_hermite_row(rec, t) for t in grid])
@@ -357,7 +375,7 @@ def test_sample_reproduces_a_cubic():
 def test_reaches_exact_final_time():
     for t_final in (1.0, 2.5, 11.44, 25.0):
         status, rec = integrate_adaptive(lambda t, y: -0.1 * y, 0.0,
-                                         np.array([1.0]), t_final)
+                                         np.array([1.0]), t_final, TOL)
         assert status == "OK"
         assert rec.ts[-1] == pytest.approx(t_final, abs=1e-9)
 
@@ -367,7 +385,7 @@ def test_lands_on_final_time_when_remainder_exceeds_step_by_an_ulp():
     # and the remainder is the one ulp over it (or the QP hold 5.8 -> 5.9)
     for t0, t_final in ((0.0, np.nextafter(0.1, 1.0)), (5.8, 5.9)):
         status, rec = integrate_adaptive(lambda t, y: np.array([1.0]), t0,
-                                         np.array([0.0]), t_final, first_step=0.1)
+                                         np.array([0.0]), t_final, TOL, first_step=0.1)
         assert status == "OK"
         assert rec.ts[-1] == t_final
         assert len(rec.ts) == 2

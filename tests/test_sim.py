@@ -396,8 +396,7 @@ class TestQpEpisode:
 
     def test_hold_longer_than_the_run(self):
         # qp.dt so far past t_final that no multiple of it but 0 lies below
-        # it to within 1e-9 of a hold: the start is still a hold, and its
-        # input is the one reported
+        # it: the start is still a hold, and its input is the one reported
         scn = sa.build_scenario(sim__controller="qp", sim__t_final=1.0, qp__dt=1e12)
         rec = sa.run_qp_episode(scn)
         assert rec.status == "OK" and rec.t[-1] == 1.0
@@ -674,6 +673,16 @@ class TestOutputRows:
         np.testing.assert_array_equal(qp.t, np.arange(len(qp.t)) * 0.01)
         np.testing.assert_array_equal(qp.x[-1], runs[1].sample(qp.t[-1:])[0, :n])
         assert sa.summarize(qp).total_J == qp.J[-1]
+
+    def test_a_row_at_a_hold_time_reads_its_input_at_long_horizons(self):
+        # hold times k * 0.05 and rows j * 0.01 around t = 1e5, the values
+        # np.arange gives there, where one ulp of t is 1.5e-11: a row that
+        # rounds below its hold time by less than the landing tolerance
+        # still reads that hold's input, here its index k
+        k = np.arange(2_000_000 - 200, 2_000_000 + 200)
+        j = np.arange(5 * k[0], 5 * (k[-1] + 1))
+        held = sa.sim._held(k * 0.05, k, j * 0.01, 0)
+        np.testing.assert_array_equal(held, j // 5)
 
 
 class TestMirrorSymmetry:
