@@ -12,9 +12,10 @@ import numpy as np
 from .cost import BarrierSpec, CostSpec
 from .critic import LearnerGains
 from .errors import ConfigError
+from .integrate import _edge
 from .model import CircularSafeSet, SystemModel, single_integrator
 from .qpsolve import QpParams
-from .sim import SimConfig, _output_grid, check_start
+from .sim import SimConfig, check_start
 from .staf import StaFConfig
 
 DEFAULTS = {
@@ -27,9 +28,6 @@ DEFAULTS = {
     "cost.r_diag": [10.0, 10.0],
     "cost.u_max": 0.5,
     "barrier.k_p": 15.0,
-    "barrier.a": 0.5,
-    "barrier.d_on": 0.2,
-    "barrier.d_off": 1.0,
     "staf.offsets": [[0.0, -1.0], [0.866, -0.5], [-0.866, -0.5]],
     "gains.kc1": 0.05,
     "gains.kc2": 0.75,
@@ -37,8 +35,6 @@ DEFAULTS = {
     "gains.nu": 1.0,
     "gains.beta": 0.001,
     "gains.N": 1,
-    "gains.gamma0": 1.0,
-    "gains.wa_bound": 20.0,
     "gains.seed": 0,
     "qp.p": 2.0,
     "qp.dt": 0.01,
@@ -197,12 +193,12 @@ def build_scenario(values=None, **overrides):
                    barrier=build("barrier", partial(BarrierSpec, safeset)),
                    staf=build("staf", StaFConfig), gains=build("gains", LearnerGains),
                    qp=build("qp", QpParams), sim=build("sim", partial(_sim, safeset)))
-    # the output rows' and the QP holds' grids up to t_final, built once by
-    # the rule the run builds them with, so that a step too fine for NumPy
-    # to lay out is refused before any episode runs
+    # a step at most twice the landing tolerance at t_final can put two of
+    # its grid points, or one and t_final, within the tolerance of each
+    # other, and the integrator would drop a hold the QP waits for
+    min_step = 2.0 * _edge(scn.sim.t_final)
     for key, dt in (("sim.dt_out", scn.sim.dt_out), ("qp.dt", scn.qp.dt)):
-        try:
-            _output_grid(dt, scn.sim.t_final)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: no time grid of step {dt!r} up to t_final: {exc}") from None
+        if dt <= min_step:
+            raise ConfigError(f"{key}: no time grid of step {dt!r} up to t_final: the step must "
+                              f"exceed twice the landing tolerance at t_final, {min_step:g}")
     return scn

@@ -9,6 +9,9 @@ import numpy as np
 from .errors import BoundaryViolation, InputOutOfBox, SingularGradient
 
 H_MIN = 1e-9
+BBAR_OFFSET = 0.5  # repo default: the bounded barrier's offset a in k_p s/(h + a)
+D_ON = 0.2  # repo default: the scheduling is fully on at and below this h
+D_OFF = 1.0  # repo default: the scheduling is fully off at and above this h
 
 
 class CostSpec:
@@ -47,31 +50,26 @@ class CostSpec:
 
 class BarrierSpec:
     """Barrier B = k_p s(x)/h(x) with quintic-smoothstep scheduling in h,
-    and its bounded surrogate Bbar = k_p s(x)/(h(x)+a)."""
+    and its bounded surrogate Bbar = k_p s(x)/(h(x)+BBAR_OFFSET)."""
 
-    def __init__(self, safeset, k_p, a, d_on, d_off):
-        if k_p <= 0 or a <= 0:
-            raise ValueError("k_p and a must be positive")
-        if not d_on < d_off:
-            raise ValueError("d_on must be smaller than d_off")
+    def __init__(self, safeset, k_p):
+        if k_p <= 0:
+            raise ValueError("k_p must be positive")
         self.safeset = safeset
         self.k_p = float(k_p)
-        self.a = float(a)
-        self.d_on = float(d_on)
-        self.d_off = float(d_off)
         h0 = safeset.h(np.zeros_like(np.asarray(safeset.center, float)))
-        if h0 < d_off:
+        if h0 < D_OFF:
             raise ValueError(
-                f"scheduling must vanish at the origin: h(0)={h0:g} < d_off={d_off:g}"
+                f"scheduling must vanish at the origin: h(0)={h0:g} < D_OFF={D_OFF:g}"
             )
 
     def schedule(self, h):
         """The scheduling s(h) and its slope ds/dh per row of h: the quintic
         smoothstep s = t^3 (10 - 15 t + 6 t^2), C^2, of the ramp
-        t = (d_off - h)/(d_off - d_on) clipped to [0, 1]. So s is 1 at and
-        below d_on and 0 at and above d_off, and ds/dh is 0 at both."""
-        width = self.d_off - self.d_on
-        t = np.minimum(np.maximum((self.d_off - h) / width, 0.0), 1.0)
+        t = (D_OFF - h)/(D_OFF - D_ON) clipped to [0, 1]. So s is 1 at and
+        below D_ON and 0 at and above D_OFF, and ds/dh is 0 at both."""
+        width = D_OFF - D_ON
+        t = np.minimum(np.maximum((D_OFF - h) / width, 0.0), 1.0)
         return (t * t * t * (10.0 + t * (-15.0 + 6.0 * t)),
                 -30.0 * t * t * (1.0 + t * (t - 2.0)) / width)
 
@@ -106,7 +104,7 @@ def _checked_h_grad(spec: BarrierSpec, x, floor, what):
 
 
 def _grad_Bbar(spec: BarrierSpec, h, gh, s, ds):
-    ha = h + spec.a
+    ha = h + BBAR_OFFSET
     return (spec.k_p * (ds * ha - s) / (ha * ha))[..., None] * gh
 
 
@@ -118,25 +116,25 @@ def barrier_B(spec: BarrierSpec, x):
 
 
 def barrier_Bbar(spec: BarrierSpec, x):
-    """Bounded barrier k_p s/(h+a) per row; finite on the boundary."""
-    h = _checked_h(spec, x, -spec.a, "bounded barrier undefined")
-    return spec.k_p * spec.schedule(h)[0] / (h + spec.a)
+    """Bounded barrier k_p s/(h+BBAR_OFFSET) per row; finite on the boundary."""
+    h = _checked_h(spec, x, -BBAR_OFFSET, "bounded barrier undefined")
+    return spec.k_p * spec.schedule(h)[0] / (h + BBAR_OFFSET)
 
 
 def grad_Bbar(spec: BarrierSpec, x):
     """Analytic gradient of the bounded barrier per row (..., n); zero where
-    the scheduling is off (h >= d_off), since s and ds/dh both vanish there."""
-    h, gh, _ = _checked_h_grad(spec, x, -spec.a, "bounded barrier undefined")
+    the scheduling is off (h >= D_OFF), since s and ds/dh both vanish there."""
+    h, gh, _ = _checked_h_grad(spec, x, -BBAR_OFFSET, "bounded barrier undefined")
     return _grad_Bbar(spec, h, gh, *spec.schedule(h))
 
 
 def barrier_B_grad_Bbar(spec: BarrierSpec, x):
     """barrier_B and grad_Bbar per row from one evaluation of h, grad h and
     the schedule: the two barrier terms of the Bellman error. Raises as
-    barrier_B does. When every row lies at or beyond d_off, where s and
+    barrier_B does. When every row lies at or beyond D_OFF, where s and
     ds/dh vanish, both are exact zeros and the schedule is not evaluated."""
     h, gh, h_min = _checked_h_grad(spec, x, H_MIN, "barrier requested")
-    if h_min >= spec.d_off:
+    if h_min >= D_OFF:
         return np.zeros(h.shape), np.zeros(gh.shape)
     s, ds = spec.schedule(h)
     return spec.k_p * s / h, _grad_Bbar(spec, h, gh, s, ds)

@@ -11,7 +11,9 @@ import numpy as np
 from .cost import H_MIN, BarrierSpec, CostSpec, barrier_B_grad_Bbar, input_penalty_Ru
 from .staf import StaFConfig, grad_sigma, policy_star
 
+WA_BOUND = 20.0  # repo default: actor projection radius
 PROJ_LAYER = 0.05  # boundary-layer fraction of the actor projection
+GAMMA0 = 1.0  # repo default: Gamma(0) = GAMMA0 * I
 WEAK_EXCITATION_TOL = 1e-8  # every excitation surrogate below it flags weak excitation
 PE_WINDOW = 1.0  # s: the trailing span of history that c2_window and c3_window integrate
 
@@ -29,15 +31,12 @@ class LearnerGains:
     nu: float
     beta: float
     N: int
-    gamma0: float
-    wa_bound: float
     seed: int
     row_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("nu", "gamma0", "wa_bound"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.nu <= 0:
+            raise ValueError("nu must be positive")
         for name in ("kc1", "kc2", "ka1", "beta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -143,11 +142,11 @@ def gamma_rhs(gains: LearnerGains, Gamma, rows: BellmanSample):
 def actor_rhs(gains: LearnerGains, Wa, Wc):
     """Projected actor update: tracks the critic, radially scaled inside a
     smooth boundary layer so that ||Wa|| stays within
-    wa_bound * sqrt(1 + PROJ_LAYER)."""
+    WA_BOUND * sqrt(1 + PROJ_LAYER)."""
     Wa = np.asarray(Wa, float)
     mu = -gains.ka1 * (Wa - np.asarray(Wc, float))
     nw2 = float(Wa @ Wa)
-    wb2 = gains.wa_bound ** 2
+    wb2 = WA_BOUND ** 2
     outward = float(Wa @ mu)
     if nw2 <= wb2 * (1.0 - PROJ_LAYER) or outward <= 0.0:
         return mu

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cost import H_MIN, barrier_B
-from .critic import (PE_WINDOW, actor_rhs, bellman_at, critic_rhs, excitation_metrics,
+from .critic import (GAMMA0, PE_WINDOW, actor_rhs, bellman_at, critic_rhs, excitation_metrics,
                      gamma_rhs, sample_extrapolation_points, weak_excitation)
 from .errors import QpInfeasible, QpSolverFailed, RunEnded
 from .integrate import _edge, integrate_adaptive
@@ -109,9 +109,12 @@ def summarize(record: TrajectoryRecord):
 
 
 def check_start(safeset, x0):
-    """Reject a start x0 outside the interior of the safe set."""
-    if safeset.h(x0) <= H_MIN:
-        raise ValueError("x0 must lie in the interior of the safe set")
+    """Reject a start x0 outside the interior of the safe set, or so far
+    from the obstacle that its h overflows."""
+    with np.errstate(over="ignore"):  # an h that overflows is refused below
+        h0 = safeset.h(x0)
+    if not H_MIN < h0 < np.inf:
+        raise ValueError(f"x0 must lie in the interior of the safe set at a finite h (h = {h0:g})")
 
 
 def _output_grid(dt, t_end):
@@ -206,7 +209,7 @@ def run_adp_episode(scn):
     rng = np.random.default_rng(gains.seed)
     # Wc(0) is drawn before Wa(0): that order decides every trajectory
     s0 = _adp_pack(sim.x0, rng.uniform(0.0, 4.0, L), rng.uniform(0.0, 4.0, L),
-                   gains.gamma0 * np.eye(L), 0.0, 0.0)
+                   GAMMA0 * np.eye(L), 0.0, 0.0)
     check_start(safeset, sim.x0)
 
     # each redraw's time and points, which the rhs reads the last of, and

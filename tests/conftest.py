@@ -39,4 +39,4 @@ def cost_spec():
 
 @pytest.fixture()
 def barrier(safeset):
-    return sa.BarrierSpec(safeset, k_p=1.0, a=0.5, d_on=0.2, d_off=1.0)
+    return sa.BarrierSpec(safeset, k_p=1.0)

@@ -13,6 +13,7 @@ import pytest
 import safeadp as sa
 from safeadp import oracles
 from safeadp.cli import write_csv
+from safeadp.critic import GAMMA0
 from safeadp.oracles import (central_difference, enumerate_qp, quadrature_Ru,
                              random_qp, selftest_gradients)
 
@@ -114,7 +115,7 @@ def test_criterion_8_gamma_contract(adp_record):
     spd_ok = bool(np.all(adp_record.min_eig_gamma > 0.0) and adp_record.status == "OK")
     scn = sa.build_scenario(sim__t_final=1.0, gains__kc1=0.0, gains__kc2=0.0)
     rec = sa.run_adp_episode(scn)
-    expected = scn.gains.gamma0 * np.exp(scn.gains.beta * 1.0)
+    expected = GAMMA0 * np.exp(scn.gains.beta * 1.0)
     rel = abs(rec.min_eig_gamma[-1] - expected) / expected
     ok = spd_ok and rel <= 1e-6
     _report(8, "gain matrix contract", ok,

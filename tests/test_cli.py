@@ -381,7 +381,7 @@ class TestConfig:
         ("sim.dt_out = 1e999", "sim.dt_out: expected finite values, got inf"),
         ("sim.x0 = [1e999, 1.0]", "sim.x0: expected finite values, got [inf, 1.0]"),
         ("qp.dt = 1e999", "qp.dt: expected finite values, got inf"),
-        # a step so fine that NumPy cannot lay out its grid up to t_final
+        # a step within twice the landing tolerance at t_final
         ("sim.dt_out = 1e-300", "sim.dt_out: no time grid of step 1e-300"),
         ("qp.dt = 1e-300", "qp.dt: no time grid of step 1e-300"),
         (LINEAR.replace("1.0]", "1e999]") + "system.B = [[0.0], [1.0]]",
@@ -408,18 +408,24 @@ class TestConfig:
         ("cost.Q = [1.0, 0.0, 0.0, -1.0]", "cost: Q must be positive definite"),
         ("cost.r_diag = [10.0, 0.0]", "cost: r_diag entries must be positive"),
         ("cost.u_max = 0", "cost: u_max must be positive"),
-        ("barrier.k_p = 0", "barrier: k_p and a must be positive"),
-        ("barrier.d_on = 1.0", "barrier: d_on must be smaller than d_off"),
+        ("barrier.k_p = 0", "barrier: k_p must be positive"),
         ("sim.dt_out = 0", "sim: t_final, tol, and dt_out must be positive"),
         ("sim.tol = 0", "sim: t_final, tol, and dt_out must be positive"),
         ("safeset.radius = 0", "safeset: radius must be positive"),
         ("staf.offsets = [0.0, -1.0]", "staf: offsets must be an L x n array"),
-        # not config keys: the one tolerance is sim.tol, and theta's scale
-        # and the excitation window are the constants SCALE_NUM and PE_WINDOW
+        # not config keys: the one tolerance is sim.tol, and theta's scale,
+        # the excitation window, the barrier's offset and band, Gamma(0) and
+        # the actor bound are the constants SCALE_NUM, PE_WINDOW,
+        # BBAR_OFFSET, D_ON, D_OFF, GAMMA0 and WA_BOUND
         ("sim.abs_tol = 1e-6", "bad.cfg:1: unknown key 'sim.abs_tol'"),
         ("sim.rel_tol = 1e-6", "bad.cfg:1: unknown key 'sim.rel_tol'"),
         ("staf.scale_num = 0.5", "bad.cfg:1: unknown key 'staf.scale_num'"),
         ("gains.pe_window = 1.0", "bad.cfg:1: unknown key 'gains.pe_window'"),
+        ("barrier.a = 0.5", "bad.cfg:1: unknown key 'barrier.a'"),
+        ("barrier.d_on = 1.0", "bad.cfg:1: unknown key 'barrier.d_on'"),
+        ("barrier.d_off = 1.0", "bad.cfg:1: unknown key 'barrier.d_off'"),
+        ("gains.gamma0 = 1.0", "bad.cfg:1: unknown key 'gains.gamma0'"),
+        ("gains.wa_bound = 20.0", "bad.cfg:1: unknown key 'gains.wa_bound'"),
     ])
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -429,6 +435,55 @@ class TestConfig:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and message in err
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("t_final", [1e-10, 5.0])
+    @pytest.mark.parametrize("key", ["qp.dt", "sim.dt_out"])
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 1.5, 2.0])
+    def test_step_within_twice_the_landing_tolerance_is_refused(
+            self, tmp_path, capsys, monkeypatch, t_final, key, factor):
+        # two grid points within the landing tolerance of each other, or one
+        # within it of t_final, would be read as one time: such a step is
+        # refused before the episode runs
+        episodes = []
+        monkeypatch.setattr(sa.cli, "run_episode", episodes.append)
+        step = factor * float(sa.integrate._edge(t_final))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {step!r}\n")
+        code = main(["run", "--controller", "qp", "--t-final", repr(t_final),
+                     "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
+        assert code == 4
+        bound = 2.0 * sa.integrate._edge(t_final)
+        assert capsys.readouterr().err == (
+            f"config error: {key}: no time grid of step {step!r} up to t_final: the step "
+            f"must exceed twice the landing tolerance at t_final, {bound:g}\n")
+        assert episodes == []
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("controller", ["adp", "qp"])
+    @pytest.mark.parametrize("x0", ["[1e300, 1e300]", "[1e154, 1e154]"])
+    def test_start_whose_h_overflows_is_a_config_error(self, tmp_path, capsys, controller, x0):
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(f"sim.x0 = {x0}\n")
+        code = main(["run", "--controller", controller, "--t-final", "0.5", "--config", str(cfg),
+                     "--out", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "config error: sim: x0 must lie in the interior of the safe set at a finite h "
+            "(h = inf)\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    # a start this far out overflows inside the run, not in h(x0)
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("controller, code, status", [("adp", 5, "STEP_UNDERFLOW"),
+                                                          ("qp", 3, "QP_INFEASIBLE")])
+    def test_far_start_with_finite_h_runs(self, tmp_path, controller, code, status):
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("sim.x0 = [1e150, 1e150]\n")
+        summary = tmp_path / "s.json"
+        assert main(["run", "--controller", controller, "--t-final", "0.5", "--config", str(cfg),
+                     "--out", str(tmp_path / "t.csv"), "--summary", str(summary)]) == code
+        assert json.loads(summary.read_text())["status"] == status
 
     def test_non_finite_t_final_exit_code(self, tmp_path, capsys):
         assert main(["run", "--t-final", "nan", "--out", str(tmp_path / "t.csv")]) == 4

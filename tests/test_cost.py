@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import safeadp as sa
+from safeadp.cost import BBAR_OFFSET, D_OFF, D_ON
 from safeadp.errors import BoundaryViolation, InputOutOfBox
 from safeadp.oracles import quadrature_Ru
 
@@ -12,38 +13,39 @@ def _h_point(safeset, h):
 
 
 def _bbar_with_s(barrier, x, s):
-    """k_p s/(h+a) at x: the bounded barrier for the scheduling weight s."""
-    return barrier.k_p * s / (barrier.safeset.h(x) + barrier.a)
+    """k_p s/(h+BBAR_OFFSET) at x: the bounded barrier for the scheduling
+    weight s."""
+    return barrier.k_p * s / (barrier.safeset.h(x) + BBAR_OFFSET)
 
 
 class TestScheduling:
-    # the scheduling weight s(h) is read through barrier_Bbar = k_p s/(h+a)
+    # the scheduling weight s(h) is read through barrier_Bbar = k_p s/(h+BBAR_OFFSET)
     def test_fully_on_and_off(self, safeset, barrier):
         on, off = _h_point(safeset, 0.1), _h_point(safeset, 1.1)
         assert sa.barrier_Bbar(barrier, on) == _bbar_with_s(barrier, on, 1.0)
         assert sa.barrier_Bbar(barrier, off) == 0.0
 
     def test_midpoint(self, safeset, barrier):
-        x = _h_point(safeset, 0.5 * (barrier.d_on + barrier.d_off))
+        x = _h_point(safeset, 0.5 * (D_ON + D_OFF))
         assert sa.barrier_Bbar(barrier, x) == pytest.approx(_bbar_with_s(barrier, x, 0.5))
 
     def test_vanishes_at_origin(self, barrier):
         assert sa.barrier_Bbar(barrier, np.zeros(2)) == 0.0
 
     def test_c1_across_thresholds(self, safeset, barrier):
-        # finite-difference slope of s(h) continuous at d_on and d_off
+        # finite-difference slope of s(h) continuous at D_ON and D_OFF
         def s_of(h):
             return barrier.schedule(h)[0]
 
         eps = 1e-5
-        for h0 in (barrier.d_on, barrier.d_off):
+        for h0 in (D_ON, D_OFF):
             left = (s_of(h0) - s_of(h0 - eps)) / eps
             right = (s_of(h0 + eps) - s_of(h0)) / eps
             assert left == pytest.approx(right, abs=1e-4)
 
     def test_schedule_ends_and_slope(self, barrier):
-        # exactly (1, 0) at and below d_on, (0, 0) at and above d_off
-        lo, hi = barrier.d_on, barrier.d_off
+        # exactly (1, 0) at and below D_ON, (0, 0) at and above D_OFF
+        lo, hi = D_ON, D_OFF
         s, ds = barrier.schedule(np.array([lo - 0.5, lo - 1e-3, lo, hi, hi + 1e-3, hi + 5.0]))
         np.testing.assert_array_equal(s, [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(ds, 0.0)
@@ -57,7 +59,7 @@ class TestScheduling:
     def test_construction_rejects_nonvanishing_origin_weight(self):
         near = sa.CircularSafeSet(center=np.array([1.2, 0.0]), radius=1.0)
         with pytest.raises(ValueError):
-            sa.BarrierSpec(near, k_p=1.0, a=0.5, d_on=0.2, d_off=1.0)  # h(0) = 0.2 < d_off
+            sa.BarrierSpec(near, k_p=1.0)  # h(0) = 0.2 < D_OFF
 
 
 class TestBarrier:
@@ -66,16 +68,16 @@ class TestBarrier:
         assert sa.barrier_Bbar(barrier, np.zeros(2)) == 0.0
 
     def test_fully_on_value(self, safeset, barrier):
-        h = barrier.d_on / 2
-        assert sa.barrier_B(barrier, _h_point(safeset, h)) == pytest.approx(2.0 / barrier.d_on)
+        h = D_ON / 2
+        assert sa.barrier_B(barrier, _h_point(safeset, h)) == pytest.approx(2.0 / D_ON)
 
     def test_boundary_violation(self, safeset, barrier):
         with pytest.raises(BoundaryViolation):
             sa.barrier_B(barrier, _h_point(safeset, 0.0))
 
     def test_monotone_along_exit_ray(self, safeset, barrier):
-        # dense sampling oracle: B nonincreasing in h on (0, d_on]
-        hs = np.linspace(1e-4, barrier.d_on, 400)
+        # dense sampling oracle: B nonincreasing in h on (0, D_ON]
+        hs = np.linspace(1e-4, D_ON, 400)
         vals = [sa.barrier_B(barrier, _h_point(safeset, h)) for h in hs]
         assert np.all(np.diff(vals) <= 1e-12)
 
@@ -142,7 +144,7 @@ class TestInstantaneousCost:
         assert sa.instantaneous_cost(cost_spec, barrier, np.zeros(2), np.zeros(2)) == 0.0
 
     def test_barrier_off_region(self, cost_spec, barrier):
-        x = np.array([-1.0, -1.0])  # h(x) > d_off, so only the state term
+        x = np.array([-1.0, -1.0])  # h(x) > D_OFF, so only the state term
         assert sa.instantaneous_cost(cost_spec, barrier, x, np.zeros(2)) == pytest.approx(
             float(x @ x))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import safeadp as sa
-from safeadp.critic import PROJ_LAYER
+from safeadp.critic import PROJ_LAYER, WA_BOUND
 from safeadp.oracles import central_difference
 
 
@@ -206,32 +206,33 @@ class TestGammaDynamics:
 
 
 class TestActorProjection:
+    # the projection radius is the constant WA_BOUND
     def test_interior_unchanged(self):
-        gains = dataclasses.replace(sa.build_scenario().gains, wa_bound=10.0)
+        gains = sa.build_scenario().gains
         Wa = np.array([1.0, 2.0, 3.0])
         Wc = np.array([0.0, 0.0, 0.0])
         np.testing.assert_allclose(sa.actor_rhs(gains, Wa, Wc),
                                    -gains.ka1 * (Wa - Wc))
 
     def test_inward_update_unchanged_at_boundary(self):
-        gains = dataclasses.replace(sa.build_scenario().gains, wa_bound=1.0)
-        Wa = np.array([1.05, 0.0, 0.0])  # outside the nominal bound
+        gains = sa.build_scenario().gains
+        Wa = np.array([1.05 * WA_BOUND, 0.0, 0.0])  # outside the nominal bound
         Wc = np.zeros(3)  # update points straight back toward the origin
         np.testing.assert_allclose(sa.actor_rhs(gains, Wa, Wc),
                                    -gains.ka1 * Wa)
 
     def test_outward_update_projected(self):
-        gains = dataclasses.replace(sa.build_scenario().gains, wa_bound=1.0)
-        Wa = np.array([np.sqrt(1.0 + PROJ_LAYER), 0.0, 0.0])  # outer edge
+        gains = sa.build_scenario().gains
+        Wa = np.array([WA_BOUND * np.sqrt(1.0 + PROJ_LAYER), 0.0, 0.0])  # outer edge
         Wc = 10.0 * Wa  # update points radially outward
         out = sa.actor_rhs(gains, Wa, Wc)
         # full projection: the radial component is removed entirely
         assert float(out @ Wa) == pytest.approx(0.0, abs=1e-12)
 
     def test_boundary_layer_is_continuous(self):
-        gains = dataclasses.replace(sa.build_scenario().gains, wa_bound=1.0)
-        Wc = np.array([5.0, 0.0, 0.0])
-        r_in = np.sqrt(1.0 - PROJ_LAYER)
+        gains = sa.build_scenario().gains
+        Wc = np.array([5.0 * WA_BOUND, 0.0, 0.0])  # update points radially outward
+        r_in = WA_BOUND * np.sqrt(1.0 - PROJ_LAYER)
         eps = 1e-7
         below = sa.actor_rhs(gains, np.array([r_in - eps, 0.0, 0.0]), Wc)
         above = sa.actor_rhs(gains, np.array([r_in + eps, 0.0, 0.0]), Wc)
@@ -239,13 +240,13 @@ class TestActorProjection:
 
     def test_norm_never_escapes(self):
         # forward-Euler push with an outward critic cannot leave the layer
-        gains = dataclasses.replace(sa.build_scenario().gains, wa_bound=1.0, ka1=1.0)
-        Wa = np.array([0.9, 0.0, 0.0])
-        Wc = np.array([50.0, 0.0, 0.0])
+        gains = dataclasses.replace(sa.build_scenario().gains, ka1=1.0)
+        Wa = np.array([0.9 * WA_BOUND, 0.0, 0.0])
+        Wc = np.array([50.0 * WA_BOUND, 0.0, 0.0])
         dt = 1e-3
         for _ in range(5000):
             Wa = Wa + dt * sa.actor_rhs(gains, Wa, Wc)
-        assert np.linalg.norm(Wa) <= gains.wa_bound * np.sqrt(1.0 + PROJ_LAYER) + 1e-6
+        assert np.linalg.norm(Wa) <= WA_BOUND * np.sqrt(1.0 + PROJ_LAYER) + 1e-6
 
 
 class TestExcitation:

@@ -8,6 +8,7 @@ import pytest
 import safeadp as sa
 from safeadp import cost as sa_cost
 from safeadp import sim as sa_sim
+from safeadp.cost import BBAR_OFFSET, D_OFF, D_ON
 from safeadp.errors import BoundaryViolation, SingularGradient
 
 R = 200
@@ -33,14 +34,14 @@ def scn():
 @pytest.fixture(scope="module")
 def rows(scn):
     """States at levels h spread over the barrier's three regimes: near the
-    boundary (1e-8 .. 0.05), inside the scheduling band d_on .. d_off, and
-    beyond d_off; plus per-row anchors and weights."""
+    boundary (1e-8 .. 0.05), inside the scheduling band D_ON .. D_OFF, and
+    beyond D_OFF; plus per-row anchors and weights."""
     rng = np.random.default_rng(42)
     bar = scn.barrier
     h = np.concatenate([10.0 ** rng.uniform(-8, np.log10(0.05), R // 4),
-                        rng.uniform(0.05, bar.d_on, R // 4),
-                        rng.uniform(bar.d_on, bar.d_off, R // 4),
-                        rng.uniform(bar.d_off, 3.0, R - 3 * (R // 4))])
+                        rng.uniform(0.05, D_ON, R // 4),
+                        rng.uniform(D_ON, D_OFF, R // 4),
+                        rng.uniform(D_OFF, 3.0, R - 3 * (R // 4))])
     ang = rng.uniform(0.0, 2 * np.pi, R)
     ys = scn.safeset.center + (scn.safeset.radius + h)[:, None] * np.column_stack(
         (np.cos(ang), np.sin(ang)))
@@ -58,8 +59,8 @@ def test_rows_cover_every_barrier_regime(scn, rows):
     bar = scn.barrier
     assert np.all(h > sa_cost.H_MIN)
     assert np.sum(h < 1e-6) >= 10
-    assert np.sum((h > bar.d_on) & (h < bar.d_off)) >= 40
-    assert np.sum(h > bar.d_off) >= 40
+    assert np.sum((h > D_ON) & (h < D_OFF)) >= 40
+    assert np.sum(h > D_OFF) >= 40
 
 
 def test_geometry_and_system_kernels(scn, rows):
@@ -122,27 +123,27 @@ def test_h_grad_is_h_and_the_gradient_bit_for_bit(scn, rows):
 
 def _pair_written_out(bar, y):
     h, gh = bar.safeset.h_grad(y)
-    ha = h + bar.a
+    ha = h + BBAR_OFFSET
     s, ds_dh = bar.schedule(h)
     return bar.k_p * s / h, (bar.k_p * (ds_dh * ha - s) / (ha * ha))[..., None] * gh
 
 
 def test_barrier_pair_is_the_two_kernels_bit_for_bit(scn, rows, monkeypatch):
     # one pass over h, grad h and the schedule gives what barrier_B and
-    # grad_Bbar give apart, and the written-out formula, on rows below d_on,
-    # inside the band and above d_off; a second batch of the same shape gets
-    # its own ramp, not the first one's. A batch wholly at or beyond d_off,
+    # grad_Bbar give apart, and the written-out formula, on rows below D_ON,
+    # inside the band and above D_OFF; a second batch of the same shape gets
+    # its own ramp, not the first one's. A batch wholly at or beyond D_OFF,
     # one row or many, gets exact zeros (+0.0) without the schedule.
     bar, safe = scn.barrier, scn.safeset
     y = rows["y"]
     h = safe.h(y)
     axes = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]])
-    at_off = safe.center + (safe.radius + bar.d_off) * axes
-    assert np.all(safe.h(at_off) == bar.d_off)
-    beyond = np.concatenate([at_off, y[h > bar.d_off]])
-    in_band = y[(h > bar.d_on) & (h < bar.d_off)][:1]
+    at_off = safe.center + (safe.radius + D_OFF) * axes
+    assert np.all(safe.h(at_off) == D_OFF)
+    beyond = np.concatenate([at_off, y[h > D_OFF]])
+    in_band = y[(h > D_ON) & (h < D_OFF)][:1]
     batches = {"mixed": y, "reversed": y[::-1], "one in the band": np.concatenate([beyond, in_band]),
-               "at d_off": at_off, "beyond d_off": beyond, "one row beyond": beyond[-1]}
+               "at D_OFF": at_off, "beyond D_OFF": beyond, "one row beyond": beyond[-1]}
     for name, yb in batches.items():
         B, gB = sa_cost.barrier_B_grad_Bbar(bar, yb)
         np.testing.assert_array_equal(B, sa.barrier_B(bar, yb), err_msg=name)
@@ -153,7 +154,7 @@ def test_barrier_pair_is_the_two_kernels_bit_for_bit(scn, rows, monkeypatch):
         assert np.shape(gB) == np.shape(yb)
 
     def no_schedule(_h):
-        raise AssertionError("schedule evaluated beyond d_off")
+        raise AssertionError("schedule evaluated beyond D_OFF")
 
     monkeypatch.setattr(bar, "schedule", no_schedule)
     for yb in (at_off, beyond, beyond[-1]):
@@ -166,10 +167,10 @@ def test_barrier_pair_is_the_two_kernels_bit_for_bit(scn, rows, monkeypatch):
 
 def test_barrier_pair_checks_the_floor_before_the_band(scn):
     # a row at or below H_MIN fails the batch even when every other row is
-    # beyond d_off; a row at the set center is a BoundaryViolation too, as
+    # beyond D_OFF; a row at the set center is a BoundaryViolation too, as
     # for barrier_B, and a SingularGradient only where the floor admits it
     bar, safe = scn.barrier, scn.safeset
-    far = safe.center + np.array([0.0, safe.radius + 2.0 * bar.d_off])
+    far = safe.center + np.array([0.0, safe.radius + 2.0 * D_OFF])
     for bad in (safe.center + np.array([safe.radius, 0.0]),  # h = 0
                 safe.center + np.array([0.0, -safe.radius - 0.5e-9]),  # h = 5e-10
                 safe.center):  # h = -radius, grad h undefined
@@ -177,11 +178,11 @@ def test_barrier_pair_checks_the_floor_before_the_band(scn):
             with pytest.raises(BoundaryViolation):
                 fun(bar, np.array([far, bad]))
     with pytest.raises(BoundaryViolation):
-        sa.grad_Bbar(bar, np.array([far, safe.center]))  # -radius <= -a
+        sa.grad_Bbar(bar, np.array([far, safe.center]))  # -radius <= -BBAR_OFFSET
     small = sa.CircularSafeSet(center=np.array([2.0, 2.0]), radius=0.3)
-    wide = sa.BarrierSpec(small, k_p=1.0, a=0.5, d_on=0.2, d_off=1.0)
+    wide = sa.BarrierSpec(small, k_p=1.0)
     with pytest.raises(SingularGradient):
-        sa.grad_Bbar(wide, np.array([far, small.center]))  # -radius > -a
+        sa.grad_Bbar(wide, np.array([far, small.center]))  # -radius > -BBAR_OFFSET
 
 
 def _masked_Ru(cost, u):
@@ -255,7 +256,7 @@ def test_one_bad_row_fails_the_batch(scn, rows):
         with pytest.raises(BoundaryViolation):
             fun(bar, y)
     sa.grad_Bbar(bar, y)  # h = 0 > -a: the bounded barrier is still defined
-    y[7] = safe.center + np.array([0.0, safe.radius - 1.5 * bar.a])  # h = -1.5 a
+    y[7] = safe.center + np.array([0.0, safe.radius - 1.5 * BBAR_OFFSET])  # h = -1.5 BBAR_OFFSET
     for fun in (sa.barrier_B, sa.barrier_Bbar, sa.grad_Bbar):
         with pytest.raises(BoundaryViolation):
             fun(bar, y)

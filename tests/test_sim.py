@@ -7,6 +7,7 @@ import pytest
 
 import safeadp as sa
 from safeadp.config import DEFAULTS
+from safeadp.critic import GAMMA0, PROJ_LAYER, WA_BOUND
 
 
 class TestAdpEpisode:
@@ -42,8 +43,8 @@ class TestAdpEpisode:
         # whose Gamma is not positive definite
         assert adp_record.status == "OK"
 
-    def test_weights_bounded(self, adp_record, default_scenario):
-        bound = default_scenario.gains.wa_bound * np.sqrt(1.05)
+    def test_weights_bounded(self, adp_record):
+        bound = WA_BOUND * np.sqrt(1.0 + PROJ_LAYER)
         assert np.max(np.linalg.norm(adp_record.Wa, axis=1)) <= bound + 1e-6
 
     def test_deterministic(self, adp_record, default_scenario):
@@ -73,7 +74,7 @@ class TestAdpEpisode:
         scn = sa.build_scenario(sim__t_final=1.0, gains__kc1=0.0,
                                 gains__kc2=0.0, gains__beta=0.5)
         rec = sa.run_adp_episode(scn)
-        expected = scn.gains.gamma0 * np.exp(0.5 * 1.0)
+        expected = GAMMA0 * np.exp(0.5 * 1.0)
         assert rec.min_eig_gamma[-1] == pytest.approx(expected, rel=1e-6)
 
     def test_origin_is_equilibrium(self):
@@ -94,9 +95,9 @@ class TestAdpEpisode:
         rec = sa.run_adp_episode(scn)
         assert rec.status == "GAIN_INDEFINITE"
         # the rows run up to the accepted step on which Gamma left PD
-        t_cross = scn.gains.gamma0 / 20.0
+        t_cross = GAMMA0 / 20.0
         assert t_cross - scn.sim.dt_out < rec.t[-1] < scn.sim.t_final
-        np.testing.assert_allclose(rec.min_eig_gamma, scn.gains.gamma0 - 20.0 * rec.t,
+        np.testing.assert_allclose(rec.min_eig_gamma, GAMMA0 - 20.0 * rec.t,
                                    rtol=0, atol=1e-9)
 
     def test_one_bellman_call_per_rhs_evaluation(self, monkeypatch):
@@ -250,7 +251,7 @@ class TestAdpEpisode:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_start_state_layout(self, seed):
         # row 0 is the start state: x0, Wc(0) then Wa(0) from the seed's
-        # generator in that order, Gamma(0) = gamma0 I and no cost yet
+        # generator in that order, Gamma(0) = GAMMA0 I and no cost yet
         scn = sa.build_scenario(sim__t_final=1.0, gains__seed=seed)
         rec = sa.run_adp_episode(scn)
         L = scn.staf.L
@@ -259,7 +260,7 @@ class TestAdpEpisode:
         np.testing.assert_array_equal(rec.x[0], scn.sim.x0)
         np.testing.assert_array_equal(rec.Wc[0], Wc0)
         np.testing.assert_array_equal(rec.Wa[0], Wa0)
-        assert rec.min_eig_gamma[0] == scn.gains.gamma0
+        assert rec.min_eig_gamma[0] == GAMMA0
         assert rec.J[0] == 0.0
 
     def test_pack_and_unpack_round_trip(self):
@@ -393,6 +394,28 @@ class TestQpEpisode:
         assert len(rec.t) == 2501
         assert rec.t[-1] == scn.sim.t_final
         np.testing.assert_array_equal(rec.u[-1], rec.u[rec.t >= 24.9 - 1e-9][0])
+
+    @pytest.mark.parametrize("key", ["qp.dt", "sim.dt_out"])
+    @pytest.mark.parametrize("factor", [2.01, 2.5, 4.0])
+    def test_steps_just_above_the_bound_lose_no_hold_or_row(self, monkeypatch, key, factor):
+        # a step above twice the landing tolerance at t_final, which the
+        # config admits: the QP is solved at every hold time of its grid,
+        # and the rows are the row grid
+        t_final = 1e-10
+        solves, qp_controller = [], sa.sim.qp_controller
+
+        def counted(*args):
+            solves.append(args[1])
+            return qp_controller(*args)
+
+        monkeypatch.setattr(sa.sim, "qp_controller", counted)
+        step = factor * float(sa.integrate._edge(t_final))
+        scn = sa.build_scenario(sim__controller="qp", sim__t_final=t_final,
+                                **{key.replace(".", "__"): step})
+        rec = sa.run_qp_episode(scn)
+        assert rec.status == "OK"
+        assert len(solves) == len(sa.sim._output_grid(scn.qp.dt, t_final)) - 1
+        np.testing.assert_array_equal(rec.t, sa.sim._output_grid(scn.sim.dt_out, t_final))
 
     def test_hold_longer_than_the_run(self):
         # qp.dt so far past t_final that no multiple of it but 0 lies below

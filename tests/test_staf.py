@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import safeadp as sa
+from safeadp.cost import BBAR_OFFSET
 from safeadp.oracles import central_difference
 
 
@@ -52,7 +53,7 @@ def test_value_hat(cfg, barrier, safeset):
     assert sa.value_hat(cfg, barrier, np.zeros(3), np.zeros(2), np.zeros(2)) == 0.0
     boundary = safeset.center + np.array([0.0, safeset.radius])
     assert sa.value_hat(cfg, barrier, np.zeros(3), boundary, boundary) == pytest.approx(
-        barrier.k_p / barrier.a)
+        barrier.k_p / BBAR_OFFSET)
     # linear in the critic weights
     rng = np.random.default_rng(11)
     y, x = rng.uniform(-2, 2, size=(2, 2))
