@@ -16,8 +16,8 @@ from .qpsolve import (ControllerQp, QpParams, QpProblem, QpSolution, build_qp,
                       kkt_residuals, qp_controller, solve_qp)
 from .sim import (SimConfig, SummaryReport, TrajectoryRecord, run_adp_episode,
                   run_episode, run_qp_episode, summarize)
-from .staf import (StaFConfig, centers, grad_sigma, kernel_sigma, policy_hat,
-                   policy_star, value_hat)
+from .staf import (StaFConfig, centers, kernel_sigma, policy_hat, policy_star,
+                   value_hat)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

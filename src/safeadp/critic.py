@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost import H_MIN, BarrierSpec, CostSpec, barrier_B_grad_Bbar, input_penalty_Ru
-from .staf import StaFConfig, grad_sigma, policy_star
+from .staf import StaFConfig, centers, policy_star
 
 WA_BOUND = 20.0  # repo default: actor projection radius
 PROJ_LAYER = 0.05  # boundary-layer fraction of the actor projection
@@ -82,7 +82,7 @@ def bellman_at(y, x, Wc, Wa, sys, cost: CostSpec, bar: BarrierSpec,
     BoundaryViolation if any row lies outside the interior.
     """
     y = np.asarray(y, float)
-    C = grad_sigma(cfg, y, x)
+    C = centers(cfg, x)  # the kernel gradient at every y
     B, gB = barrier_B_grad_Bbar(bar, y)
     u = policy_star(cost, sys, np.vecmat(Wa, C) + gB)
     ydot = sys.xdot(y, u)

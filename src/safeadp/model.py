@@ -89,17 +89,18 @@ class CircularSafeSet:
         return nd - self.radius, d / nd[..., None]
 
 
-def cbf_condition(safeset, alpha_scale, x, f, g):
-    """The CBF condition at x as an affine function of the input: (a, b)
-    with L_f h + L_g h u + alpha_scale h = a + b u, per row of x, given the
-    drift f and the input map g at x."""
+def cbf_condition(safeset, alpha_scale, sys: SystemModel, x):
+    """The CBF condition of the plant sys at x as an affine function of the
+    input: (a, b) with L_f h + L_g h u + alpha_scale h = a + b u, per row of
+    x, for the drift A x and the input map B."""
     h, gh = safeset.h_grad(x)
-    return np.vecdot(gh, f) + alpha_scale * h, np.vecmat(gh, g)
+    return np.vecdot(gh, np.matvec(sys.A, x)) + alpha_scale * h, np.vecmat(gh, sys.B)
 
 
-def clf_condition(Q, gamma_scale, x, f, g):
-    """The CLF condition for V(x) = x^T Q x at x as an affine function of
-    the input: (a, b) with L_f V + L_g V u + gamma_scale V = a + b u, per row
-    of x, given the drift f and the input map g at x."""
+def clf_condition(Q, gamma_scale, sys: SystemModel, x):
+    """The CLF condition for V(x) = x^T Q x of the plant sys at x as an
+    affine function of the input: (a, b) with L_f V + L_g V u + gamma_scale
+    V = a + b u, per row of x, for the drift A x and the input map B."""
     gV = 2.0 * np.matvec(Q, x)
-    return np.vecdot(gV, f) + gamma_scale * np.vecdot(np.vecmat(x, Q), x), np.vecmat(gV, g)
+    return (np.vecdot(gV, np.matvec(sys.A, x)) + gamma_scale * np.vecdot(np.vecmat(x, Q), x),
+            np.vecmat(gV, sys.B))

@@ -1,6 +1,7 @@
 """Independent oracles used by the test suite and the `selftest`
 subcommand: exhaustive active-set enumeration for QPs, Gauss-Legendre
-quadrature for the input penalty, and finite-difference gradient checks."""
+quadrature for the input penalty, the closed-form obstacle-free value of
+the boxed single integrator, and finite-difference gradient checks."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from .cost import CostSpec, barrier_B, barrier_Bbar, grad_Bbar, input_penalty_Ru
 from .errors import QpInfeasible
 from .model import CircularSafeSet
 from .qpsolve import QpProblem, solve_qp
-from .staf import grad_sigma, kernel_sigma
+from .staf import centers, kernel_sigma
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -68,6 +69,19 @@ def quadrature_Ru(cost: CostSpec, u):
     return float(2.0 * cost.u_max ** 2 * (cost.r_diag @ integrals))
 
 
+def box_quadratic_value(cost: CostSpec, x):
+    """The optimal cost-to-go of xdot = u with running cost x^T Q x + u^T R u
+    and |u_i| <= u_max, for diagonal Q, per row of x; no safe set. Per
+    component, with a = u_max sqrt(r/q): sqrt(qr) x^2 for |x| <= a, and
+    sqrt(qr) a^2 + q(|x|^3 - a^3)/(3 u_max) + r u_max (|x| - a) beyond."""
+    q, r, ub = np.diag(cost.Q), cost.r_diag, cost.u_max
+    if np.count_nonzero(cost.Q - np.diag(q)):
+        raise ValueError("Q must be diagonal")
+    a, z = ub * np.sqrt(r / q), np.abs(np.asarray(x, float))
+    far = np.sqrt(q * r) * a * a + q * (z ** 3 - a ** 3) / (3.0 * ub) + r * ub * (z - a)
+    return np.where(z <= a, np.sqrt(q * r) * z * z, far).sum(-1)
+
+
 def central_difference(fun, x):
     """Central finite-difference gradient of a scalar function."""
     x = np.asarray(x, float)
@@ -113,7 +127,7 @@ def selftest_gradients():
     for _ in range(GRAD_COUNT):
         x = rng.uniform(-2.0, 2.0, size=2)
         y = rng.uniform(-2.0, 2.0, size=2)
-        G = grad_sigma(cfg, y, x)
+        G = centers(cfg, x)  # sigma's gradient in y
         for i in range(cfg.L):
             fd = central_difference(lambda yy, i=i: kernel_sigma(cfg, yy, x)[i], y)
             worst = max(worst, _rel_err(fd, G[i]))

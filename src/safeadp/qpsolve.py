@@ -340,16 +340,13 @@ class ControllerQp:
 
 def build_qp(ctrl: ControllerQp, x):
     """The QP of `ctrl` at state x: the CBF row reads a_h + b_h u >= 0 and
-    the CLF row b_V u - phi <= -a_V, with the drift f = A x and the input
-    map g = B of the linear plant, and h and grad of h evaluated once. The
+    the CLF row b_V u - phi <= -a_V, each the plant's condition at x. The
     rows are written into fresh copies of A and b, so a problem returned for
     one state is not changed by the next."""
     x = np.asarray(x, float)
-    sys = ctrl.sys
-    f = np.matvec(sys.A, x)
-    a_h, b_h = cbf_condition(ctrl.safeset, ctrl.params.alpha_scale, x, f, sys.B)
-    a_V, b_V = clf_condition(ctrl.cost.Q, ctrl.params.gamma_scale, x, f, sys.B)
-    m = sys.m
+    a_h, b_h = cbf_condition(ctrl.safeset, ctrl.params.alpha_scale, ctrl.sys, x)
+    a_V, b_V = clf_condition(ctrl.cost.Q, ctrl.params.gamma_scale, ctrl.sys, x)
+    m = ctrl.sys.m
     A, b = ctrl.problem.A.copy(), ctrl.problem.b.copy()
     A[0, :m] = -b_h
     b[0] = a_h

@@ -32,6 +32,8 @@ class SimConfig:
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.t_final <= 0 or self.tol <= 0 or self.dt_out <= 0:
             raise ValueError("t_final, tol, and dt_out must be positive")
+        if self.tol >= 1:  # at 1 or more, an OK run can end with a negative total_J
+            raise ValueError("tol must be below 1")
         if self.controller not in ("adp", "qp"):
             raise ValueError("controller must be 'adp' or 'qp'")
 
@@ -147,17 +149,13 @@ def _barrier_columns(safeset, bar, xs):
 
 def _learner_columns(scn, xs, Wcs, Was, hs):
     """u and the Bellman error delta per output row, each row anchored at
-    itself. Rows at or past the boundary (h <= H_MIN) get u from the policy
-    alone and delta = NaN."""
-    sys_, cost, bar, cfg = scn.system, scn.cost, scn.barrier, scn.staf
+    itself: u is policy_hat on every row, and delta is NaN on rows at or
+    past the boundary (h <= H_MIN)."""
     ok = hs > H_MIN
-    on = bellman_at(xs[ok], xs[ok], Wcs[ok], Was[ok], sys_, cost, bar, cfg, scn.gains)
-    us = np.empty((len(hs), sys_.m))
-    us[ok] = on.u
-    us[~ok] = policy_hat(cfg, bar, cost, sys_, Was[~ok], xs[~ok], xs[~ok])
     deltas = np.full(len(hs), np.nan)
-    deltas[ok] = on.delta
-    return us, deltas
+    deltas[ok] = bellman_at(xs[ok], xs[ok], Wcs[ok], Was[ok], scn.system, scn.cost, scn.barrier,
+                            scn.staf, scn.gains).delta
+    return policy_hat(scn.staf, scn.barrier, scn.cost, scn.system, Was, xs), deltas
 
 
 def _record(scn, status, rec, t_start, columns):
@@ -254,7 +252,7 @@ def run_adp_episode(scn):
         _, Wcs, Was, Gammas, Jns, _ = _adp_unpack(states, n, L)
         us, deltas = _learner_columns(scn, xs, Wcs, Was, hs)
         # copies, so that a kept record does not hold every sampled column
-        return dict(u=us, Vhat=value_hat(cfg, bar, Wcs, xs, xs), delta=deltas, Wc=Wcs.copy(),
+        return dict(u=us, Vhat=value_hat(cfg, bar, Wcs, xs), delta=deltas, Wc=Wcs.copy(),
                     Wa=Was.copy(), min_eig_gamma=np.linalg.eigvalsh(Gammas).min(axis=1),
                     c1=_held(hist_t, hist_c1, grid, 0.0), controller="adp",
                     j_native_total=float(Jns[-1]), weak_excitation_flag=flag)

@@ -1,5 +1,6 @@
-"""State-following kernel machinery: moving centers, kernel vector and
-gradient, the approximate value function and the saturated policies."""
+"""State-following kernel machinery: moving centers, the kernel vector
+(whose gradient in the state is the centers), the approximate value
+function and the saturated policies."""
 
 from __future__ import annotations
 
@@ -53,17 +54,10 @@ def kernel_sigma(cfg: StaFConfig, y, x):
     return np.matvec(centers(cfg, x), y)
 
 
-def grad_sigma(cfg: StaFConfig, y, x):
-    """Derivative of kernel_sigma in its first argument, (..., L, n) for
-    the anchor rows of x; centers are held fixed at the anchor, so row i is
-    c_i(x) whatever y is."""
-    return centers(cfg, x)
-
-
-def value_hat(cfg: StaFConfig, bar: BarrierSpec, Wc, y, x):
-    """Approximate value Wc . sigma(y, c(x)) + Bbar(y) per row; Wc (..., L)
-    broadcasts against the rows."""
-    return np.vecdot(Wc, kernel_sigma(cfg, y, x)) + barrier_Bbar(bar, y)
+def value_hat(cfg: StaFConfig, bar: BarrierSpec, Wc, x):
+    """Approximate value Wc . sigma(x, c(x)) + Bbar(x) per row, each row at
+    its own anchor; Wc (..., L) broadcasts against the rows."""
+    return np.vecdot(Wc, kernel_sigma(cfg, x, x)) + barrier_Bbar(bar, x)
 
 
 def policy_star(cost: CostSpec, sys, gradV):
@@ -73,9 +67,10 @@ def policy_star(cost: CostSpec, sys, gradV):
     return -cost.u_max * np.tanh(arg)
 
 
-def policy_hat(cfg: StaFConfig, bar: BarrierSpec, cost: CostSpec, sys, Wa, y, x):
-    """Approximate policy per row: saturated form driven by the actor
-    weights Wa (..., L) and the bounded-barrier gradient; strictly inside
-    the input box."""
-    D = np.vecmat(Wa, grad_sigma(cfg, y, x)) + grad_Bbar(bar, y)
+def policy_hat(cfg: StaFConfig, bar: BarrierSpec, cost: CostSpec, sys, Wa, x):
+    """Approximate policy per row, each row at its own anchor: saturated
+    form driven by the actor weights Wa (..., L) and the bounded-barrier
+    gradient; strictly inside the input box. The kernel gradient is the
+    centers, since sigma is linear in its first argument."""
+    D = np.vecmat(Wa, centers(cfg, x)) + grad_Bbar(bar, x)
     return policy_star(cost, sys, D)

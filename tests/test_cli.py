@@ -411,6 +411,10 @@ class TestConfig:
         ("barrier.k_p = 0", "barrier: k_p must be positive"),
         ("sim.dt_out = 0", "sim: t_final, tol, and dt_out must be positive"),
         ("sim.tol = 0", "sim: t_final, tol, and dt_out must be positive"),
+        # a relative error of 100 % or more lets an OK run end with a
+        # negative integral of a nonnegative cost
+        ("sim.tol = 1", "sim: tol must be below 1"),
+        ("sim.tol = 1e300", "sim: tol must be below 1"),
         ("safeset.radius = 0", "safeset: radius must be positive"),
         ("staf.offsets = [0.0, -1.0]", "staf: offsets must be an L x n array"),
         # not config keys: the one tolerance is sim.tol, and theta's scale,

@@ -4,7 +4,7 @@ import pytest
 import safeadp as sa
 from safeadp.cost import BBAR_OFFSET, D_OFF, D_ON
 from safeadp.errors import BoundaryViolation, InputOutOfBox
-from safeadp.oracles import quadrature_Ru
+from safeadp.oracles import box_quadratic_value, central_difference, quadrature_Ru
 
 
 def _h_point(safeset, h):
@@ -157,3 +157,39 @@ class TestInstantaneousCost:
             u = rng.uniform(-0.5, 0.5, size=2)
             r = sa.instantaneous_cost(cost_spec, barrier, x, u)
             assert r >= np.linalg.eigvalsh(cost_spec.Q)[0] * float(x @ x) - 1e-12
+
+
+class TestBoxQuadraticValue:
+    # the obstacle-free optimum of xdot = u under x^T Q x + u^T R u and the
+    # input box, the floor the reference runs' J is checked against
+    @pytest.mark.parametrize("Q, r_diag", [(np.eye(2), [10.0, 10.0]),
+                                           (np.diag([2.0, 0.5]), [10.0, 3.0])])
+    def test_solves_its_own_hjb(self, Q, r_diag):
+        # 0 = min over the box of x^T Q x + u^T R u + grad V . u, attained at
+        # the clipped unconstrained minimiser, on both sides of |x_i| = a_i
+        cost = sa.CostSpec(Q=Q, r_diag=np.array(r_diag), u_max=0.5)
+        rng = np.random.default_rng(30)
+        a = cost.u_max * np.sqrt(cost.r_diag / np.diag(Q))
+        inside = beyond = 0
+        for _ in range(100):
+            x = rng.uniform(-3.0, 3.0, size=2) * a
+            inside, beyond = inside + np.all(np.abs(x) < a), beyond + np.all(np.abs(x) > a)
+            gV = central_difference(lambda y: box_quadratic_value(cost, y), x)
+            u = np.clip(-gV / (2.0 * cost.r_diag), -cost.u_max, cost.u_max)
+            xQx = cost.state_cost(x)
+            residual = xQx + cost.quadratic_input_cost(u) + gV @ u
+            assert abs(residual) <= 1e-5 * max(1.0, xQx), (x, residual)
+        assert inside >= 5 and beyond >= 30
+
+    def test_rows_and_the_default_start(self, cost_spec):
+        x = np.array([[3.0, 3.5], [0.1, -0.2], [0.0, 0.0]])
+        v = box_quadratic_value(cost_spec, x)
+        assert v.shape == (3,)
+        np.testing.assert_array_equal(v, [box_quadratic_value(cost_spec, row) for row in x])
+        assert v[0] == pytest.approx(73.81287, abs=1e-5)
+        assert v[1] == pytest.approx(np.sqrt(10.0) * 0.05) and v[2] == 0.0
+
+    def test_refuses_a_coupled_q(self):
+        cost = sa.CostSpec(Q=[[2.0, 0.5], [0.5, 1.0]], r_diag=np.array([10.0, 10.0]), u_max=0.5)
+        with pytest.raises(ValueError, match="Q must be diagonal"):
+            box_quadratic_value(cost, np.zeros(2))

@@ -56,9 +56,9 @@ class TestBellman:
                 continue
             Wc, Wa = rng.normal(size=(2, 3))
             s = _bell(setup, x, x, Wc, Wa)
-            u = sa.policy_hat(cfg, bar, cost, sys_, Wa, x, x)
+            u = sa.policy_hat(cfg, bar, cost, sys_, Wa, x)
             xdot = sys_.A @ x + sys_.B @ u
-            gradV = sa.grad_sigma(cfg, x, x).T @ Wc + sa.grad_Bbar(bar, x)
+            gradV = sa.centers(cfg, x).T @ Wc + sa.grad_Bbar(bar, x)
             ref = float(gradV @ xdot) + sa.instantaneous_cost(cost, bar, x, u)
             assert s.delta == pytest.approx(ref, abs=1e-10)
 

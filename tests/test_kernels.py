@@ -69,23 +69,23 @@ def test_geometry_and_system_kernels(scn, rows):
     assert_within_ulps(safe.h(y), row_by_row(safe.h, y))
     for part in (0, 1):  # h and grad h
         assert_within_ulps(safe.h_grad(y)[part], row_by_row(lambda a: safe.h_grad(a)[part], y))
-    assert_within_ulps(sys_.xdot(y, u), row_by_row(sys_.xdot, y, u))
-
-    def cbf_margin(x, v):  # cbf_condition's a + b u
-        a, b = sa.cbf_condition(safe, 2.0, x, np.matvec(sys_.A, x), sys_.B)
-        return a + np.vecdot(b, v)
-
-    assert_within_ulps(cbf_margin(y, u), row_by_row(cbf_margin, y, u))
-    Q = np.array([[2.0, 0.5], [0.5, 1.0]])
-
-    def clf_margin(x, v):  # clf_condition's a + b u
-        a, b = sa.clf_condition(Q, 10.0, x, np.matvec(sys_.A, x), sys_.B)
-        return a + np.vecdot(b, v)
-
-    assert_within_ulps(clf_margin(y, u), row_by_row(clf_margin, y, u))
     lin = sa.SystemModel(A=np.array([[0.0, 1.0], [-1.0, -0.5]]),
                          B=np.array([[0.0, 0.3], [1.0, 0.2]]))
-    assert_within_ulps(lin.xdot(y, u), row_by_row(lin.xdot, y, u))
+    Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+    for plant in (sys_, lin):  # the conditions read the drift A x and B from the plant
+        assert_within_ulps(plant.xdot(y, u), row_by_row(plant.xdot, y, u))
+
+        def cbf_margin(x, v):  # cbf_condition's a + b u
+            a, b = sa.cbf_condition(safe, 2.0, plant, x)
+            return a + np.vecdot(b, v)
+
+        assert_within_ulps(cbf_margin(y, u), row_by_row(cbf_margin, y, u))
+
+        def clf_margin(x, v):  # clf_condition's a + b u
+            a, b = sa.clf_condition(Q, 10.0, plant, x)
+            return a + np.vecdot(b, v)
+
+        assert_within_ulps(clf_margin(y, u), row_by_row(clf_margin, y, u))
 
 
 def test_cost_kernels(scn, rows):
@@ -220,15 +220,12 @@ def test_staf_kernels(scn, rows):
     assert_within_ulps(sa.centers(cfg, x), row_by_row(lambda a: sa.centers(cfg, a), x))
     assert_within_ulps(sa.kernel_sigma(cfg, y, x),
                        row_by_row(lambda a, b: sa.kernel_sigma(cfg, a, b), y, x))
-    assert_within_ulps(sa.grad_sigma(cfg, y, x),
-                       row_by_row(lambda a, b: sa.grad_sigma(cfg, a, b), y, x))
-    assert_within_ulps(sa.value_hat(cfg, bar, Wc, y, x),
-                       row_by_row(lambda w, a, b: sa.value_hat(cfg, bar, w, a, b), Wc, y, x))
+    assert_within_ulps(sa.value_hat(cfg, bar, Wc, y),
+                       row_by_row(lambda w, a: sa.value_hat(cfg, bar, w, a), Wc, y))
     assert_within_ulps(sa.policy_star(cost, sys_, Wa[:, :2]),
                        row_by_row(lambda g: sa.policy_star(cost, sys_, g), Wa[:, :2]))
-    assert_within_ulps(sa.policy_hat(cfg, bar, cost, sys_, Wa, y, x),
-                       row_by_row(lambda w, a, b: sa.policy_hat(cfg, bar, cost, sys_, w, a, b),
-                                  Wa, y, x))
+    assert_within_ulps(sa.policy_hat(cfg, bar, cost, sys_, Wa, y),
+                       row_by_row(lambda w, a: sa.policy_hat(cfg, bar, cost, sys_, w, a), Wa, y))
 
 
 @pytest.mark.parametrize("anchor", ["per-row", "shared"])
@@ -263,7 +260,8 @@ def test_one_bad_row_fails_the_batch(scn, rows):
 
 
 def test_postprocessing_rows_at_the_boundary(scn, rows):
-    # rows with h <= H_MIN: B = inf, delta = NaN and u from policy_hat
+    # every row's u is policy_hat at the row; rows with h <= H_MIN get
+    # B = inf and delta = NaN, and on the others bellman_at's u agrees
     safe = scn.safeset
     xs = rows["y"].copy()
     bad = [3, 120]
@@ -278,8 +276,7 @@ def test_postprocessing_rows_at_the_boundary(scn, rows):
     assert np.all(np.isfinite(Bs[good])) and np.all(np.isfinite(deltas[good]))
     for i in bad:
         np.testing.assert_array_equal(
-            us[i], sa.policy_hat(scn.staf, scn.barrier, scn.cost, scn.system,
-                                 Was[i], xs[i], xs[i]))
+            us[i], sa.policy_hat(scn.staf, scn.barrier, scn.cost, scn.system, Was[i], xs[i]))
     on = sa.bellman_at(xs[good], xs[good], Wcs[good], Was[good], scn.system, scn.cost,
                        scn.barrier, scn.staf, scn.gains)
     np.testing.assert_array_equal(us[good], on.u)

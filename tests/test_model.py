@@ -62,7 +62,7 @@ def test_boundary_iff_radius(safeset):
 def _cbf_margin(sys_, safeset, alpha_scale, x, u):
     """L_f h + L_g h u + alpha_scale h, as cbf_condition's a + b u."""
     x = np.asarray(x, float)
-    a, b = sa.cbf_condition(safeset, alpha_scale, x, np.matvec(sys_.A, x), sys_.B)
+    a, b = sa.cbf_condition(safeset, alpha_scale, sys_, x)
     return a + np.vecdot(b, u)
 
 
@@ -78,7 +78,7 @@ def test_cbf_margin_examples(safeset):
 def _clf_margin(sys_, Q, gamma_scale, x, u):
     """L_f V + L_g V u + gamma_scale V, as clf_condition's a + b u."""
     x = np.asarray(x, float)
-    a, b = sa.clf_condition(Q, gamma_scale, x, np.matvec(sys_.A, x), sys_.B)
+    a, b = sa.clf_condition(Q, gamma_scale, sys_, x)
     return a + np.vecdot(b, u)
 
 

@@ -6,17 +6,38 @@ NumPy releases, so they are checked only on request).
 
 After a change that is meant to move these runs, `python
 tests/reference_runs.py` rewrites the table; no run is ever dropped from it.
+
+Every run on the single integrator (A = 0, B = I) also meets the
+obstacle-free optimum V_q of `oracles.box_quadratic_value` on every row:
+J(t) + V_q(x(t)) >= V_q(x0), since its input stays in the box and the
+obstacle only adds constraints.
 """
 
 import math
 import os
 
+import numpy as np
 import pytest
 
 from reference_runs import VALUES, WORK, load, outcome
 
+import safeadp as sa
+from safeadp.oracles import box_quadratic_value
+
 RUNS = load()
 CHECK_BYTES = os.environ.get("SAFEADP_REFERENCE_BYTES") == "1"
+
+
+def _scenario(run):
+    return sa.build_scenario({**sa.DEFAULTS, **run["overrides"]})
+
+
+def _on_the_single_integrator(run):
+    system = _scenario(run).system
+    return not system.A.any() and np.array_equal(system.B, np.eye(system.n))
+
+
+SINGLE_INTEGRATOR = [run for run in RUNS if _on_the_single_integrator(run)]
 
 
 def test_table_holds_the_fourteen_runs():
@@ -40,3 +61,17 @@ def test_reference_run_is_reproduced(run):
     if CHECK_BYTES:
         assert got["csv_sha256"] == run["csv_sha256"]
         assert got["summary_sha256"] == run["summary_sha256"]
+
+
+def test_ten_runs_are_on_the_single_integrator():
+    assert len(SINGLE_INTEGRATOR) == 10
+
+
+@pytest.mark.parametrize("run", SINGLE_INTEGRATOR, ids=[run["name"] for run in SINGLE_INTEGRATOR])
+def test_cost_meets_the_obstacle_free_optimum(run):
+    # a violation is a wrong cost integral or an input outside the box
+    scn = _scenario(run)
+    rec = sa.run_episode(scn)
+    v0 = box_quadratic_value(scn.cost, scn.sim.x0)
+    margin = rec.J + box_quadratic_value(scn.cost, rec.x) - v0
+    assert margin.min() >= -1e-12 * v0, (int(margin.argmin()), margin.min(), v0)

@@ -564,8 +564,7 @@ class TestQpEpisode:
 def _cbf_margin(scn, rec):
     # the CBF condition a + b u of Proposition 1 at each row's state and
     # held input, with the scenario's alpha_scale
-    a, b = sa.cbf_condition(scn.safeset, scn.qp.alpha_scale, rec.x,
-                            np.matvec(scn.system.A, rec.x), scn.system.B)
+    a, b = sa.cbf_condition(scn.safeset, scn.qp.alpha_scale, scn.system, rec.x)
     return a + np.vecdot(b, rec.u)
 
 

@@ -41,26 +41,24 @@ def test_grad_sigma_rows_are_centers(cfg):
     for _ in range(100):
         x = rng.uniform(-2, 2, size=2)
         y = rng.uniform(-2, 2, size=2)
-        G = sa.grad_sigma(cfg, y, x)
-        C = sa.centers(cfg, x)
-        np.testing.assert_allclose(G, C)
+        C = sa.centers(cfg, x)  # sigma's gradient in y, whatever y is
         for i in range(cfg.L):
             fd = central_difference(lambda yy, i=i: sa.kernel_sigma(cfg, yy, x)[i], y)
-            assert np.linalg.norm(fd - G[i]) <= 1e-6 * max(np.linalg.norm(G[i]), 1.0)
+            assert np.linalg.norm(fd - C[i]) <= 1e-6 * max(np.linalg.norm(C[i]), 1.0)
 
 
 def test_value_hat(cfg, barrier, safeset):
-    assert sa.value_hat(cfg, barrier, np.zeros(3), np.zeros(2), np.zeros(2)) == 0.0
+    assert sa.value_hat(cfg, barrier, np.zeros(3), np.zeros(2)) == 0.0
     boundary = safeset.center + np.array([0.0, safeset.radius])
-    assert sa.value_hat(cfg, barrier, np.zeros(3), boundary, boundary) == pytest.approx(
+    assert sa.value_hat(cfg, barrier, np.zeros(3), boundary) == pytest.approx(
         barrier.k_p / BBAR_OFFSET)
-    # linear in the critic weights
+    # linear in the critic weights at the anchor
     rng = np.random.default_rng(11)
-    y, x = rng.uniform(-2, 2, size=(2, 2))
+    x = rng.uniform(-2, 2, size=2)
     w1, w2 = rng.normal(size=(2, 3))
-    bb = sa.barrier_Bbar(barrier, y)
-    lhs = sa.value_hat(cfg, barrier, w1 + w2, y, x) - bb
-    rhs = (sa.value_hat(cfg, barrier, w1, y, x) - bb) + (sa.value_hat(cfg, barrier, w2, y, x) - bb)
+    bb = sa.barrier_Bbar(barrier, x)
+    lhs = sa.value_hat(cfg, barrier, w1 + w2, x) - bb
+    rhs = (sa.value_hat(cfg, barrier, w1, x) - bb) + (sa.value_hat(cfg, barrier, w2, x) - bb)
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -81,7 +79,7 @@ def test_policy_star_examples(cost_spec):
 def test_policy_hat_zero_when_inactive(cfg, barrier, cost_spec):
     sys_ = sa.build_scenario().system
     y = np.array([-1.0, -1.0])  # scheduling off, so the barrier gradient vanishes
-    u = sa.policy_hat(cfg, barrier, cost_spec, sys_, np.zeros(3), y, y)
+    u = sa.policy_hat(cfg, barrier, cost_spec, sys_, np.zeros(3), y)
     assert np.all(u == 0.0)
 
 
@@ -90,9 +88,9 @@ def test_policy_hat_saturates_with_weight_growth(cfg, barrier, cost_spec):
     y = np.array([1.0, 1.0])
     w = np.ones(3)
     for scale in (1e2, 1e4):
-        u = sa.policy_hat(cfg, barrier, cost_spec, sys_, scale * w, y, y)
+        u = sa.policy_hat(cfg, barrier, cost_spec, sys_, scale * w, y)
         assert np.all(np.abs(u) <= 0.5)
-    u = sa.policy_hat(cfg, barrier, cost_spec, sys_, 1e6 * w, y, y)
+    u = sa.policy_hat(cfg, barrier, cost_spec, sys_, 1e6 * w, y)
     np.testing.assert_allclose(np.abs(u), 0.5, atol=1e-9)
 
 
@@ -105,7 +103,7 @@ def test_policy_hat_never_exceeds_box(cfg, barrier, cost_spec, safeset):
         if safeset.h(y) < 0.05:
             continue
         w = rng.normal(scale=5.0, size=3)
-        u = sa.policy_hat(cfg, barrier, cost_spec, sys_, w, y, y)
+        u = sa.policy_hat(cfg, barrier, cost_spec, sys_, w, y)
         assert np.all(np.abs(u) <= 0.5)
         strict += int(np.all(np.abs(u) < 0.5))
     assert strict > 100  # saturation to exactly u_max is the rare case
@@ -122,7 +120,7 @@ def test_policy_hat_matches_explicit_formula(cfg, barrier, cost_spec):
         C = x[None, :] + th * cfg.offsets
         D = C.T @ w + sa.grad_Bbar(barrier, x)
         expected = -0.5 * np.tanh(D / (2.0 * 0.5 * cost_spec.r_diag))
-        got = sa.policy_hat(cfg, barrier, cost_spec, sys_, w, x, x)
+        got = sa.policy_hat(cfg, barrier, cost_spec, sys_, w, x)
         np.testing.assert_allclose(got, expected, atol=1e-14)
 
 
