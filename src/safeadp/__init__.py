@@ -5,8 +5,8 @@ from .config import DEFAULTS, Scenario, build_scenario, parse_config
 from .cost import (BarrierSpec, CostSpec, barrier_B, barrier_Bbar, grad_Bbar,
                    input_penalty_Ru, instantaneous_cost)
 from .critic import (BellmanSample, LearnerGains, actor_rhs, bellman_at,
-                     critic_rhs, excitation_metrics, gamma_rhs,
-                     sample_extrapolation_points, weak_excitation)
+                     critic_rhs, excitation_history, gamma_rhs,
+                     sample_extrapolation_points)
 from .errors import (BoundaryViolation, ConfigError, InputOutOfBox,
                      QpInfeasible, QpSolverFailed, RunEnded, SafeAdpError,
                      SingularGradient)

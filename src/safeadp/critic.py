@@ -1,6 +1,6 @@
 """Online learner: Bellman-error evaluation, extrapolation-point sampling,
 normalized-gradient critic update, gain-matrix dynamics, projected actor
-update, and excitation monitoring."""
+update, and the excitation history."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ WA_BOUND = 20.0  # repo default: actor projection radius
 PROJ_LAYER = 0.05  # boundary-layer fraction of the actor projection
 GAMMA0 = 1.0  # repo default: Gamma(0) = GAMMA0 * I
 WEAK_EXCITATION_TOL = 1e-8  # every excitation surrogate below it flags weak excitation
-PE_WINDOW = 1.0  # s: the trailing span of history that c2_window and c3_window integrate
+PE_WINDOW = 1.0  # s: the trailing span of history that c2 and c3 integrate
 
 
 @dataclass(frozen=True)
@@ -154,29 +154,24 @@ def actor_rhs(gains: LearnerGains, Wa, Wc):
     return mu - theta * (outward / nw2) * Wa
 
 
-def excitation_metrics(times, mean_Lambda_hist, Lambda_hist, window):
-    """Empirical excitation surrogates.
+def excitation_history(times, lam, window):
+    """The excitation history of a run at its redraw times (at least one),
+    from the Lambda array (K, N + 1, L, L) of each redraw's rows: row 0 on the
+    trajectory, rows 1..N extrapolated.
 
-    c1_now: min eigenvalue of the latest mean extrapolated regressor.
-    c2_window / c3_window: min eigenvalues of the trapezoid-rule time
-    integrals of the mean extrapolated regressor and the on-trajectory
-    regressor over the trailing window.
+    Returns c1 at each redraw, the min eigenvalue of the mean extrapolated
+    Lambda, and the weak-excitation flag: true when c1 at the last redraw
+    and c2 / c3, the min eigenvalues of the trapezoid-rule time integrals of
+    the mean extrapolated and the on-trajectory Lambda over the trailing
+    window, are all below WEAK_EXCITATION_TOL.
     """
     times = np.asarray(times, float)
-    if times.size == 0:
-        raise ValueError("history is empty")
-    mean_Lambda_hist = np.asarray(mean_Lambda_hist, float)
-    Lambda_hist = np.asarray(Lambda_hist, float)
-    c1 = float(np.linalg.eigvalsh(mean_Lambda_hist[-1])[0])
-    t_end = times[-1]
-    mask = times >= t_end - window
+    lam_mean = lam[:, 1:].sum(axis=1) / (lam.shape[1] - 1)
+    c1 = np.linalg.eigvalsh(lam_mean)[:, 0]
+    mask = times >= times[-1] - window
     tw = times[mask]
     c2 = c3 = 0.0
     if tw.size >= 2:
-        c2 = float(np.linalg.eigvalsh(np.trapezoid(mean_Lambda_hist[mask], tw, axis=0))[0])
-        c3 = float(np.linalg.eigvalsh(np.trapezoid(Lambda_hist[mask], tw, axis=0))[0])
-    return {"c1_now": c1, "c2_window": c2, "c3_window": c3}
-
-
-def weak_excitation(metrics):
-    return all(v < WEAK_EXCITATION_TOL for v in metrics.values())
+        c2 = np.linalg.eigvalsh(np.trapezoid(lam_mean[mask], tw, axis=0))[0]
+        c3 = np.linalg.eigvalsh(np.trapezoid(lam[mask, 0], tw, axis=0))[0]
+    return c1, all(c < WEAK_EXCITATION_TOL for c in (c1[-1], c2, c3))

@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite and the `selftest`
 subcommand: exhaustive active-set enumeration for QPs, Gauss-Legendre
-quadrature for the input penalty, the closed-form obstacle-free value of
-the boxed single integrator, and finite-difference gradient checks."""
+quadrature for the input penalty, the obstacle-free values of the boxed
+single integrator (closed form under the quadratic input cost, quadrature
+under the saturating penalty), and finite-difference gradient checks."""
 
 from __future__ import annotations
 
@@ -26,6 +27,11 @@ SELFTEST_SEED = 0
 GRAD_COUNT, GRAD_TOL = 100, 1e-5
 QP_COUNT, QP_TOL_V, QP_TOL_OBJ = 500, 1e-6, 1e-8
 QUAD_COUNT, QUAD_TOL = 200, 1e-8
+VALUE_COUNT, VALUE_TOL = 100, 1e-5  # the HJB residual over max(1, x^T Q x)
+# the largest w = q x_i^2 / (2 u_max^2 r_i) the value suite samples: there
+# tanh(V'/(2 u_max r)) = sqrt(1 - e^(-2w)) stays below 1 - 1e-12, where
+# input_penalty_Ru switches to its corner limit (w of about 13.5)
+VALUE_W_MAX = 12.0
 
 
 def enumerate_qp(prob: QpProblem):
@@ -69,17 +75,39 @@ def quadrature_Ru(cost: CostSpec, u):
     return float(2.0 * cost.u_max ** 2 * (cost.r_diag @ integrals))
 
 
+def _diagonal_q(cost: CostSpec):
+    """Q's diagonal; the obstacle-free values decouple only for a diagonal Q."""
+    q = np.diag(cost.Q)
+    if np.count_nonzero(cost.Q - np.diag(q)):
+        raise ValueError("Q must be diagonal")
+    return q
+
+
 def box_quadratic_value(cost: CostSpec, x):
     """The optimal cost-to-go of xdot = u with running cost x^T Q x + u^T R u
     and |u_i| <= u_max, for diagonal Q, per row of x; no safe set. Per
     component, with a = u_max sqrt(r/q): sqrt(qr) x^2 for |x| <= a, and
     sqrt(qr) a^2 + q(|x|^3 - a^3)/(3 u_max) + r u_max (|x| - a) beyond."""
-    q, r, ub = np.diag(cost.Q), cost.r_diag, cost.u_max
-    if np.count_nonzero(cost.Q - np.diag(q)):
-        raise ValueError("Q must be diagonal")
+    q, r, ub = _diagonal_q(cost), cost.r_diag, cost.u_max
     a, z = ub * np.sqrt(r / q), np.abs(np.asarray(x, float))
     far = np.sqrt(q * r) * a * a + q * (z ** 3 - a ** 3) / (3.0 * ub) + r * ub * (z - a)
     return np.where(z <= a, np.sqrt(q * r) * z * z, far).sum(-1)
+
+
+def box_native_value(cost: CostSpec, x):
+    """The optimal cost-to-go of xdot = u with the paper's running cost
+    x^T Q x + Ru(u) (the saturating input penalty, |u_i| < u_max), for
+    diagonal Q, per row of x; no safe set. Per component
+    V'(s) = 2 u_max r acosh(exp(w)), w = q s^2 / (2 u_max^2 r), with
+    u* = -u_max tanh(V' / (2 u_max r)); V' is integrated over [0, |x|] by
+    64-point Gauss-Legendre, with acosh(e^w) = w + log1p(sqrt(-expm1(-2w)))
+    so that a large |x| does not overflow."""
+    q, r, ub = _diagonal_q(cost), cost.r_diag[:, None], cost.u_max
+    z = np.abs(np.asarray(x, float))
+    s = 0.5 * z[..., None] * (1.0 + _GL_NODES)
+    w = q[:, None] * s * s / (2.0 * ub * ub * r)
+    dV = 2.0 * ub * r * (w + np.log1p(np.sqrt(-np.expm1(-2.0 * w))))
+    return (0.5 * z * (dV @ _GL_WEIGHTS)).sum(-1)
 
 
 def central_difference(fun, x):
@@ -204,10 +232,36 @@ def selftest_quadrature():
              f"max rel err {worst:.3e}, corner err {abs(limit - limit_ref):.3e}")]
 
 
+def selftest_values():
+    """The obstacle-free values V_q and V_nat (default scenario's cost) vs
+    their HJB equations, 0 = x^T Q x + cost(u*) + grad V . u*, with grad V
+    by central differences: u* the clipped minimiser of u^T R u + grad V . u
+    for V_q, and -u_max tanh(grad V / (2 u_max r)) under the input penalty
+    for V_nat; |x_i| up to w = VALUE_W_MAX."""
+    rng = np.random.default_rng(SELFTEST_SEED)
+    cost = build_scenario().cost
+    ub, r = cost.u_max, cost.r_diag
+    x_max = ub * np.sqrt(2.0 * r * VALUE_W_MAX / np.diag(cost.Q))
+    worst_q = worst_nat = 0.0
+    for _ in range(VALUE_COUNT):
+        x = rng.uniform(-x_max, x_max)
+        xQx = cost.state_cost(x)
+        gV = central_difference(lambda y: box_quadratic_value(cost, y), x)
+        u = np.clip(-gV / (2.0 * r), -ub, ub)
+        worst_q = max(worst_q, abs(xQx + cost.quadratic_input_cost(u) + gV @ u) / max(1.0, xQx))
+        gV = central_difference(lambda y: box_native_value(cost, y), x)
+        u = -ub * np.tanh(gV / cost.two_umax_r)
+        worst_nat = max(worst_nat, abs(xQx + input_penalty_Ru(cost, u) + gV @ u) / max(1.0, xQx))
+    return [("obstacle-free values V_q, V_nat vs their HJB equations",
+             max(worst_q, worst_nat) <= VALUE_TOL,
+             f"max rel residual V_q {worst_q:.3e}, V_nat {worst_nat:.3e}")]
+
+
 def run_selftest():
     """All oracle suites; returns list of (name, passed, detail)."""
     results = []
     results += selftest_gradients()
     results += selftest_qp()
     results += selftest_quadrature()
+    results += selftest_values()
     return results

@@ -10,8 +10,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cost import H_MIN, barrier_B
-from .critic import (GAMMA0, PE_WINDOW, actor_rhs, bellman_at, critic_rhs, excitation_metrics,
-                     gamma_rhs, sample_extrapolation_points, weak_excitation)
+from .critic import (GAMMA0, PE_WINDOW, actor_rhs, bellman_at, critic_rhs, excitation_history,
+                     gamma_rhs, sample_extrapolation_points)
 from .errors import QpInfeasible, QpSolverFailed, RunEnded
 from .integrate import _edge, integrate_adaptive
 from .qpsolve import ControllerQp, qp_controller
@@ -210,18 +210,14 @@ def run_adp_episode(scn):
                    GAMMA0 * np.eye(L), 0.0, 0.0)
     check_start(safeset, sim.x0)
 
-    # each redraw's time and points, which the rhs reads the last of, and
-    # the Lambda of the rhs evaluation right after each redraw
-    redraw_ts, drawn, lams = [], [], []
+    redraws = []  # (t, s, points) per redraw; the rhs reads the last one's points
 
     def rhs(t, s):
         x, Wc, Wa, Gamma, _, _ = _adp_unpack(s, n, L)
         # rows [x, p_1..p_N]; row 0 is the on-trajectory sample: its ydot
         # and state cost are the plant's at (x, u)
-        rows = bellman_at(np.concatenate((x[None], drawn[-1])), x[None], Wc[None], Wa[None],
+        rows = bellman_at(np.concatenate((x[None], redraws[-1][2])), x[None], Wc[None], Wa[None],
                           sys_, cost, bar, cfg, gains)
-        if len(lams) < len(drawn):
-            lams.append(rows.Lambda)
         r_native = rows.delta[0] - float(Wc @ rows.omega[0]) - rows.omega_B[0]
         return _adp_pack(rows.ydot[0], critic_rhs(gains, Gamma, rows), actor_rhs(gains, Wa, Wc),
                          gamma_rhs(gains, Gamma, rows), r_native,
@@ -232,21 +228,22 @@ def run_adp_episode(scn):
         x, _, _, Gamma, _, _ = _adp_unpack(s, n, L)
         if np.linalg.eigvalsh(Gamma)[0] <= 0:
             raise RunEnded("GAIN_INDEFINITE")
-        redraw_ts.append(t)
-        drawn.append(sample_extrapolation_points(rng, x, gains.N, cfg, safeset))
+        redraws.append((t, s, sample_extrapolation_points(rng, x, gains.N, cfg, safeset)))
         return True  # the rhs reads the new points from here on
 
     status, rec = integrate_adaptive(rhs, 0.0, s0, sim.t_final, tol=sim.tol, on_accept=on_accept)
 
     # the excitation history: each redraw after the start's, at its own
-    # time, read from the rhs evaluation right after it (a hook that ends
+    # time, state and points, in one batched evaluation (a hook that ends
     # the run draws none)
-    hist_t, hist_c1, flag = redraw_ts[1:len(lams)], [], False
-    if hist_t:
-        lam = np.array(lams[1:])
-        lam_mean = lam[:, 1:].sum(axis=1) / gains.N
-        hist_c1 = np.linalg.eigvalsh(lam_mean)[:, 0]
-        flag = weak_excitation(excitation_metrics(hist_t, lam_mean, lam[:, 0], PE_WINDOW))
+    hist_t, hist_c1, flag = (), (), False
+    if len(redraws) > 1:
+        hist_t, ss, pts = zip(*redraws[1:])
+        x, Wc, Wa, _, _, _ = _adp_unpack(np.array(ss), n, L)
+        ys = np.concatenate((x[:, None], np.array(pts)), axis=1)
+        lam = bellman_at(ys, x[:, None], Wc[:, None], Wa[:, None], sys_, cost, bar, cfg,
+                         gains).Lambda
+        hist_c1, flag = excitation_history(hist_t, lam, PE_WINDOW)
 
     def columns(grid, states, xs, hs):
         _, Wcs, Was, Gammas, Jns, _ = _adp_unpack(states, n, L)

@@ -12,10 +12,19 @@ across NumPy releases).
 
 runs every entry again and rewrites the recorded outcomes in place; the
 list of runs and their overrides are kept as they are.
+
+    python tests/reference_runs.py --check
+
+runs every entry again and prints, per run, the largest relative gap of
+its five summary values from the table's and whether its CSV and summary
+SHA-256 match. It never writes the table and exits 0 whatever the gaps
+are: it reports how far a NumPy release is from the table, and the
+reference-run tests are the gate.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -62,6 +71,36 @@ def rewrite():
     return runs
 
 
+def _gap(have, want):
+    """The relative gap of a summary value from the table's; a value that
+    is null (non-finite) on one side only is an infinite gap."""
+    if have is None or want is None:
+        return 0.0 if have is want else float("inf")
+    return abs(have - want) / abs(want) if want else abs(have)
+
+
+def check():
+    """Print each run's largest relative summary-value gap and its hash
+    matches, then the largest gap over all runs; the table is not written."""
+    runs, worst = load(), 0.0
+    for run in runs:
+        got = outcome(run["overrides"])
+        gap = max(_gap(got["values"][key], want) for key, want in run["values"].items())
+        worst = max(worst, gap)
+        same = {key: "match" if got[key] == run[key] else "differ"
+                for key in ("csv_sha256", "summary_sha256")}
+        print(f"{run['name']}: max rel gap {gap:.3e}, csv sha256 {same['csv_sha256']}, "
+              f"summary sha256 {same['summary_sha256']}")
+    print(f"largest rel gap over {len(runs)} runs: {worst:.3e}")
+
+
 if __name__ == "__main__":
-    for run in rewrite():
-        print(f"{run['name']}: {run['status']}, {run['rows']} rows")
+    parser = argparse.ArgumentParser(description="Rewrite, or with --check compare against, "
+                                     "the reference-run table.")
+    parser.add_argument("--check", action="store_true",
+                        help="print each run's gap from the table; write nothing")
+    if parser.parse_args().check:
+        check()
+    else:
+        for run in rewrite():
+            print(f"{run['name']}: {run['status']}, {run['rows']} rows")

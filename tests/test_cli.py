@@ -717,7 +717,7 @@ class TestSelftest:
         assert code == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("[PASS]") >= 6
+        assert out.count("[PASS]") == 7
 
 
 @pytest.mark.parametrize("args, labels", [
@@ -748,4 +748,4 @@ def test_runtime_does_not_load_scipy():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0] == "[]"
-    assert len(lines) == 7 and all(line.startswith("[PASS] ") for line in lines[1:])
+    assert len(lines) == 8 and all(line.startswith("[PASS] ") for line in lines[1:])

@@ -4,7 +4,8 @@ import pytest
 import safeadp as sa
 from safeadp.cost import BBAR_OFFSET, D_OFF, D_ON
 from safeadp.errors import BoundaryViolation, InputOutOfBox
-from safeadp.oracles import box_quadratic_value, central_difference, quadrature_Ru
+from safeadp.oracles import (VALUE_W_MAX, box_native_value, box_quadratic_value,
+                             central_difference, quadrature_Ru)
 
 
 def _h_point(safeset, h):
@@ -193,3 +194,57 @@ class TestBoxQuadraticValue:
         cost = sa.CostSpec(Q=[[2.0, 0.5], [0.5, 1.0]], r_diag=np.array([10.0, 10.0]), u_max=0.5)
         with pytest.raises(ValueError, match="Q must be diagonal"):
             box_quadratic_value(cost, np.zeros(2))
+
+
+class TestBoxNativeValue:
+    # the obstacle-free optimum under the paper's saturating input penalty,
+    # the floor the ADP runs' j_native_total is checked against
+    @pytest.mark.parametrize("Q, r_diag", [(np.eye(2), [10.0, 10.0]),
+                                           (np.diag([2.0, 0.5]), [10.0, 3.0])])
+    def test_solves_its_own_hjb(self, Q, r_diag):
+        # 0 = min over the open box of x^T Q x + Ru(u) + grad V . u, attained
+        # at u* = -u_max tanh(grad V / (2 u_max r)); sampled at
+        # w = q x_i^2 / (2 u_max^2 r_i) up to VALUE_W_MAX = 12, where
+        # |u*_i| / u_max = sqrt(1 - e^(-2w)) stays below 1 - 1e-12 and
+        # input_penalty_Ru keeps its closed form (its corner limit starts
+        # at w of about 13.5)
+        cost = sa.CostSpec(Q=Q, r_diag=np.array(r_diag), u_max=0.5)
+        rng = np.random.default_rng(33)
+        x_max = cost.u_max * np.sqrt(2.0 * cost.r_diag * VALUE_W_MAX / np.diag(Q))
+        saturated = 0
+        for _ in range(100):
+            x = rng.uniform(-x_max, x_max)
+            gV = central_difference(lambda y: box_native_value(cost, y), x)
+            u = -cost.u_max * np.tanh(gV / cost.two_umax_r)
+            assert np.all(np.abs(u) < cost.u_max * (1.0 - 1e-12))
+            saturated += np.any(np.abs(u) > 0.99 * cost.u_max)
+            xQx = cost.state_cost(x)
+            residual = xQx + sa.input_penalty_Ru(cost, u) + gV @ u
+            assert abs(residual) <= 1e-5 * max(1.0, xQx), (x, residual)
+        assert saturated >= 30
+
+    def test_rows_and_the_default_starts(self, cost_spec):
+        x = np.array([[3.0, 3.5], [3.0, 3.0], [4.323, 1.573], [0.0, 0.0]])
+        v = box_native_value(cost_spec, x)
+        assert v.shape == (4,)
+        np.testing.assert_array_equal(v, [box_native_value(cost_spec, row) for row in x])
+        np.testing.assert_allclose(v[:3], [79.758, 65.729, 86.021], rtol=0, atol=5e-4)
+        assert v[3] == 0.0
+        # near the origin the penalty is about u^T R u, so V_nat meets V_q
+        small = np.array([1e-3, -2e-3])
+        assert box_native_value(cost_spec, small) == pytest.approx(
+            box_quadratic_value(cost_spec, small), rel=1e-6)
+
+    def test_large_state_does_not_overflow(self, cost_spec):
+        # acosh(e^w) is w + log1p(sqrt(-expm1(-2w))): no exp(w) is formed, so
+        # at w = 2e5 the value is finite and meets its asymptote
+        # q |x|^3 / (3 u_max) + 2 u_max r ln 2 |x| per component
+        x = np.array([1e3, -1e3])
+        asymptote = (np.diag(cost_spec.Q) * 1e9 / (3.0 * cost_spec.u_max)
+                     + cost_spec.two_umax_r * np.log(2.0) * 1e3).sum()
+        assert box_native_value(cost_spec, x) == pytest.approx(asymptote, rel=1e-6)
+
+    def test_refuses_a_coupled_q(self):
+        cost = sa.CostSpec(Q=[[2.0, 0.5], [0.5, 1.0]], r_diag=np.array([10.0, 10.0]), u_max=0.5)
+        with pytest.raises(ValueError, match="Q must be diagonal"):
+            box_native_value(cost, np.zeros(2))

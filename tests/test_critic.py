@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import safeadp as sa
-from safeadp.critic import PROJ_LAYER, WA_BOUND
+from safeadp.critic import PROJ_LAYER, WA_BOUND, WEAK_EXCITATION_TOL
 from safeadp.oracles import central_difference
 
 
@@ -251,25 +251,48 @@ class TestActorProjection:
 
 class TestExcitation:
     def test_zero_history_flags_weak(self):
-        Z = np.zeros((5, 3, 3))
+        lam = np.zeros((5, 2, 3, 3))  # N = 1
         t = np.linspace(0.0, 2.0, 5)
-        m = sa.excitation_metrics(t, Z, Z, window=1.0)
-        assert m == {"c1_now": 0.0, "c2_window": 0.0, "c3_window": 0.0}
-        assert sa.weak_excitation(m)
+        c1, weak = sa.excitation_history(t, lam, window=1.0)
+        np.testing.assert_array_equal(c1, np.zeros(5))
+        assert weak
 
     def test_constant_scalar_history(self):
-        # L = 1, Lambda(t) = 0.5 over a window of length 2
+        # L = 1, Lambda(t) = 0.5 on every row over a window of length 2
         t = np.linspace(0.0, 2.0, 21)
-        lam = np.full((21, 1, 1), 0.5)
-        m = sa.excitation_metrics(t, lam, lam, window=2.0)
-        assert m["c1_now"] == pytest.approx(0.5)
-        assert m["c2_window"] == pytest.approx(1.0)
-        assert m["c3_window"] == pytest.approx(1.0)
-        assert not sa.weak_excitation(m)
+        lam = np.full((21, 2, 1, 1), 0.5)
+        c1, weak = sa.excitation_history(t, lam, window=2.0)
+        assert c1.shape == (21,)
+        np.testing.assert_allclose(c1, 0.5)
+        assert not weak
 
-    def test_empty_history_raises(self):
-        with pytest.raises(ValueError):
-            sa.excitation_metrics([], [], [], window=1.0)
+    @pytest.mark.parametrize("k, weak", [(0.99, True), (1.01, False)])
+    def test_window_integrals_of_a_constant_history(self, k, weak):
+        # Lambda = 0.5 k tol on every row over a window of length 2: c1 =
+        # 0.5 k tol, and the window integrals c2 = c3 = k tol cross the
+        # tolerance at k = 1
+        t = np.linspace(0.0, 2.0, 21)
+        lam = np.full((21, 2, 1, 1), 0.5 * k * WEAK_EXCITATION_TOL)
+        c1, got = sa.excitation_history(t, lam, window=2.0)
+        np.testing.assert_allclose(c1, 0.5 * k * WEAK_EXCITATION_TOL)
+        assert got == weak
+
+    @pytest.mark.parametrize("case", ["c1", "c2", "c3"])
+    def test_each_surrogate_lifts_the_flag(self, case):
+        # one surrogate at or above the tolerance, the other two at 0
+        t = np.linspace(0.0, 2.0, 21)
+        lam = np.zeros((21, 3, 2, 2))  # N = 2
+        window = 1.0
+        if case == "c1":  # the last redraw's extrapolated rows, alone in a short window
+            lam[-1, 1:] = np.eye(2)
+            window = 0.05
+        elif case == "c2":  # the extrapolated rows, all but at the last redraw
+            lam[:-1, 1:] = np.eye(2)
+        else:  # the on-trajectory row
+            lam[:, 0] = np.eye(2)
+        c1, weak = sa.excitation_history(t, lam, window)
+        assert (c1[-1] > 0) == (case == "c1")
+        assert not weak
 
 
 def test_gains_are_frozen_with_their_row_weights():

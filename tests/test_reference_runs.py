@@ -19,6 +19,7 @@ import os
 import numpy as np
 import pytest
 
+import reference_runs
 from reference_runs import VALUES, WORK, load, outcome
 
 import safeadp as sa
@@ -75,3 +76,24 @@ def test_cost_meets_the_obstacle_free_optimum(run):
     v0 = box_quadratic_value(scn.cost, scn.sim.x0)
     margin = rec.J + box_quadratic_value(scn.cost, rec.x) - v0
     assert margin.min() >= -1e-12 * v0, (int(margin.argmin()), margin.min(), v0)
+
+
+def test_check_reports_the_gap_and_writes_nothing(monkeypatch, capsys):
+    # --check prints each run's largest relative gap and its hash matches;
+    # a run whose recorded total_J is off by 1e-3 and whose CSV hash is
+    # stale reads as such, and the table file is not written
+    run = dict(RUNS[0], values=dict(RUNS[0]["values"]), csv_sha256="0" * 64)
+    run["values"]["total_J"] *= 1.001
+    before = reference_runs.TABLE.read_bytes()
+    monkeypatch.setattr(reference_runs, "load", lambda: [run])
+    reference_runs.check()
+    lines = capsys.readouterr().out.splitlines()
+    assert reference_runs.TABLE.read_bytes() == before
+    assert len(lines) == 2
+    name, report = lines[0].split(": ", 1)
+    assert name == run["name"]
+    gap = float(report.split(",")[0].removeprefix("max rel gap "))
+    assert gap == pytest.approx(1e-3 / 1.001, rel=1e-3)
+    # the summary's bytes may differ across NumPy releases, so either reading
+    assert "csv sha256 differ" in report
+    assert report.endswith(("summary sha256 match", "summary sha256 differ"))
